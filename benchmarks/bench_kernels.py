@@ -1,4 +1,4 @@
-"""Timing comparison of the jitted hot kernels against the numpy fallback.
+"""Timing comparison of the jitted kernels against the numpy fallback.
 
 Run from the repository root:
 
@@ -7,7 +7,10 @@ Run from the repository root:
 Both implementations are importable side by side regardless of the
 SPHSOLVE_BACKEND value, so one process benchmarks both.  The jitted
 functions are warmed once before timing so compilation never pollutes
-the numbers.
+the numbers.  The last case, ``addition_gemm``, times the solver's own
+path for the product_weight_matrix values: the addition theorem as one
+BLAS product of basis matrices, then K.  It is checked against the
+Legendre recurrence before it is timed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import time
 
 import numpy as np
 
-from sphsolve import _kernels
+from sphsolve import _kernels, solver
+from sphsolve.moments import ModifiedMoments, SingularKernel
+from sphsolve.pointsets import QuadratureRule
 from sphsolve.sphere import uniform_random_points
 
 
@@ -87,6 +92,24 @@ def main() -> None:
         t_np = best_of(numpy_fn)
         t_nb = best_of(numba_fn) if numba_fn is not None else None
         print(format_row(name, shape, t_np, t_nb))
+
+    # sum_l c_l P_l(t) = sum_l mu_l sum_k Y_lk Y_lk with mu_l = 4pi c_l/(2l+1)
+    mu = coeffs * 4.0 * np.pi / (2 * np.arange(degree + 1) + 1)
+    moments = ModifiedMoments(kernel=SingularKernel.one(), n=degree,
+                              values=mu, method="closed_form")
+    rule = QuadratureRule(points=pts, weights=w, label="bench")
+    K = solver.ContinuousKernel.sin_scaled(10.0)
+
+    def gemm():
+        return solver._weighted_kernel_matrix(rule, moments, K, grid)
+
+    a = _kernels.product_weight_matrix_numpy(dots, w, coeffs,
+                                             _kernels.K_SIN, 10.0)
+    err = np.max(np.abs(gemm() - a))
+    if err > 1e-12 * (1.0 + np.max(np.abs(a))):
+        raise SystemExit(f"addition_gemm differs from the recurrence by {err:.3e}")
+    print(format_row("addition_gemm", f"({n_grid}, {m_points}) sin",
+                     best_of(gemm), None))
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ absorb the singular factor h analytically (via Legendre moments of the 1-D
 profile), then a natural interpolant evaluated anywhere on the sphere.  The
 quality of a rule is measured by its Marcinkiewicz-Zygmund constant.
 
-Heavy kernels run through numba when available; set SPHSOLVE_BACKEND=numpy
-to force the portable path.
+The weights come from the addition theorem as BLAS products of harmonic
+basis matrices.  SPHSOLVE_BACKEND=numba|numpy selects only the _kernels
+implementations: the basis matrix and the standalone Legendre kernels that
+the benchmarks time.
 """
 
 from ._kernels import BACKEND, HAVE_NUMBA

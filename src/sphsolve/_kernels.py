@@ -1,11 +1,12 @@
-"""Hot numerical kernels: numba-jitted fast path plus a pure-numpy fallback.
+"""Numerical kernels: numba-jitted fast path plus a pure-numpy fallback.
 
-The two kernels that dominate runtime are
-
-* ``zonal_sum``   -- accumulate sum_l c_l P_l(t) over an array of dot
-  products (product-integration weight assembly, stage-2 evaluation),
 * ``basis_matrix`` -- evaluate the full real spherical-harmonic basis up
-  to a degree at a batch of unit vectors (Gram matrices, hyperinterpolation).
+  to a degree at a batch of unit vectors (product-integration weights by
+  the addition theorem, Gram matrices, hyperinterpolation),
+* ``zonal_sum`` and ``product_weight_matrix`` -- accumulate
+  sum_l c_l P_l(t) (times w_j K) over an array of dot products by the
+  Legendre recurrence.  The solver does not call them; they are the
+  per-entry reference the tests and benchmarks compare against.
 
 The backend is fixed at import time from the environment variable
 ``SPHSOLVE_BACKEND``: ``"numba"`` (default) or ``"numpy"``.  If numba is

@@ -6,14 +6,18 @@ Stage 1 collocates at the quadrature points and solves the dense system
 
 where the product-integration weights absorb the singular factor h:
 
-    W_j(x) = w_j sum_{l<=n} mu_l ((2l+1)/(4pi)) P_l(x . x_j),
+    W_j(x) = w_j sum_{l<=n} mu_l ((2l+1)/(4pi)) P_l(x . x_j)
+           = w_j sum_{l<=n} mu_l sum_k Y_lk(x) Y_lk(x_j).
 
-the addition theorem having collapsed the harmonic sum over orders.
-Stage 2 evaluates the natural interpolant anywhere,
+Read right to left, the addition theorem makes the weights a product of
+rank (n+1)^2, Y(x)^T diag(mu_l repeated 2l+1 times) Y(X) diag(w), so every
+block of weights is one BLAS matrix product of basis matrices; K is then
+applied entrywise.  Stage 2 evaluates the natural interpolant anywhere,
 
     phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j),
 
-which reproduces the nodal values exactly at the quadrature points.
+which reproduces the nodal values exactly at the quadrature points.  It
+runs over row blocks of targets, so no targets-by-m matrix is formed.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from typing import Callable, Union
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from . import _kernels
+from . import harmonics
+from .harmonics import HarmonicBasis
 from .moments import ModifiedMoments, SingularKernel, modified_moments
 from .mz import gram_matrix
 from .pointsets import QuadratureRule
@@ -52,6 +57,10 @@ RightHandSide = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 CONDITION_WARN_THRESHOLD = 1e12
 
+# Entries per row block of weighted-kernel values; bounds the K(dots)
+# temporaries of assembly and every stage-2 block.
+_BLOCK_ENTRIES = 1 << 22
+
 
 class SingularSystemError(np.linalg.LinAlgError):
     """The collocation matrix is singular to working precision."""
@@ -67,8 +76,8 @@ class ContinuousKernel:
 
     Built-ins: constant(c), sin_scaled(c) = sin(c|x-y|), cos_scaled(c) =
     cos(c|x-y|).  An arbitrary radial K can be supplied as a vectorized
-    function of the distance |x-y| via custom(); built-ins keep the fused
-    fast path and a reproducible command-line description.
+    function of the distance |x-y| via custom(); built-ins keep a
+    reproducible command-line description.
     """
 
     family: str
@@ -120,11 +129,6 @@ class ContinuousKernel:
     def of_dots(self, dots):
         return self.of_distance(np.sqrt(np.maximum(2.0 * (1.0 - dots), 0.0)))
 
-    @property
-    def _fused_code(self) -> int | None:
-        return {"constant": _kernels.K_CONST, "sin_scaled": _kernels.K_SIN,
-                "cos_scaled": _kernels.K_COS}.get(self.family)
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -163,18 +167,11 @@ class DiscreteSolution:
         object.__setattr__(self, "nodal_values", v)
 
 
-def _zonal_coefficients(moments: ModifiedMoments) -> np.ndarray:
-    l = np.arange(moments.n + 1)
-    return moments.values * (2 * l + 1) / FOUR_PI
-
-
 def weight_matrix(rule: QuadratureRule, moments: ModifiedMoments,
                   targets) -> np.ndarray:
     """W_j(x) for a batch of targets x; shape (len(targets), m)."""
-    pts = as_unit_vectors(targets)
-    dots = np.clip(pts @ rule.points.T, -1.0, 1.0)
-    zs = _kernels.zonal_sum(_zonal_coefficients(moments), dots)
-    return zs * rule.weights
+    return _weighted_kernel_matrix(rule, moments, ContinuousKernel.constant(1.0),
+                                   as_unit_vectors(targets))
 
 
 def weight_row(rule: QuadratureRule, moments: ModifiedMoments, x) -> np.ndarray:
@@ -182,17 +179,52 @@ def weight_row(rule: QuadratureRule, moments: ModifiedMoments, x) -> np.ndarray:
     return weight_matrix(rule, moments, np.asarray(x)[None, :])[0]
 
 
+def _rule_factor(rule: QuadratureRule, moments: ModifiedMoments) -> np.ndarray:
+    """diag(mu_l repeated 2l+1 times) Y(X) diag(w), shape ((n+1)^2, m).
+
+    Row 0 carries both factors of the constant Y_00 = 1/sqrt(4pi), and the
+    target side carries ones there: the degree-0 term mu_0 w_j / (4pi) is
+    then exact, as P_0 == 1 makes it in the Legendre sum.
+    """
+    right = harmonics.eval_basis_matrix(HarmonicBasis(moments.n), rule.points)
+    right *= np.repeat(moments.values, 2 * np.arange(moments.n + 1) + 1)[:, None]
+    right[0] = moments.values[0] / FOUR_PI
+    right *= rule.weights
+    return right
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    step = max(1, _BLOCK_ENTRIES // cols)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _weighted_kernel_block(rule: QuadratureRule, moments: ModifiedMoments,
+                           right: np.ndarray, K: ContinuousKernel,
+                           targets: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """W_j(x) K(x, x_j) for one row block of targets: one GEMM, then K.
+
+    right is _rule_factor(rule, moments); out, if given, receives the block.
+    """
+    left = harmonics.eval_basis_matrix(HarmonicBasis(moments.n), targets)
+    left[0] = 1.0
+    B = np.matmul(left.T, right, out=out)
+    if K.family == "constant":
+        B *= K.c
+    else:
+        B *= K.of_dots(np.clip(targets @ rule.points.T, -1.0, 1.0))
+    return B
+
+
 def _weighted_kernel_matrix(rule: QuadratureRule, moments: ModifiedMoments,
                             K: ContinuousKernel, targets: np.ndarray) -> np.ndarray:
-    """Fused W_j(x) * K(x, x_j); the hot path of assembly and stage 2."""
-    dots = np.clip(targets @ rule.points.T, -1.0, 1.0)
-    code = K._fused_code
-    if code is None:
-        return (_kernels.zonal_sum(_zonal_coefficients(moments), dots)
-                * rule.weights * K.of_dots(dots))
-    return _kernels.product_weight_matrix(dots, rule.weights,
-                                          _zonal_coefficients(moments),
-                                          code, K.c)
+    """W_j(x) K(x, x_j) for every target; the matrix of assembly."""
+    right = _rule_factor(rule, moments)
+    out = np.empty((targets.shape[0], rule.m))
+    for rows in _row_blocks(targets.shape[0], rule.m):
+        _weighted_kernel_block(rule, moments, right, K, targets[rows],
+                               out=out[rows])
+    return out
 
 
 def assemble_system(spec: ProblemSpec,
@@ -256,8 +288,13 @@ def solve_stage1(spec: ProblemSpec,
 def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     """phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j) at one or many t."""
     pts = as_unit_vectors(targets)
-    B = _weighted_kernel_matrix(sol.spec.rule, sol.moments, sol.spec.K, pts)
-    return sol.spec.f_values(pts) + B @ sol.nodal_values
+    rule, K = sol.spec.rule, sol.spec.K
+    right = _rule_factor(rule, sol.moments)
+    integral = np.empty(pts.shape[0])
+    for rows in _row_blocks(pts.shape[0], rule.m):
+        B = _weighted_kernel_block(rule, sol.moments, right, K, pts[rows])
+        integral[rows] = B @ sol.nodal_values
+    return sol.spec.f_values(pts) + integral
 
 
 def uniform_error(sol: DiscreteSolution, exact: RightHandSide,

@@ -11,6 +11,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from sphsolve import (
     ContinuousKernel,
+    HarmonicBasis,
     IllConditionedWarning,
     ProblemSpec,
     QuadratureRule,
@@ -18,16 +19,22 @@ from sphsolve import (
     SingularSystemError,
     assemble_system,
     equal_area_points,
+    eval_basis_matrix,
     evaluate_stage2,
+    experiment_f,
+    experiment_kernels,
+    legendre_table,
     modified_moments,
     mz_constant,
     profile_integral,
+    random_rule,
     solve_stage1,
     uniform_error,
     uniform_random_points,
     weight_matrix,
     weight_row,
 )
+from sphsolve import _kernels, solver
 
 FOUR_PI = 4.0 * math.pi
 
@@ -256,7 +263,7 @@ def test_solution_values_are_frozen(td10) -> None:
 
 
 def test_custom_continuous_kernel_runs_unfused(td10, eval_grid) -> None:
-    # a custom K takes the generic assembly path; same answer as the
+    # a custom K given as a distance function: same answer as the
     # built-in it imitates
     K_custom = ContinuousKernel.custom(lambda r: np.sin(10.0 * r))
     K_builtin = ContinuousKernel.sin_scaled(10.0)
@@ -270,3 +277,100 @@ def test_custom_continuous_kernel_runs_unfused(td10, eval_grid) -> None:
     vc = evaluate_stage2(sol_c, eval_grid.points[:100])
     vb = evaluate_stage2(sol_b, eval_grid.points[:100])
     assert np.max(np.abs(vc - vb)) <= 1e-12
+
+
+def zonal_coefficients(moments) -> np.ndarray:
+    degree = np.arange(moments.n + 1)
+    return moments.values * (2 * degree + 1) / FOUR_PI
+
+
+EQUIVALENCE_KERNELS = {
+    "constant": ContinuousKernel.constant(2.5),
+    "sin": ContinuousKernel.sin_scaled(10.0),
+    "cos": ContinuousKernel.cos_scaled(10.0),
+    "custom": ContinuousKernel.custom(lambda r: np.exp(-r) * (1.0 + r ** 2)),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 20])
+@pytest.mark.parametrize("K_name", sorted(EQUIVALENCE_KERNELS))
+@pytest.mark.parametrize("rule_name", ["td20", "random500"])
+def test_weighted_kernel_matches_legendre_sum(rule_name, K_name, n,
+                                              request) -> None:
+    # the GEMM of basis matrices against the direct Legendre zonal sum
+    # w_j sum_l mu_l (2l+1)/(4pi) P_l(x . x_j) K(x, x_j), at the nodes
+    # (diagonal dots == 1) and at off-node targets
+    rule = (request.getfixturevalue("td20") if rule_name == "td20"
+            else random_rule(500, seed=41))
+    K = EQUIVALENCE_KERNELS[K_name]
+    moments = modified_moments(SingularKernel.log(), n)
+    targets = np.vstack([rule.points,
+                         uniform_random_points(200, seed=42).points])
+    dots = np.clip(targets @ rule.points.T, -1.0, 1.0)
+    zonal = np.tensordot(zonal_coefficients(moments),
+                         legendre_table(n, dots), axes=1)
+    expected = rule.weights * zonal * K.of_dots(dots)
+    got = solver._weighted_kernel_matrix(rule, moments, K, targets)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+    if K_name == "constant":
+        W = weight_matrix(rule, moments, targets)
+        assert np.max(np.abs(K.c * W - expected)) <= 1e-12 * scale
+
+
+def test_stage2_blocks_match_one_product(td20) -> None:
+    # enough targets for two row blocks, the second one partial
+    n = 10
+    step = solver._BLOCK_ENTRIES // td20.m
+    targets = uniform_random_points(step + 123, seed=43).points
+    blocks = solver._row_blocks(len(targets), td20.m)
+    assert len(blocks) == 2 and len(targets) - blocks[1].start == 123
+
+    K = ContinuousKernel.sin_scaled(10.0)
+    sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K,
+                                   f=0.7, n=n, rule=td20))
+    mu = np.repeat(sol.moments.values, 2 * np.arange(n + 1) + 1)
+    right = mu[:, None] * eval_basis_matrix(HarmonicBasis(n), td20.points)
+    left = eval_basis_matrix(HarmonicBasis(n), targets)
+    dots = np.clip(targets @ td20.points.T, -1.0, 1.0)
+    B = (left.T @ (right * td20.weights)) * K.of_dots(dots)
+    expected = 0.7 + B @ sol.nodal_values
+    got = evaluate_stage2(sol, targets)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * max(
+        1.0, float(np.max(np.abs(expected))))
+
+
+_KERNEL_CODES = {"constant": _kernels.K_CONST, "sin_scaled": _kernels.K_SIN,
+                 "cos_scaled": _kernels.K_COS}
+
+
+@pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [10, 20])
+@pytest.mark.parametrize("rule_name", ["td20", "td40"])
+def test_presets_match_legendre_recurrence(exp_id, n, rule_name, request,
+                                           eval_grid) -> None:
+    # the whole solve against the per-entry Legendre recurrence of
+    # _kernels, assembled and solved here without the solver module
+    rule = request.getfixturevalue(rule_name)
+    kernel, K = experiment_kernels(exp_id)
+    f = experiment_f(exp_id)
+    sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=f, n=n, rule=rule))
+
+    coeffs = zonal_coefficients(sol.moments)
+    code = _KERNEL_CODES[K.family]
+
+    def recurrence(targets: np.ndarray) -> np.ndarray:
+        dots = np.clip(targets @ rule.points.T, -1.0, 1.0)
+        return _kernels.product_weight_matrix_numpy(dots, rule.weights,
+                                                    coeffs, code, K.c)
+
+    M = np.eye(rule.m) - recurrence(rule.points)
+    phi = lu_solve(lu_factor(M), np.full(rule.m, f))
+    assert np.max(np.abs(sol.nodal_values - phi)) <= 1e-11
+
+    # stage 2 of both paths applied to the same nodal values
+    targets = eval_grid.points[:1000]
+    expected = f + recurrence(targets) @ sol.nodal_values
+    got = evaluate_stage2(sol, targets)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * float(
+        np.max(np.abs(expected)))
