@@ -7,10 +7,13 @@ Run from the repository root:
 Both implementations are importable side by side regardless of the
 SPHSOLVE_BACKEND value, so one process benchmarks both.  The jitted
 functions are warmed once before timing so compilation never pollutes
-the numbers.  The last case, ``addition_gemm``, times the solver's own
-path for the product_weight_matrix values: the addition theorem as one
-BLAS product of basis matrices, then K.  It is checked against the
-Legendre recurrence before it is timed.
+the numbers.  The case ``addition_gemm`` times the solver's own path for
+the product_weight_matrix values: the addition theorem as one BLAS
+product of basis matrices, then K.  It is checked against the Legendre
+recurrence before it is timed.  The last case, ``low_rank_solve``, times
+stage 1 of preset 3 (K == 1) at n = 10 on a random rule, which takes the
+Woodbury path; it is checked against LU of the assembled matrix, timed
+once as ``dense_lu_solve``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import argparse
 import time
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
-from sphsolve import _kernels, solver
+from sphsolve import _kernels, experiments, solver
 from sphsolve.moments import ModifiedMoments, SingularKernel
-from sphsolve.pointsets import QuadratureRule
+from sphsolve.pointsets import QuadratureRule, random_rule
 from sphsolve.sphere import uniform_random_points
 
 
@@ -50,9 +54,9 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.sizes == "large":
-        m_points, n_grid, degree = 1681, 5000, 40
+        m_points, n_grid, degree, m_solve = 1681, 5000, 40, 8000
     else:
-        m_points, n_grid, degree = 441, 1000, 20
+        m_points, n_grid, degree, m_solve = 441, 1000, 20, 2000
 
     rng = np.random.default_rng(0)
     pts = uniform_random_points(m_points, seed=1).points
@@ -110,6 +114,25 @@ def main() -> None:
         raise SystemExit(f"addition_gemm differs from the recurrence by {err:.3e}")
     print(format_row("addition_gemm", f"({n_grid}, {m_points}) sin",
                      best_of(gemm), None))
+
+    kernel, K_one = experiments.experiment_kernels(3)
+    spec = solver.ProblemSpec(kernel=kernel, K=K_one,
+                              f=experiments.experiment_f(3), n=10,
+                              rule=random_rule(m_solve, 3))
+    sol = solver.solve_stage1(spec)
+    start = time.perf_counter()
+    M, b = solver.assemble_system(spec, sol.moments)
+    phi = lu_solve(lu_factor(M, overwrite_a=True), b)
+    t_dense = time.perf_counter() - start
+    err = np.max(np.abs(sol.nodal_values - phi))
+    if sol.path != "low-rank" or err > 1e-10 * np.max(np.abs(phi)):
+        raise SystemExit(f"low_rank_solve ({sol.path}) differs from the "
+                         f"dense solve by {err:.3e}")
+    shape = f"m={m_solve} n=10 K=1"
+    print(format_row("low_rank_solve", shape,
+                     best_of(lambda: solver.solve_stage1(spec, sol.moments)),
+                     None))
+    print(format_row("dense_lu_solve", shape, t_dense, None))
 
 
 if __name__ == "__main__":

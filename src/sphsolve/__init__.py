@@ -30,9 +30,9 @@ from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
                         random_rule, save_pointset)
 from .solver import (ContinuousKernel, DiscreteSolution, IllConditionedWarning,
-                     ProblemSpec, SingularSystemError, assemble_system,
-                     evaluate_stage2, solve_stage1, uniform_error,
-                     weight_matrix, weight_row)
+                     NonFiniteInputError, ProblemSpec, SingularSystemError,
+                     assemble_system, evaluate_stage2, solve_stage1,
+                     uniform_error, weight_matrix, weight_row)
 from .sphere import (EvaluationGrid, euclidean_distance, geodesic_distance,
                      mesh_norm, sphere_point, uniform_random_points)
 
@@ -56,9 +56,9 @@ __all__ = [
     "HyperCoefficients", "hyper_coefficients", "hyper_evaluate",
     "hyper_l2_norm",
     "ContinuousKernel", "DiscreteSolution", "IllConditionedWarning",
-    "ProblemSpec", "SingularSystemError", "assemble_system",
-    "evaluate_stage2", "solve_stage1", "uniform_error", "weight_matrix",
-    "weight_row",
+    "NonFiniteInputError", "ProblemSpec", "SingularSystemError",
+    "assemble_system", "evaluate_stage2", "solve_stage1", "uniform_error",
+    "weight_matrix", "weight_row",
     "DEFAULT_GRID_SEED", "DEFAULT_GRID_SIZE", "EXPERIMENT_IDS",
     "ExperimentRecord", "experiment_f", "experiment_kernels", "recompute_f",
     "run_experiment",

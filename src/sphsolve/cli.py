@@ -311,7 +311,8 @@ def _solve_record(kernel: SingularKernel, K: ContinuousKernel,
                             eta=sol.gamma[2], uniform_error=err,
                             residual=sol.residual, seconds=seconds,
                             condition_estimate=sol.condition_estimate,
-                            rule_label=rule.label, f=f_value)
+                            rule_label=rule.label, f=f_value,
+                            solver_path=sol.path)
 
 
 def _check_finite(record: ExperimentRecord) -> ExperimentRecord:

@@ -62,6 +62,7 @@ class ExperimentRecord:
     condition_estimate: float
     rule_label: str
     f: float
+    solver_path: str  # DiscreteSolution.path: "dense-lu" or "low-rank"
 
     def csv_row(self) -> str:
         return (f"{self.experiment},{self.n},{self.m},{self.eta:.17g},"
@@ -124,4 +125,5 @@ def run_experiment(exp_id: int, n: int, rule: QuadratureRule,
                             eta=sol.gamma[2], uniform_error=err,
                             residual=sol.residual, seconds=seconds,
                             condition_estimate=sol.condition_estimate,
-                            rule_label=rule.label, f=f)
+                            rule_label=rule.label, f=f,
+                            solver_path=sol.path)

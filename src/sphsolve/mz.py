@@ -22,7 +22,7 @@ from .harmonics import HarmonicBasis, eval_basis_matrix
 from .pointsets import QuadratureRule
 from .sphere import EvaluationGrid, mesh_norm, uniform_random_points
 
-__all__ = ["MZReport", "gram_matrix", "mz_constant",
+__all__ = ["MZReport", "gram_matrix", "gram_spectrum", "mz_constant",
            "quadrature_error_on_harmonics", "EXACTNESS_TOL"]
 
 # Above accumulated round-off of <= 5000-term weighted sums; configurable
@@ -72,6 +72,13 @@ def gram_matrix(rule: QuadratureRule, n: int) -> np.ndarray:
     return 0.5 * (G + G.T)  # exact symmetry for the eigensolver
 
 
+def gram_spectrum(G: np.ndarray) -> tuple[float, float, float]:
+    """(eta, lambda_min, lambda_max) of a Gram matrix from gram_matrix."""
+    lam = np.linalg.eigvalsh(G)
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    return max(lam_max - 1.0, 1.0 - lam_min, 0.0), lam_min, lam_max
+
+
 def quadrature_error_on_harmonics(rule: QuadratureRule, d: int) -> float:
     """Max over l <= d, k of |sum_j w_j Y_{l,k}(x_j) - sqrt(4pi) [l=0]|.
 
@@ -101,10 +108,7 @@ def mz_constant(rule: QuadratureRule, n: int,
     The default probe for the mesh norm has min(100 m, 100000) points,
     seeded for reproducibility.
     """
-    G = gram_matrix(rule, n)
-    lam = np.linalg.eigvalsh(G)
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-    eta = max(lam_max - 1.0, 1.0 - lam_min, 0.0)
+    eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n))
     exact_to = _exactness_degree(rule, 2 * n + 1, exactness_tol)
     if probe is None:
         probe = uniform_random_points(min(100 * rule.m, 100_000), seed=2024)

@@ -18,6 +18,16 @@ applied entrywise.  Stage 2 evaluates the natural interpolant anywhere,
 
 which reproduces the nodal values exactly at the quadrature points.  It
 runs over row blocks of targets, so no targets-by-m matrix is formed.
+
+For a constant K = c the collocation matrix is the identity plus a term of
+rank r = (n+1)^2, M = I - c U V with U = Y(X)^T and V = diag(mu) Y(X)
+diag(w).  When r < m, stage 1 never forms M: Woodbury's identity
+
+    M^{-1} = I + c U (I_r - c V U)^{-1} V
+
+reduces the solve to the r x r system (I_r - c V U) z = V f, with
+phi = f + c U z.  Stage 2 shares the factor V and costs O(r) per target:
+phi(t) = f(t) + c Y(t)^T (V phi).  Every other K takes the dense LU.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from . import harmonics
 from .harmonics import HarmonicBasis
 from .moments import ModifiedMoments, SingularKernel, modified_moments
-from .mz import gram_matrix
+from .mz import gram_matrix, gram_spectrum
 from .pointsets import QuadratureRule
 from .sphere import EvaluationGrid, as_unit_vectors
 
@@ -42,6 +52,7 @@ __all__ = [
     "ProblemSpec",
     "DiscreteSolution",
     "SingularSystemError",
+    "NonFiniteInputError",
     "IllConditionedWarning",
     "weight_row",
     "weight_matrix",
@@ -64,6 +75,10 @@ _BLOCK_ENTRIES = 1 << 22
 
 class SingularSystemError(np.linalg.LinAlgError):
     """The collocation matrix is singular to working precision."""
+
+
+class NonFiniteInputError(ValueError):
+    """f at a node, the constant c, or an entry of K is not finite."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -117,17 +132,25 @@ class ContinuousKernel:
         return "custom"
 
     def of_distance(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        if self.family == "constant":
-            return np.full_like(r, self.c)
-        if self.family == "sin_scaled":
-            return np.sin(self.c * r)
-        if self.family == "cos_scaled":
-            return np.cos(self.c * r)
-        return np.asarray(self.fn(r), dtype=np.float64)
+        return self._of_distance_inplace(np.array(r, dtype=np.float64))
 
     def of_dots(self, dots):
-        return self.of_distance(np.sqrt(np.maximum(2.0 * (1.0 - dots), 0.0)))
+        """K at |x-y| = sqrt(2(1 - x.y)), built in one buffer."""
+        r = 1.0 - np.asarray(dots, dtype=np.float64)
+        r *= 2.0
+        np.maximum(r, 0.0, out=r)
+        np.sqrt(r, out=r)
+        return self._of_distance_inplace(r)
+
+    def _of_distance_inplace(self, r: np.ndarray) -> np.ndarray:
+        """K at the distances r, overwriting r unless K is custom."""
+        if self.family == "constant":
+            r.fill(self.c)
+            return r
+        if self.family == "custom":
+            return np.asarray(self.fn(r), dtype=np.float64)
+        r *= self.c
+        return (np.sin if self.family == "sin_scaled" else np.cos)(r, out=r)
 
 
 @dataclass(frozen=True)
@@ -160,6 +183,7 @@ class DiscreteSolution:
     gamma: tuple[int, int, float]  # (m, n, eta)
     residual: float
     condition_estimate: float
+    path: str  # "dense-lu" or "low-rank"
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.nodal_values, dtype=np.float64)
@@ -179,16 +203,28 @@ def weight_row(rule: QuadratureRule, moments: ModifiedMoments, x) -> np.ndarray:
     return weight_matrix(rule, moments, np.asarray(x)[None, :])[0]
 
 
-def _rule_factor(rule: QuadratureRule, moments: ModifiedMoments) -> np.ndarray:
+def _target_factor(n: int, targets: np.ndarray) -> np.ndarray:
+    """Y(x) with row 0 set to ones, shape ((n+1)^2, len(targets)): the
+    target side of _rule_factor."""
+    left = harmonics.eval_basis_matrix(HarmonicBasis(n), targets)
+    left[0] = 1.0
+    return left
+
+
+def _rule_factor(rule: QuadratureRule, moments: ModifiedMoments,
+                 left: np.ndarray | None = None) -> np.ndarray:
     """diag(mu_l repeated 2l+1 times) Y(X) diag(w), shape ((n+1)^2, m).
 
     Row 0 carries both factors of the constant Y_00 = 1/sqrt(4pi), and the
     target side carries ones there: the degree-0 term mu_0 w_j / (4pi) is
-    then exact, as P_0 == 1 makes it in the Legendre sum.
+    then exact, as P_0 == 1 makes it in the Legendre sum.  left, if given,
+    is _target_factor(n, rule.points), which saves evaluating the basis.
     """
-    right = harmonics.eval_basis_matrix(HarmonicBasis(moments.n), rule.points)
-    right *= np.repeat(moments.values, 2 * np.arange(moments.n + 1) + 1)[:, None]
-    right[0] = moments.values[0] / FOUR_PI
+    right = (_target_factor(moments.n, rule.points) if left is None
+             else left.copy())
+    mu = np.repeat(moments.values, 2 * np.arange(moments.n + 1) + 1)
+    mu[0] /= FOUR_PI
+    right *= mu[:, None]
     right *= rule.weights
     return right
 
@@ -206,9 +242,7 @@ def _weighted_kernel_block(rule: QuadratureRule, moments: ModifiedMoments,
 
     right is _rule_factor(rule, moments); out, if given, receives the block.
     """
-    left = harmonics.eval_basis_matrix(HarmonicBasis(moments.n), targets)
-    left[0] = 1.0
-    B = np.matmul(left.T, right, out=out)
+    B = np.matmul(_target_factor(moments.n, targets).T, right, out=out)
     if K.family == "constant":
         B *= K.c
     else:
@@ -227,73 +261,164 @@ def _weighted_kernel_matrix(rule: QuadratureRule, moments: ModifiedMoments,
     return out
 
 
+def _check_moments(spec: ProblemSpec, moments: ModifiedMoments) -> None:
+    if moments.n != spec.n or moments.kernel != spec.kernel:
+        raise ValueError("moments do not match the problem kernel/degree")
+
+
+def _nodal_rhs(spec: ProblemSpec) -> np.ndarray:
+    """f(x_i), once the constant c and every f(x_i) are known to be finite."""
+    if spec.K.family == "constant" and not math.isfinite(spec.K.c):
+        raise NonFiniteInputError(f"constant K is not finite: c = {spec.K.c}")
+    b = spec.f_values(spec.rule.points)
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteInputError(
+            f"f is not finite at node {i} of {spec.rule.m} "
+            f"(x = {spec.rule.points[i].tolist()}): f = {b[i]}")
+    return b
+
+
 def assemble_system(spec: ProblemSpec,
                     moments: ModifiedMoments | None = None):
     """Collocation matrix M_ij = delta_ij - W_j(x_i) K(x_i, x_j) and rhs f(x_i)."""
     if moments is None:
         moments = modified_moments(spec.kernel, spec.n)
-    if moments.n != spec.n or moments.kernel != spec.kernel:
-        raise ValueError("moments do not match the problem kernel/degree")
+    _check_moments(spec, moments)
+    b = _nodal_rhs(spec)
     M = _weighted_kernel_matrix(spec.rule, moments, spec.K, spec.rule.points)
     np.negative(M, out=M)
     np.fill_diagonal(M, M.diagonal() + 1.0)
-    return M, spec.f_values(spec.rule.points)
+    return M, b
+
+
+def _factor(A: np.ndarray, name: str):
+    """LU of A; SingularSystemError when a pivot is exactly zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", category=RuntimeWarning)
+        try:
+            lu, piv = lu_factor(A)
+        except (RuntimeWarning, np.linalg.LinAlgError) as exc:
+            raise SingularSystemError(f"{name} is singular: {exc}") from None
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() == 0.0:
+        raise SingularSystemError(
+            f"{name} is singular to working precision: "
+            f"pivot {int(pivots.argmin())} of {A.shape[0]} is zero")
+    return lu, piv
+
+
+def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments):
+    """(phi, residual, condition estimate) by LU of the assembled M."""
+    M, b = assemble_system(spec, moments)
+    anorm = 0.0  # infinity norm, chunked to avoid an m^2 temporary
+    for start in range(0, M.shape[0], 512):
+        row_sums = np.abs(M[start:start + 512]).sum(axis=1)
+        if not np.all(np.isfinite(row_sums)):
+            i = start + int(np.argmin(np.isfinite(row_sums)))
+            raise NonFiniteInputError(
+                f"K is not finite in row {i} of the collocation matrix")
+        anorm = max(anorm, float(row_sums.max()))
+    lu, piv = _factor(M, "collocation matrix")
+    gecon = get_lapack_funcs("gecon", (lu,))
+    rcond, info = gecon(lu, anorm, norm="I")
+    cond = math.inf if rcond == 0.0 or info < 0 else 1.0 / float(rcond)
+    phi = lu_solve((lu, piv), b)
+    return phi, float(np.max(np.abs(M @ phi - b))), cond
+
+
+def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments):
+    """(phi, residual, condition estimate) for K = c without forming M.
+
+    M = I - c U V with U = _target_factor(n, X)^T (m x r) and V =
+    _rule_factor (r x m).  Woodbury gives M^-1 = I + c U S^-1 V with the
+    r x r matrix S = I_r - c V U, so phi = f + c U z with S z = V f.  One
+    step of iterative refinement follows: phi = f + c U z shifts every
+    nodal value by the same rounding error of z, which stage 2 would
+    multiply by |c mu_0|.  The residual is that of the full system, applied
+    in O(m r).  The condition estimate is the infinity-norm one of M
+    itself, ||M^T||_1 ||M^-T||_1 by Hager's estimator (onenormest with
+    t=1, as in LAPACK gecon) on operators.
+    """
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    _check_moments(spec, moments)
+    b = _nodal_rhs(spec)
+    c, m = spec.K.c, spec.rule.m
+    U_T = _target_factor(spec.n, spec.rule.points)
+    V, U = _rule_factor(spec.rule, moments, U_T), U_T.T
+    S = np.eye(V.shape[0]) - c * (V @ U)
+    lu_piv = _factor(S, "reduced system I - c V U")
+
+    def solve(y):  # M^-1 y
+        return y + c * (U @ lu_solve(lu_piv, V @ y))
+
+    def residual_of(x):  # M x - f
+        return x - c * (U @ (V @ x)) - b
+
+    phi = solve(b)
+    phi -= solve(residual_of(phi))
+    residual = float(np.max(np.abs(residual_of(phi))))
+
+    M_T = LinearOperator(
+        (m, m), dtype=np.float64,
+        matvec=lambda x: x - c * (V.T @ (U.T @ x)),
+        rmatvec=lambda x: x - c * (U @ (V @ x)))
+    M_inv_T = LinearOperator(
+        (m, m), dtype=np.float64,
+        matvec=lambda x: x + c * (V.T @ lu_solve(lu_piv, U.T @ x, trans=1)),
+        rmatvec=solve)
+    cond = float(onenormest(M_T, t=1)) * float(onenormest(M_inv_T, t=1))
+    return phi, residual, cond
 
 
 def solve_stage1(spec: ProblemSpec,
                  moments: ModifiedMoments | None = None) -> DiscreteSolution:
-    """Factor and solve the collocation system; record eta and diagnostics.
+    """Solve the collocation system; record eta and diagnostics.
 
-    Raises SingularSystemError naming the smallest pivot when the LU
-    factorization breaks down; attaches IllConditionedWarning when the
-    1-norm condition estimate exceeds 1e12.
+    A constant K with (n+1)^2 < m takes the low-rank path (Woodbury on the
+    r x r reduced system); every other problem is assembled and LU-factored.
+    Raises NonFiniteInputError before any assembly when f(x_i) or c is not
+    finite (or, on the dense path, when K gives a non-finite entry);
+    SingularSystemError naming the zero pivot when a factorization breaks
+    down; attaches IllConditionedWarning when the infinity-norm condition
+    estimate of M exceeds 1e12.
     """
     if moments is None:
         moments = modified_moments(spec.kernel, spec.n)
-    M, b = assemble_system(spec, moments)
-    anorm = 0.0  # infinity norm, chunked to avoid an m^2 temporary
-    for start in range(0, M.shape[0], 512):
-        anorm = max(anorm, float(np.abs(M[start:start + 512]).sum(axis=1).max()))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", category=RuntimeWarning)
-        try:
-            lu, piv = lu_factor(M)
-        except (RuntimeWarning, np.linalg.LinAlgError) as exc:
-            raise SingularSystemError(
-                f"collocation matrix is singular: {exc}") from None
-    pivots = np.abs(np.diag(lu))
-    smallest = float(pivots.min())
-    if smallest == 0.0:
-        raise SingularSystemError(
-            f"collocation matrix is singular to working precision: "
-            f"pivot {int(pivots.argmin())} of {spec.rule.m} is zero")
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="I")
-    cond = math.inf if rcond == 0.0 else 1.0 / float(rcond)
-    if info < 0 or not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
+    low_rank = spec.K.family == "constant" and (spec.n + 1) ** 2 < spec.rule.m
+    phi, residual, cond = (_solve_low_rank if low_rank
+                           else _solve_dense)(spec, moments)
+    if not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"collocation matrix condition estimate {cond:.3e} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; results may lose accuracy",
             IllConditionedWarning, stacklevel=2)
-    phi = lu_solve((lu, piv), b)
-    residual = float(np.max(np.abs(M @ phi - b)))
-    G = gram_matrix(spec.rule, spec.n)
-    lam = np.linalg.eigvalsh(G)
-    eta = max(float(lam[-1]) - 1.0, 1.0 - float(lam[0]), 0.0)
+    eta = gram_spectrum(gram_matrix(spec.rule, spec.n))[0]
     return DiscreteSolution(nodal_values=phi, spec=spec, moments=moments,
                             gamma=(spec.rule.m, spec.n, eta),
-                            residual=residual, condition_estimate=cond)
+                            residual=residual, condition_estimate=cond,
+                            path="low-rank" if low_rank else "dense-lu")
 
 
 def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
-    """phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j) at one or many t."""
+    """phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j) at one or many t.
+
+    For a constant K the sum is c Y(t)^T (V phi), O(r) per target.
+    """
     pts = as_unit_vectors(targets)
-    rule, K = sol.spec.rule, sol.spec.K
+    rule, K, n = sol.spec.rule, sol.spec.K, sol.moments.n
     right = _rule_factor(rule, sol.moments)
     integral = np.empty(pts.shape[0])
-    for rows in _row_blocks(pts.shape[0], rule.m):
-        B = _weighted_kernel_block(rule, sol.moments, right, K, pts[rows])
-        integral[rows] = B @ sol.nodal_values
+    if K.family == "constant":
+        coeffs = K.c * (right @ sol.nodal_values)
+        for rows in _row_blocks(pts.shape[0], coeffs.size):
+            integral[rows] = _target_factor(n, pts[rows]).T @ coeffs
+    else:
+        for rows in _row_blocks(pts.shape[0], rule.m):
+            B = _weighted_kernel_block(rule, sol.moments, right, K, pts[rows])
+            integral[rows] = B @ sol.nodal_values
     return sol.spec.f_values(pts) + integral
 
 

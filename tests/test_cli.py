@@ -352,3 +352,29 @@ def test_grid_option_controls_error_measurement(capsys) -> None:
     assert cli.main(argv + ["--grid", "300", "--seed", "11"]) == EXIT_OK
     second = capsys.readouterr().out.strip().splitlines()[1]
     assert first.split(",")[:-1] == second.split(",")[:-1]
+
+
+def test_non_finite_input_exits_2(capsys) -> None:
+    # NonFiniteInputError is a ValueError: the validation exit code
+    for K, f in (("const:1", "const:nan"), ("sin:10", "const:inf"),
+                 ("const:nan", "const:1")):
+        code = cli.main(["solve", "--kernel", "log", "--K", K, "--f", f,
+                         "--n", "5", "--points", "td010_00121.txt",
+                         "--grid", "10"])
+        assert code == EXIT_VALIDATION, (K, f)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "not finite" in captured.err
+
+
+def test_json_mirror_records_solver_path(tmp_path, capsys) -> None:
+    for K, f, path in (("const:1", "const:auto", "low-rank"),
+                       ("sin:10", "const:1", "dense-lu")):
+        out = tmp_path / f"{path}.csv"
+        assert cli.main(["solve", "--kernel", "log", "--K", K, "--f", f,
+                         "--n", "5", "--points", "td010_00121.txt",
+                         "--grid", "10", "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.with_suffix(".json").read_text())
+        assert payload["records"][0]["solver_path"] == path
+        assert out.read_text().splitlines()[0] == CSV_HEADER
+    capsys.readouterr()

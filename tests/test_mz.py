@@ -97,3 +97,22 @@ def test_eta_definition_matches_gram_spectrum(td10) -> None:
     lam = np.linalg.eigvalsh(gram_matrix(td10, 5))
     eta = max(lam[-1] - 1.0, 1.0 - lam[0], 0.0)
     assert report.eta == pytest.approx(eta, abs=1e-15)
+
+
+def test_eta_is_one_computation_for_mz_and_solver() -> None:
+    # mz_constant and both solver paths read eta from the same spectrum
+    from sphsolve import (ContinuousKernel, ProblemSpec, SingularKernel,
+                          solve_stage1)
+
+    rule, n = random_rule(400, 5), 6
+    lam = np.linalg.eigvalsh(gram_matrix(rule, n))
+    eta = max(float(lam[-1]) - 1.0, 1.0 - float(lam[0]), 0.0)
+    report = mz_constant(rule, n, probe=uniform_random_points(1000, seed=3))
+    assert (report.eta, report.lambda_min, report.lambda_max) == (
+        eta, float(lam[0]), float(lam[-1]))
+    for K, path in ((ContinuousKernel.constant(1.0), "low-rank"),
+                    (ContinuousKernel.cos_scaled(1.0), "dense-lu")):
+        sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K,
+                                       f=1.0, n=n, rule=rule))
+        assert sol.path == path
+        assert sol.gamma[2] == eta

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +15,9 @@ from scipy.linalg import lu_factor, lu_solve
 from sphsolve import (
     ContinuousKernel,
     HarmonicBasis,
+    HarmonicIndex,
     IllConditionedWarning,
+    NonFiniteInputError,
     ProblemSpec,
     QuadratureRule,
     SingularKernel,
@@ -23,6 +28,7 @@ from sphsolve import (
     evaluate_stage2,
     experiment_f,
     experiment_kernels,
+    flat_index,
     legendre_table,
     modified_moments,
     mz_constant,
@@ -35,6 +41,8 @@ from sphsolve import (
     weight_row,
 )
 from sphsolve import _kernels, solver
+
+from conftest import design_rule
 
 FOUR_PI = 4.0 * math.pi
 
@@ -374,3 +382,210 @@ def test_presets_match_legendre_recurrence(exp_id, n, rule_name, request,
     got = evaluate_stage2(sol, targets)
     assert np.max(np.abs(got - expected)) <= 1e-12 * float(
         np.max(np.abs(expected)))
+
+
+# ------------------------------------------------- constant K: low-rank path
+
+def smooth_f(points: np.ndarray) -> np.ndarray:
+    return np.exp(points @ np.array([0.3, -1.1, 0.7]))
+
+
+# (kernel, c, f, n, rule name): every constant-K solve of the suite, plus
+# two random rules with a non-constant f
+LOW_RANK_CASES = {
+    "one-td10-n5": (SingularKernel.one(), 1.0, 1.0, 5, "td10"),
+    "one-td10-n5-fixed": (SingularKernel.one(), 1.0, 1.0 - FOUR_PI, 5, "td10"),
+    "one-td10-n3": (SingularKernel.one(), 1.0, 1.0 - FOUR_PI, 3, "td10"),
+    "one-td10-n0": (SingularKernel.one(), 1.0, 1.0 - FOUR_PI, 0, "td10"),
+    "one-ea100-n0": (SingularKernel.one(), 0.01, 2.0, 0, "ea100"),
+    "log-td10-n5": (SingularKernel.log(), 1.0, experiment_f(3), 5, "td10"),
+    "log-td20-n10": (SingularKernel.log(), 1.0, experiment_f(3), 10, "td20"),
+    "log-td20-n20": (SingularKernel.log(), 1.0, experiment_f(3), 20, "td20"),
+    "log-td30-n15": (SingularKernel.log(), 1.0, experiment_f(3), 15, "td30"),
+    "log-td40-n10": (SingularKernel.log(), 1.0, experiment_f(3), 10, "td40"),
+    "log-td40-n20": (SingularKernel.log(), 1.0, experiment_f(3), 20, "td40"),
+    "log-random500-n10": (SingularKernel.log(), 1.0, smooth_f, 10,
+                          "random500"),
+    "log-random2000-n10": (SingularKernel.log(), 1.0, smooth_f, 10,
+                           "random2000"),
+}
+
+
+def named_rule(name: str, request) -> QuadratureRule:
+    if name in ("td10", "td20", "td40"):
+        return request.getfixturevalue(name)
+    return {"td30": lambda: design_rule(30),
+            "ea100": lambda: equal_area_points(100),
+            "random300": lambda: random_rule(300, seed=1),
+            "random500": lambda: random_rule(500, seed=41),
+            "random900": lambda: random_rule(900, seed=2),
+            "random2000": lambda: random_rule(2000, seed=3)}[name]()
+
+
+def low_rank_spec(case: str, request) -> ProblemSpec:
+    kernel, c, f, n, rule_name = LOW_RANK_CASES[case]
+    return ProblemSpec(kernel=kernel, K=ContinuousKernel.constant(c), f=f,
+                       n=n, rule=named_rule(rule_name, request))
+
+
+@pytest.mark.parametrize("case", sorted(LOW_RANK_CASES))
+def test_low_rank_matches_dense_lu(case, request, eval_grid) -> None:
+    # the Woodbury solve against LU of the assembled matrix, and its O(r)
+    # stage 2 against the row-block GEMM applied to the same nodal values
+    spec = low_rank_spec(case, request)
+    sol = solve_stage1(spec)
+    r = (spec.n + 1) ** 2
+    assert sol.path == ("low-rank" if r < spec.rule.m else "dense-lu")
+
+    M, b = assemble_system(spec, sol.moments)
+    phi = lu_solve(lu_factor(M), b)
+    scale = float(np.max(np.abs(phi)))
+    assert np.max(np.abs(sol.nodal_values - phi)) <= 1e-10 * scale
+    assert sol.residual <= 1e-10 * (1.0 + float(np.max(np.abs(b))))
+
+    targets = eval_grid.points[:1000]
+    B = solver._weighted_kernel_matrix(spec.rule, sol.moments, spec.K, targets)
+    expected = spec.f_values(targets) + B @ sol.nodal_values
+    got = evaluate_stage2(sol, targets)
+    assert np.max(np.abs(got - expected)) <= 1e-10 * float(
+        np.max(np.abs(expected)))
+
+
+def harmonic_values(l: int, k: int, points: np.ndarray) -> np.ndarray:
+    Y = eval_basis_matrix(HarmonicBasis(l), points)
+    return Y[flat_index(HarmonicIndex(l, k))]
+
+
+@pytest.mark.parametrize("kernel", [SingularKernel.log(),
+                                    SingularKernel.algebraic(-0.5),
+                                    SingularKernel.mixed(-0.5, -0.5)],
+                         ids=["log", "algebraic", "mixed"])
+@pytest.mark.parametrize("l", [3, 7, 10])
+def test_low_rank_reproduces_harmonic_solution(kernel, l, td20,
+                                               eval_grid) -> None:
+    # K == c and phi = Y_lk: Funk-Hecke gives A phi = c mu_l phi, so
+    # f = (1 - c mu_l) Y_lk; the 20-design is exact to degree n + l, so the
+    # discrete solution is Y_lk itself.  Catches ordering and sign errors
+    # in the harmonic factor.
+    c, n = 0.3, 10
+    moments = modified_moments(kernel, n)
+    targets = eval_grid.points[:500]
+    for k in (1, l + 1, 2 * l + 1):
+        scale = 1.0 - c * moments.values[l]
+
+        def f(points, k=k, scale=scale):
+            return scale * harmonic_values(l, k, points)
+
+        sol = solve_stage1(ProblemSpec(kernel=kernel,
+                                       K=ContinuousKernel.constant(c),
+                                       f=f, n=n, rule=td20), moments)
+        assert sol.path == "low-rank"
+        exact = harmonic_values(l, k, td20.points)
+        assert np.max(np.abs(sol.nodal_values - exact)) <= 1e-13
+        got = evaluate_stage2(sol, targets)
+        assert np.max(np.abs(got - harmonic_values(l, k, targets))) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["one-td10-n5", "one-td10-n3", "one-ea100-n0",
+                                  "log-td10-n5", "log-td20-n10",
+                                  "random300", "random900"])
+def test_low_rank_condition_estimate(case, request) -> None:
+    # within a factor 2 of the exact infinity-norm condition number of M
+    if case.startswith("random"):
+        spec = ProblemSpec(kernel=SingularKernel.log(),
+                           K=ContinuousKernel.constant(1.0), f=smooth_f,
+                           n=10, rule=named_rule(case, request))
+    else:
+        spec = low_rank_spec(case, request)
+    sol = solve_stage1(spec)
+    assert sol.path == "low-rank"
+    M, _ = assemble_system(spec, sol.moments)
+    exact = np.linalg.cond(M, np.inf)
+    assert exact / 2.0 <= sol.condition_estimate <= 2.0 * exact
+
+
+def test_dense_path_when_rank_reaches_m() -> None:
+    # constant K takes the low-rank path only while (n+1)^2 < m; any other
+    # K always keeps the assembled LU
+    rule = equal_area_points(8)
+    cases = [(ContinuousKernel.constant(1.0), 3, "dense-lu"),
+             (ContinuousKernel.constant(1.0), 1, "low-rank"),
+             (ContinuousKernel.sin_scaled(1.0), 1, "dense-lu")]
+    for K, n, path in cases:
+        sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K,
+                                       f=1.0, n=n, rule=rule))
+        assert sol.path == path
+
+
+def test_import_leaves_sparse_linalg_unloaded() -> None:
+    # the low-rank condition estimate imports scipy.sparse.linalg lazily
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sphsolve; print('scipy.sparse.linalg' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# ------------------------------------------------------- non-finite input
+
+def nan_at_node_7(points: np.ndarray) -> np.ndarray:
+    values = np.ones(points.shape[0])
+    values[7] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("K", [ContinuousKernel.constant(1.0),
+                               ContinuousKernel.sin_scaled(10.0)],
+                         ids=["low-rank", "dense"])
+def test_non_finite_f_is_named_before_assembly(K, td10, monkeypatch) -> None:
+    def never(*args, **kwargs):
+        raise AssertionError("assembled or factored a non-finite problem")
+
+    monkeypatch.setattr(solver, "_weighted_kernel_matrix", never)
+    monkeypatch.setattr(solver, "_rule_factor", never)
+    monkeypatch.setattr(solver, "lu_factor", never)
+    for f, node in ((nan_at_node_7, 7), (math.inf, 0), (math.nan, 0)):
+        spec = ProblemSpec(kernel=SingularKernel.log(), K=K, f=f, n=5,
+                           rule=td10)
+        with pytest.raises(NonFiniteInputError, match=f"node {node} of 121"):
+            solve_stage1(spec)
+    for c in (math.nan, math.inf):
+        spec = ProblemSpec(kernel=SingularKernel.log(),
+                           K=ContinuousKernel.constant(c), f=1.0, n=5,
+                           rule=td10)
+        with pytest.raises(NonFiniteInputError, match="constant K"):
+            solve_stage1(spec)
+    assert issubclass(NonFiniteInputError, ValueError)
+
+
+def test_non_finite_custom_kernel_is_named(td10) -> None:
+    def K_with_nan(r: np.ndarray) -> np.ndarray:
+        return np.where(r > 1.9, np.nan, np.cos(r))
+
+    spec = ProblemSpec(kernel=SingularKernel.log(),
+                       K=ContinuousKernel.custom(K_with_nan), f=1.0, n=5,
+                       rule=td10)
+    with pytest.raises(NonFiniteInputError, match="row"):
+        solve_stage1(spec)
+
+
+# ------------------------------------------------------------------ K(dots)
+
+def test_of_dots_is_bit_identical_to_the_expression() -> None:
+    dots = np.clip(uniform_random_points(2000, seed=51).points
+                   @ uniform_random_points(1681, seed=52).points.T, -1.0, 1.0)
+    r = np.sqrt(np.maximum(2.0 * (1.0 - dots), 0.0))
+
+    def fn(rr):
+        return np.exp(-rr) * (1.0 + rr ** 2)
+
+    cases = [(ContinuousKernel.sin_scaled(10.0), np.sin(10.0 * r)),
+             (ContinuousKernel.cos_scaled(10.0), np.cos(10.0 * r)),
+             (ContinuousKernel.custom(fn), fn(r))]
+    for K, expected in cases:
+        assert np.array_equal(K.of_dots(dots), expected)
+        assert np.array_equal(K.of_distance(r), expected)
+    assert np.array_equal(ContinuousKernel.constant(2.5).of_dots(dots),
+                          np.full_like(r, 2.5))
