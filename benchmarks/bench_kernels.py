@@ -13,7 +13,10 @@ product of basis matrices, then K.  It is checked against the Legendre
 recurrence before it is timed.  The last case, ``low_rank_solve``, times
 stage 1 of preset 3 (K == 1) at n = 10 on a random rule, which takes the
 Woodbury path; it is checked against LU of the assembled matrix, timed
-once as ``dense_lu_solve``.
+once as ``dense_lu_solve``.  The ``mesh_norm`` cases time the k-d-tree
+mesh norm of td030 and of a random rule on a 100k-point probe; each is
+checked against the brute-force scan over all probe/point dots, timed
+once as ``mesh_norm_brute``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from scipy.linalg import lu_factor, lu_solve
 
 from sphsolve import _kernels, experiments, solver
 from sphsolve.moments import ModifiedMoments, SingularKernel
-from sphsolve.pointsets import QuadratureRule, random_rule
-from sphsolve.sphere import uniform_random_points
+from sphsolve.pointsets import (QuadratureRule, bundled_pointset_path,
+                                load_pointset, random_rule)
+from sphsolve.sphere import mesh_norm, uniform_random_points
 
 
 def best_of(fn, repeats: int = 5) -> float:
@@ -37,6 +41,15 @@ def best_of(fn, repeats: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def brute_force_mesh_norm(points: np.ndarray, probe: np.ndarray,
+                          chunk: int = 4096) -> float:
+    worst = -1.0
+    for start in range(0, probe.shape[0], chunk):
+        dots = np.clip(probe[start:start + chunk] @ points.T, -1.0, 1.0)
+        worst = max(worst, float(np.arccos(np.min(np.max(dots, axis=1)))))
+    return worst
 
 
 def format_row(name: str, shape: str, t_numpy: float,
@@ -133,6 +146,21 @@ def main() -> None:
                      best_of(lambda: solver.solve_stage1(spec, sol.moments)),
                      None))
     print(format_row("dense_lu_solve", shape, t_dense, None))
+
+    probe = uniform_random_points(100_000, seed=2024)
+    for rule in (load_pointset(bundled_pointset_path("td030_00961.txt")),
+                 random_rule(m_solve, 1)):
+        start = time.perf_counter()
+        reference = brute_force_mesh_norm(rule.points, probe.points)
+        t_brute = time.perf_counter() - start
+        h = mesh_norm(rule.points, probe)
+        if abs(h - reference) > 1e-12 * reference:
+            raise SystemExit(f"mesh_norm differs from the brute force by "
+                             f"{abs(h - reference):.3e}")
+        shape = f"m={rule.m} P={len(probe)}"
+        print(format_row("mesh_norm", shape,
+                         best_of(lambda: mesh_norm(rule.points, probe)), None))
+        print(format_row("mesh_norm_brute", shape, t_brute, None))
 
 
 if __name__ == "__main__":

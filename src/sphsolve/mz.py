@@ -79,20 +79,24 @@ def gram_spectrum(G: np.ndarray) -> tuple[float, float, float]:
     return max(lam_max - 1.0, 1.0 - lam_min, 0.0), lam_min, lam_max
 
 
-def quadrature_error_on_harmonics(rule: QuadratureRule, d: int) -> float:
-    """Max over l <= d, k of |sum_j w_j Y_{l,k}(x_j) - sqrt(4pi) [l=0]|.
+def _harmonic_quadrature_errors(rule: QuadratureRule, d: int) -> np.ndarray:
+    """sum_j w_j Y_i(x_j) minus int Y_i, for every harmonic of degree <= d.
 
     The true integrals are sqrt(4pi) for the constant harmonic and 0 for
-    every other one.
+    every other one.  Entry i belongs to degree floor(sqrt(i)).
     """
     s = eval_basis_matrix(HarmonicBasis(d), rule.points) @ rule.weights
     s[0] -= SQRT_4PI
-    return float(np.max(np.abs(s)))
+    return s
+
+
+def quadrature_error_on_harmonics(rule: QuadratureRule, d: int) -> float:
+    """Max over l <= d, k of |sum_j w_j Y_{l,k}(x_j) - sqrt(4pi) [l=0]|."""
+    return float(np.max(np.abs(_harmonic_quadrature_errors(rule, d))))
 
 
 def _exactness_degree(rule: QuadratureRule, max_d: int, tol: float) -> int:
-    s = eval_basis_matrix(HarmonicBasis(max_d), rule.points) @ rule.weights
-    s[0] -= SQRT_4PI
+    s = _harmonic_quadrature_errors(rule, max_d)
     exact_to = -1
     for d in range(max_d + 1):
         if np.max(np.abs(s[d * d:(d + 1) * (d + 1)])) > tol:
@@ -100,13 +104,15 @@ def _exactness_degree(rule: QuadratureRule, max_d: int, tol: float) -> int:
         exact_to = d
     return exact_to
 
+
 def mz_constant(rule: QuadratureRule, n: int,
                 probe: EvaluationGrid | None = None,
                 exactness_tol: float = EXACTNESS_TOL) -> MZReport:
     """MZ constant from the Gram spectrum, with exactness and mesh diagnostics.
 
     The default probe for the mesh norm has min(100 m, 100000) points,
-    seeded for reproducibility.
+    seeded for reproducibility; sphere.mesh_norm finds each probe point's
+    nearest node exactly with a k-d tree.
     """
     eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n))
     exact_to = _exactness_degree(rule, 2 * n + 1, exactness_tol)

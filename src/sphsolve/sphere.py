@@ -111,22 +111,26 @@ def uniform_random_points(m: int, seed: int) -> EvaluationGrid:
     return EvaluationGrid(points=v / norms[:, None], seed=seed)
 
 
-def mesh_norm(points, probe: EvaluationGrid, chunk: int = 4096) -> float:
+def mesh_norm(points, probe: EvaluationGrid) -> float:
     """Geodesic radius of the largest hole of a point set, probed densely.
 
     Returns max over probe points of the geodesic distance to the nearest
     point of the set.  A lower bound on the true mesh norm that converges
     from below as the probe refines; a probe of >= 100x the set size is
     recommended.
+
+    The nearest point is found exactly by a k-d tree on the m set points,
+    in O((P + m) log m) for P probe points.  For unit vectors the chord
+    |p - x|^2 = 2 (1 - p.x) falls as the dot rises, so the tree's nearest
+    point is the point of largest dot, and the distance is arccos of that
+    clipped dot, as a scan over all P x m dots would give it.
     """
+    from scipy.spatial import cKDTree  # ~0.07 s, paid on the first call only
+
     pts = as_unit_vectors(points)
     if pts.shape[0] == 0:
         raise ValueError("mesh_norm of an empty point set is undefined")
     grid = probe.points
-    worst = -1.0
-    for start in range(0, grid.shape[0], chunk):
-        block = grid[start:start + chunk]
-        dots = np.clip(block @ pts.T, -1.0, 1.0)
-        nearest = np.max(dots, axis=1)  # largest dot = smallest angle
-        worst = max(worst, float(np.arccos(np.min(nearest))))
-    return worst
+    _, nearest = cKDTree(pts).query(grid, k=1, workers=-1)
+    dots = np.clip(np.einsum("ij,ij->i", grid, pts[nearest]), -1.0, 1.0)
+    return float(np.arccos(np.min(dots)))

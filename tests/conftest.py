@@ -12,6 +12,7 @@ from sphsolve import (
     load_pointset,
     uniform_random_points,
 )
+from sphsolve.sphere import as_unit_vectors
 
 
 def design_rule(t: int) -> QuadratureRule:
@@ -53,3 +54,24 @@ def probe_grid() -> EvaluationGrid:
 def eval_grid() -> EvaluationGrid:
     # The seeded 5000-point grid every experiment reports errors on.
     return uniform_random_points(5000, seed=2024)
+
+
+def brute_force_mesh_norm(points, probe: EvaluationGrid,
+                          chunk: int = 4096) -> float:
+    """max over probe points of arccos(largest clipped dot with a point).
+
+    The O(P m) scan over every probe-point/point dot, in probe blocks of
+    chunk rows: the reference the k-d-tree mesh norm is checked against.
+    """
+    pts = as_unit_vectors(points)
+    grid = probe.points
+    worst = -1.0
+    for start in range(0, grid.shape[0], chunk):
+        dots = np.clip(grid[start:start + chunk] @ pts.T, -1.0, 1.0)
+        worst = max(worst, float(np.arccos(np.min(np.max(dots, axis=1)))))
+    return worst
+
+
+@pytest.fixture(scope="session")
+def brute_mesh_norm():
+    return brute_force_mesh_norm

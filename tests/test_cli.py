@@ -25,7 +25,7 @@ from sphsolve.cli import (
     resolve_points_descriptor,
     sweep_rule_name,
 )
-from sphsolve import ContinuousKernel, SingularKernel
+from sphsolve import ContinuousKernel, SingularKernel, uniform_random_points
 
 
 # ------------------------------------------------------------- descriptors
@@ -194,6 +194,21 @@ def test_analyze_json_only_output(tmp_path, capsys) -> None:
     payload = json.loads(out.read_text())
     assert payload["config"]["points"] == "random:300:3"
     assert not out.with_suffix(".csv").exists()
+
+
+def test_analyze_mesh_norm_matches_brute_force(tmp_path, capsys,
+                                              brute_mesh_norm) -> None:
+    # analyze probes with the default 100k points of mz_constant
+    out = tmp_path / "x.csv"
+    assert cli.main(["analyze", "--points", "random:4000:1", "--n", "10",
+                     "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    header, row = out.read_text().strip().splitlines()
+    assert header == ANALYZE_CSV_HEADER
+    h = float(row.split(",")[header.split(",").index("mesh_norm")])
+    points = resolve_points_descriptor("random:4000:1", "equal")().points
+    reference = brute_mesh_norm(points, uniform_random_points(100_000, seed=2024))
+    assert abs(h - reference) <= 1e-12 * reference
 
 
 def test_solve_auto_rhs_constant_solution(tmp_path, capsys) -> None:

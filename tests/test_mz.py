@@ -116,3 +116,26 @@ def test_eta_is_one_computation_for_mz_and_solver() -> None:
                                        f=1.0, n=n, rule=rule))
         assert sol.path == path
         assert sol.gamma[2] == eta
+
+
+@pytest.mark.parametrize("which", ["td10", "td20", "random500"])
+def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
+    # both diagnostics are bit-identical to the weighted basis sums they
+    # were each computed from on their own
+    from sphsolve.harmonics import HarmonicBasis, eval_basis_matrix
+    from sphsolve.mz import EXACTNESS_TOL, SQRT_4PI
+
+    rule = (random_rule(500, 41) if which == "random500"
+            else request.getfixturevalue(which))
+    probe = uniform_random_points(1000, seed=3)
+    for n in (0, 4, 10):
+        d = 2 * n + 1
+        s = eval_basis_matrix(HarmonicBasis(d), rule.points) @ rule.weights
+        s[0] -= SQRT_4PI
+        exact_to = -1
+        for l in range(d + 1):
+            if np.max(np.abs(s[l * l:(l + 1) * (l + 1)])) > EXACTNESS_TOL:
+                break
+            exact_to = l
+        assert quadrature_error_on_harmonics(rule, d) == float(np.max(np.abs(s)))
+        assert mz_constant(rule, n, probe=probe).exact_to == exact_to

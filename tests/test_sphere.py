@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +14,15 @@ from hypothesis import strategies as st
 
 from sphsolve import (
     EvaluationGrid,
+    bundled_pointset_path,
+    bundled_pointsets,
+    equal_area_points,
     euclidean_distance,
     geodesic_distance,
+    load_pointset,
     mesh_norm,
+    random_rule,
+    sphere,
     sphere_point,
     uniform_random_points,
 )
@@ -112,3 +121,63 @@ def test_mesh_norm_zero_when_probe_is_subset(octahedron) -> None:
 def test_mesh_norm_rejects_empty_set(probe_grid) -> None:
     with pytest.raises(ValueError):
         mesh_norm(np.zeros((0, 3)), probe_grid)
+
+
+def assert_matches_brute_force(h: float, reference: float) -> None:
+    assert abs(h - reference) <= 1e-12 * reference + 1e-15, (h, reference)
+
+
+@pytest.mark.parametrize("name", bundled_pointsets())
+def test_mesh_norm_matches_brute_force_on_bundled_sets(
+        name, probe_grid, brute_mesh_norm) -> None:
+    rule = load_pointset(bundled_pointset_path(name))
+    assert_matches_brute_force(mesh_norm(rule.points, probe_grid),
+                               brute_mesh_norm(rule.points, probe_grid))
+
+
+@pytest.mark.parametrize(
+    "rule", [random_rule(m, seed=m + 17) for m in (1, 2, 500, 4000)]
+    + [equal_area_points(400)], ids=lambda rule: rule.label)
+def test_mesh_norm_matches_brute_force_on_generated_rules(
+        rule, probe_grid, brute_mesh_norm) -> None:
+    assert_matches_brute_force(mesh_norm(rule.points, probe_grid),
+                               brute_mesh_norm(rule.points, probe_grid))
+
+
+def test_mesh_norm_ignores_duplicated_points(probe_grid, brute_mesh_norm) -> None:
+    points = random_rule(300, seed=5).points
+    doubled = np.vstack([points, points[::3], points[:10]])
+    h = mesh_norm(doubled, probe_grid)
+    assert_matches_brute_force(h, brute_mesh_norm(doubled, probe_grid))
+    assert_matches_brute_force(h, brute_mesh_norm(points, probe_grid))
+
+
+def test_mesh_norm_probe_containing_the_points(brute_mesh_norm) -> None:
+    points = random_rule(200, seed=9).points
+    probe = EvaluationGrid(
+        points=np.vstack([points, uniform_random_points(20_000, seed=3).points]),
+        seed=3)
+    h = mesh_norm(points, probe)
+    assert h > 0.1  # the holes between the points, not the points themselves
+    assert_matches_brute_force(h, brute_mesh_norm(points, probe))
+
+
+def test_mesh_norm_antipodal_pair_is_a_right_angle() -> None:
+    # every equator point is pi/2 from both poles, with a dot of exactly 0
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    probe = EvaluationGrid(
+        points=np.vstack([[1.0, 0.0, 0.0],
+                          uniform_random_points(1000, seed=4).points]),
+        seed=4)
+    assert mesh_norm(poles, probe) == math.pi / 2.0
+
+
+def test_import_leaves_spatial_unloaded() -> None:
+    # mesh_norm imports scipy.spatial on its first call only
+    src = os.path.dirname(os.path.dirname(sphere.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sphsolve; print('scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
