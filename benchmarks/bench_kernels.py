@@ -10,7 +10,13 @@ functions are warmed once before timing so compilation never pollutes
 the numbers.  The case ``addition_gemm`` times the solver's own path for
 the product_weight_matrix values: the addition theorem as one BLAS
 product of basis matrices, then K.  It is checked against the Legendre
-recurrence before it is timed.  The last case, ``low_rank_solve``, times
+recurrence before it is timed.  The case ``k_pass`` times the solver's K
+pass over the first stage-2 row block of the grid on the bundled t-design
+of degree t = 40 (20 for ``--sizes small``) at n = t/2 with K = sin(10 r):
+one GEMM, then K applied in cache-sized row chunks.  It is checked with
+``np.array_equal`` against the whole-block expression
+``K.of_dots(clip(t . x, -1, 1))``, timed once more as ``k_pass_of_dots``.
+The case ``low_rank_solve`` times
 stage 1 of preset 3 (K == 1) at n = 10 on a random rule, which takes the
 Woodbury path; it is checked against LU of the assembled matrix, timed
 once as ``dense_lu_solve``.  The ``mesh_norm`` cases time the k-d-tree
@@ -28,7 +34,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from sphsolve import _kernels, experiments, solver
-from sphsolve.moments import ModifiedMoments, SingularKernel
+from sphsolve.moments import ModifiedMoments, SingularKernel, modified_moments
 from sphsolve.pointsets import (QuadratureRule, bundled_pointset_path,
                                 load_pointset, random_rule)
 from sphsolve.sphere import mesh_norm, uniform_random_points
@@ -127,6 +133,28 @@ def main() -> None:
         raise SystemExit(f"addition_gemm differs from the recurrence by {err:.3e}")
     print(format_row("addition_gemm", f"({n_grid}, {m_points}) sin",
                      best_of(gemm), None))
+
+    design = load_pointset(bundled_pointset_path(
+        f"td{degree:03d}_{(degree + 1) ** 2:05d}.txt"))
+    n_design = degree // 2
+    design_moments = modified_moments(SingularKernel.log(), n_design)
+    right = solver._rule_factor(design, design_moments)
+    block = grid[solver._row_blocks(len(grid), design.m)[0]]
+    left = solver._target_factor(n_design, block)
+
+    def k_pass():
+        return solver._weighted_kernel_block(design, right, K, block, left)
+
+    def k_pass_of_dots():
+        B = left.T @ right
+        B *= K.of_dots(np.clip(block @ design.points.T, -1.0, 1.0))
+        return B
+
+    if not np.array_equal(k_pass(), k_pass_of_dots()):
+        raise SystemExit("k_pass differs from the whole-block of_dots pass")
+    shape = f"({len(block)}, {design.m}) sin"
+    print(format_row("k_pass", shape, best_of(k_pass), None))
+    print(format_row("k_pass_of_dots", shape, best_of(k_pass_of_dots), None))
 
     kernel, K_one = experiments.experiment_kernels(3)
     spec = solver.ProblemSpec(kernel=kernel, K=K_one,

@@ -65,9 +65,15 @@ class MZReport:
         return head
 
 
-def gram_matrix(rule: QuadratureRule, n: int) -> np.ndarray:
-    """G_{ii'} = sum_j w_j Y_i(x_j) Y_{i'}(x_j), symmetric PSD, (n+1)^2 square."""
-    Y = eval_basis_matrix(HarmonicBasis(n), rule.points)
+def gram_matrix(rule: QuadratureRule, n: int,
+                basis: np.ndarray | None = None) -> np.ndarray:
+    """G_{ii'} = sum_j w_j Y_i(x_j) Y_{i'}(x_j), symmetric PSD, (n+1)^2 square.
+
+    basis, if given, is eval_basis_matrix(HarmonicBasis(n), rule.points),
+    already evaluated by the caller.
+    """
+    Y = (eval_basis_matrix(HarmonicBasis(n), rule.points) if basis is None
+         else basis)
     G = (Y * rule.weights) @ Y.T
     return 0.5 * (G + G.T)  # exact symmetry for the eigensolver
 
@@ -79,26 +85,28 @@ def gram_spectrum(G: np.ndarray) -> tuple[float, float, float]:
     return max(lam_max - 1.0, 1.0 - lam_min, 0.0), lam_min, lam_max
 
 
-def _harmonic_quadrature_errors(rule: QuadratureRule, d: int) -> np.ndarray:
-    """sum_j w_j Y_i(x_j) minus int Y_i, for every harmonic of degree <= d.
+def _harmonic_quadrature_errors(Y: np.ndarray,
+                                weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j Y_i(x_j) minus int Y_i, for every row i of the basis Y.
 
     The true integrals are sqrt(4pi) for the constant harmonic and 0 for
     every other one.  Entry i belongs to degree floor(sqrt(i)).
     """
-    s = eval_basis_matrix(HarmonicBasis(d), rule.points) @ rule.weights
+    s = Y @ weights
     s[0] -= SQRT_4PI
     return s
 
 
 def quadrature_error_on_harmonics(rule: QuadratureRule, d: int) -> float:
     """Max over l <= d, k of |sum_j w_j Y_{l,k}(x_j) - sqrt(4pi) [l=0]|."""
-    return float(np.max(np.abs(_harmonic_quadrature_errors(rule, d))))
+    Y = eval_basis_matrix(HarmonicBasis(d), rule.points)
+    return float(np.max(np.abs(_harmonic_quadrature_errors(Y, rule.weights))))
 
 
-def _exactness_degree(rule: QuadratureRule, max_d: int, tol: float) -> int:
-    s = _harmonic_quadrature_errors(rule, max_d)
+def _exactness_degree(s: np.ndarray, tol: float) -> int:
+    """Largest d with every error of degree <= d within tol, or -1."""
     exact_to = -1
-    for d in range(max_d + 1):
+    for d in range(math.isqrt(s.size)):
         if np.max(np.abs(s[d * d:(d + 1) * (d + 1)])) > tol:
             break
         exact_to = d
@@ -110,12 +118,18 @@ def mz_constant(rule: QuadratureRule, n: int,
                 exactness_tol: float = EXACTNESS_TOL) -> MZReport:
     """MZ constant from the Gram spectrum, with exactness and mesh diagnostics.
 
-    The default probe for the mesh norm has min(100 m, 100000) points,
-    seeded for reproducibility; sphere.mesh_norm finds each probe point's
-    nearest node exactly with a k-d tree.
+    One basis evaluation at degree 2n+1 serves both: in the flat order its
+    leading (n+1)^2 rows are the degree-n basis of the Gram matrix, and all
+    of its rows give the exactness degree.  The default probe for the mesh
+    norm has min(100 m, 100000) points, seeded for reproducibility;
+    sphere.mesh_norm finds each probe point's nearest node exactly with a
+    k-d tree.
     """
-    eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n))
-    exact_to = _exactness_degree(rule, 2 * n + 1, exactness_tol)
+    Y = eval_basis_matrix(HarmonicBasis(2 * n + 1), rule.points)
+    eta, lam_min, lam_max = gram_spectrum(
+        gram_matrix(rule, n, basis=Y[:(n + 1) ** 2]))
+    exact_to = _exactness_degree(_harmonic_quadrature_errors(Y, rule.weights),
+                                 exactness_tol)
     if probe is None:
         probe = uniform_random_points(min(100 * rule.m, 100_000), seed=2024)
     h = mesh_norm(rule.points, probe)

@@ -11,8 +11,14 @@ where the product-integration weights absorb the singular factor h:
 
 Read right to left, the addition theorem makes the weights a product of
 rank (n+1)^2, Y(x)^T diag(mu_l repeated 2l+1 times) Y(X) diag(w), so every
-block of weights is one BLAS matrix product of basis matrices; K is then
-applied entrywise.  Stage 2 evaluates the natural interpolant anywhere,
+block of weights is one BLAS matrix product of basis matrices.  K is then
+applied entrywise in row chunks of about 1 << 16 entries, small enough to
+stay in cache: the dots t . x_j, the distance |t - x_j| and K of it are
+formed in one chunk-sized buffer, never in a block-sized one.  A solve
+evaluates the basis of its m nodes once: the same matrix gives the Gram
+matrix for eta, then, with row 0 set to ones, the factor Y(X)^T of the
+collocation matrix on either path.  Stage 2 evaluates the natural
+interpolant anywhere,
 
     phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j),
 
@@ -68,9 +74,13 @@ RightHandSide = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 CONDITION_WARN_THRESHOLD = 1e12
 
-# Entries per row block of weighted-kernel values; bounds the K(dots)
-# temporaries of assembly and every stage-2 block.
+# Entries per row block of weighted-kernel values; bounds the GEMM output
+# of every stage-2 block.
 _BLOCK_ENTRIES = 1 << 22
+
+# Entries per row chunk of the K pass over a block; the chunk's distances
+# (512 KB) stay in cache between the passes that form them.
+_CHUNK_ENTRIES = 1 << 16
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -136,11 +146,8 @@ class ContinuousKernel:
 
     def of_dots(self, dots):
         """K at |x-y| = sqrt(2(1 - x.y)), built in one buffer."""
-        r = 1.0 - np.asarray(dots, dtype=np.float64)
-        r *= 2.0
-        np.maximum(r, 0.0, out=r)
-        np.sqrt(r, out=r)
-        return self._of_distance_inplace(r)
+        return self._of_distance_inplace(
+            _distance_from_scaled_dots(-2.0 * np.asarray(dots, np.float64)))
 
     def _of_distance_inplace(self, r: np.ndarray) -> np.ndarray:
         """K at the distances r, overwriting r unless K is custom."""
@@ -151,6 +158,17 @@ class ContinuousKernel:
             return np.asarray(self.fn(r), dtype=np.float64)
         r *= self.c
         return (np.sin if self.family == "sin_scaled" else np.cos)(r, out=r)
+
+
+def _distance_from_scaled_dots(r: np.ndarray) -> np.ndarray:
+    """|x - y| from r = -2 x.y for unit vectors, overwriting r.
+
+    sqrt(clip(r, -2, 2) + 2) equals sqrt(2 (1 - clip(x.y, -1, 1))) bit for
+    bit: scaling by -2 is exact, and 2 - 2s == 2 (1 - s) in binary.
+    """
+    np.clip(r, -2.0, 2.0, out=r)
+    r += 2.0
+    return np.sqrt(r, out=r)
 
 
 @dataclass(frozen=True)
@@ -234,29 +252,57 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _weighted_kernel_block(rule: QuadratureRule, moments: ModifiedMoments,
-                           right: np.ndarray, K: ContinuousKernel,
-                           targets: np.ndarray,
+def _row_chunks(rows: int, cols: int) -> list[slice]:
+    """Row chunks of about _CHUNK_ENTRIES entries, none a lone row of many.
+
+    BLAS takes a one-row product down its GEMV path, whose dots round
+    differently from the GEMM of a taller block; a lone last row joins the
+    chunk before it.
+    """
+    step = max(2, _CHUNK_ENTRIES // cols)
+    stops = list(range(step, rows, step))
+    if stops and rows - stops[-1] == 1:
+        stops.pop()
+    return [slice(start, stop)
+            for start, stop in zip([0] + stops, stops + [rows])]
+
+
+def _weighted_kernel_block(rule: QuadratureRule, right: np.ndarray,
+                           K: ContinuousKernel, targets: np.ndarray,
+                           left: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
     """W_j(x) K(x, x_j) for one row block of targets: one GEMM, then K.
 
-    right is _rule_factor(rule, moments); out, if given, receives the block.
+    left is _target_factor(n, targets) and right is _rule_factor(rule,
+    moments); out, if given, receives the block.  K runs over row chunks,
+    each formed in one cache-sized buffer as K.of_dots forms it.
     """
-    B = np.matmul(_target_factor(moments.n, targets).T, right, out=out)
+    B = np.matmul(left.T, right, out=out)
     if K.family == "constant":
         B *= K.c
-    else:
-        B *= K.of_dots(np.clip(targets @ rule.points.T, -1.0, 1.0))
+        return B
+    scaled_nodes = -2.0 * rule.points.T
+    for rows in _row_chunks(targets.shape[0], rule.m):
+        r = _distance_from_scaled_dots(targets[rows] @ scaled_nodes)
+        B[rows] *= K._of_distance_inplace(r)
     return B
 
 
 def _weighted_kernel_matrix(rule: QuadratureRule, moments: ModifiedMoments,
-                            K: ContinuousKernel, targets: np.ndarray) -> np.ndarray:
-    """W_j(x) K(x, x_j) for every target; the matrix of assembly."""
-    right = _rule_factor(rule, moments)
+                            K: ContinuousKernel, targets: np.ndarray,
+                            left: np.ndarray | None = None) -> np.ndarray:
+    """W_j(x) K(x, x_j) for every target; the matrix of assembly.
+
+    left, if given, is _target_factor(n, rule.points) and the targets are
+    the nodes: its column slices serve every row block, and it also gives
+    the right factor, so no basis is evaluated here.
+    """
+    right = _rule_factor(rule, moments, left)
     out = np.empty((targets.shape[0], rule.m))
     for rows in _row_blocks(targets.shape[0], rule.m):
-        _weighted_kernel_block(rule, moments, right, K, targets[rows],
+        block_left = (_target_factor(moments.n, targets[rows]) if left is None
+                      else left[:, rows])
+        _weighted_kernel_block(rule, right, K, targets[rows], block_left,
                                out=out[rows])
     return out
 
@@ -281,13 +327,19 @@ def _nodal_rhs(spec: ProblemSpec) -> np.ndarray:
 
 
 def assemble_system(spec: ProblemSpec,
-                    moments: ModifiedMoments | None = None):
-    """Collocation matrix M_ij = delta_ij - W_j(x_i) K(x_i, x_j) and rhs f(x_i)."""
+                    moments: ModifiedMoments | None = None,
+                    left: np.ndarray | None = None):
+    """Collocation matrix M_ij = delta_ij - W_j(x_i) K(x_i, x_j) and rhs f(x_i).
+
+    left, if given, is the node basis with row 0 set to ones, as
+    solve_stage1 evaluates it; otherwise it is evaluated here.
+    """
     if moments is None:
         moments = modified_moments(spec.kernel, spec.n)
     _check_moments(spec, moments)
     b = _nodal_rhs(spec)
-    M = _weighted_kernel_matrix(spec.rule, moments, spec.K, spec.rule.points)
+    M = _weighted_kernel_matrix(spec.rule, moments, spec.K, spec.rule.points,
+                                left)
     np.negative(M, out=M)
     np.fill_diagonal(M, M.diagonal() + 1.0)
     return M, b
@@ -309,9 +361,10 @@ def _factor(A: np.ndarray, name: str):
     return lu, piv
 
 
-def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments):
+def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
+                 left: np.ndarray):
     """(phi, residual, condition estimate) by LU of the assembled M."""
-    M, b = assemble_system(spec, moments)
+    M, _ = assemble_system(spec, moments, left)
     anorm = 0.0  # infinity norm, chunked to avoid an m^2 temporary
     for start in range(0, M.shape[0], 512):
         row_sums = np.abs(M[start:start + 512]).sum(axis=1)
@@ -328,25 +381,23 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments):
     return phi, float(np.max(np.abs(M @ phi - b))), cond
 
 
-def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments):
+def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
+                    b: np.ndarray, U_T: np.ndarray):
     """(phi, residual, condition estimate) for K = c without forming M.
 
-    M = I - c U V with U = _target_factor(n, X)^T (m x r) and V =
-    _rule_factor (r x m).  Woodbury gives M^-1 = I + c U S^-1 V with the
-    r x r matrix S = I_r - c V U, so phi = f + c U z with S z = V f.  One
-    step of iterative refinement follows: phi = f + c U z shifts every
-    nodal value by the same rounding error of z, which stage 2 would
-    multiply by |c mu_0|.  The residual is that of the full system, applied
-    in O(m r).  The condition estimate is the infinity-norm one of M
+    M = I - c U V with U = _target_factor(n, X)^T (m x r), passed in as
+    U_T, and V = _rule_factor (r x m).  Woodbury gives M^-1 = I + c U S^-1
+    V with the r x r matrix S = I_r - c V U, so phi = f + c U z with
+    S z = V f.  One step of iterative refinement follows: phi = f + c U z
+    shifts every nodal value by the same rounding error of z, which stage 2
+    would multiply by |c mu_0|.  The residual is that of the full system,
+    applied in O(m r).  The condition estimate is the infinity-norm one of M
     itself, ||M^T||_1 ||M^-T||_1 by Hager's estimator (onenormest with
     t=1, as in LAPACK gecon) on operators.
     """
     from scipy.sparse.linalg import LinearOperator, onenormest
 
-    _check_moments(spec, moments)
-    b = _nodal_rhs(spec)
     c, m = spec.K.c, spec.rule.m
-    U_T = _target_factor(spec.n, spec.rule.points)
     V, U = _rule_factor(spec.rule, moments, U_T), U_T.T
     S = np.eye(V.shape[0]) - c * (V @ U)
     lu_piv = _factor(S, "reduced system I - c V U")
@@ -379,23 +430,30 @@ def solve_stage1(spec: ProblemSpec,
 
     A constant K with (n+1)^2 < m takes the low-rank path (Woodbury on the
     r x r reduced system); every other problem is assembled and LU-factored.
-    Raises NonFiniteInputError before any assembly when f(x_i) or c is not
-    finite (or, on the dense path, when K gives a non-finite entry);
+    The basis of the nodes is evaluated once: it gives the Gram matrix for
+    eta, then, with row 0 set to ones in place, the factor of either path.
+    Raises NonFiniteInputError before any basis or assembly work when f(x_i)
+    or c is not finite (or, on the dense path, when K gives a non-finite
+    entry);
     SingularSystemError naming the zero pivot when a factorization breaks
     down; attaches IllConditionedWarning when the infinity-norm condition
     estimate of M exceeds 1e12.
     """
     if moments is None:
         moments = modified_moments(spec.kernel, spec.n)
+    _check_moments(spec, moments)
+    b = _nodal_rhs(spec)
+    Y = harmonics.eval_basis_matrix(HarmonicBasis(spec.n), spec.rule.points)
+    eta = gram_spectrum(gram_matrix(spec.rule, spec.n, basis=Y))[0]
+    Y[0] = 1.0  # now _target_factor(n, X)
     low_rank = spec.K.family == "constant" and (spec.n + 1) ** 2 < spec.rule.m
     phi, residual, cond = (_solve_low_rank if low_rank
-                           else _solve_dense)(spec, moments)
+                           else _solve_dense)(spec, moments, b, Y)
     if not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"collocation matrix condition estimate {cond:.3e} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; results may lose accuracy",
             IllConditionedWarning, stacklevel=2)
-    eta = gram_spectrum(gram_matrix(spec.rule, spec.n))[0]
     return DiscreteSolution(nodal_values=phi, spec=spec, moments=moments,
                             gamma=(spec.rule.m, spec.n, eta),
                             residual=residual, condition_estimate=cond,
@@ -417,7 +475,8 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
             integral[rows] = _target_factor(n, pts[rows]).T @ coeffs
     else:
         for rows in _row_blocks(pts.shape[0], rule.m):
-            B = _weighted_kernel_block(rule, sol.moments, right, K, pts[rows])
+            B = _weighted_kernel_block(rule, right, K, pts[rows],
+                                       _target_factor(n, pts[rows]))
             integral[rows] = B @ sol.nodal_values
     return sol.spec.f_values(pts) + integral
 

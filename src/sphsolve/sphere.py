@@ -121,9 +121,11 @@ def mesh_norm(points, probe: EvaluationGrid) -> float:
 
     The nearest point is found exactly by a k-d tree on the m set points,
     in O((P + m) log m) for P probe points.  For unit vectors the chord
-    |p - x|^2 = 2 (1 - p.x) falls as the dot rises, so the tree's nearest
-    point is the point of largest dot, and the distance is arccos of that
-    clipped dot, as a scan over all P x m dots would give it.
+    |p - x| is monotone in the geodesic distance, so the probe point p with
+    the largest tree distance holds the largest hole, with its nearest
+    point x.  That one pair is measured as atan2(|p x x|, p . x), which
+    keeps full relative accuracy at every angle; arccos of a dot cannot
+    tell a hole below about 2e-8 rad from none.
     """
     from scipy.spatial import cKDTree  # ~0.07 s, paid on the first call only
 
@@ -131,6 +133,7 @@ def mesh_norm(points, probe: EvaluationGrid) -> float:
     if pts.shape[0] == 0:
         raise ValueError("mesh_norm of an empty point set is undefined")
     grid = probe.points
-    _, nearest = cKDTree(pts).query(grid, k=1, workers=-1)
-    dots = np.clip(np.einsum("ij,ij->i", grid, pts[nearest]), -1.0, 1.0)
-    return float(np.arccos(np.min(dots)))
+    chord, nearest = cKDTree(pts).query(grid, k=1, workers=-1)
+    i = int(np.argmax(chord))
+    p, x = grid[i], pts[nearest[i]]
+    return float(np.arctan2(np.linalg.norm(np.cross(p, x)), p @ x))

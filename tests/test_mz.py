@@ -139,3 +139,29 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
             exact_to = l
         assert quadrature_error_on_harmonics(rule, d) == float(np.max(np.abs(s)))
         assert mz_constant(rule, n, probe=probe).exact_to == exact_to
+
+
+@pytest.mark.parametrize("t", [10, 20, 30])
+def test_mz_report_matches_the_two_call_form(t) -> None:
+    # one basis at degree 2n+1 serves the Gram matrix through its leading
+    # (n+1)^2 rows: every report field equals the form that evaluates the
+    # basis at n for the Gram matrix and again at 2n+1 for exactness
+    from conftest import design_rule
+    from sphsolve import mesh_norm
+    from sphsolve.harmonics import HarmonicBasis, eval_basis_matrix
+    from sphsolve.mz import (EXACTNESS_TOL, MZReport, _exactness_degree,
+                             _harmonic_quadrature_errors, gram_spectrum)
+
+    rule = design_rule(t)
+    probe = uniform_random_points(2000, seed=71)
+    h = mesh_norm(rule.points, probe)
+    for n in range(t // 2 + 1):
+        Y = eval_basis_matrix(HarmonicBasis(2 * n + 1), rule.points)
+        assert np.array_equal(
+            Y[:(n + 1) ** 2], eval_basis_matrix(HarmonicBasis(n), rule.points))
+        eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n))
+        exact_to = _exactness_degree(
+            _harmonic_quadrature_errors(Y, rule.weights), EXACTNESS_TOL)
+        assert mz_constant(rule, n, probe=probe) == MZReport(
+            n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
+            exact_to=exact_to, mesh_norm=h, degree_bound=eta / (2.0 * h))

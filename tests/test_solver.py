@@ -589,3 +589,102 @@ def test_of_dots_is_bit_identical_to_the_expression() -> None:
         assert np.array_equal(K.of_distance(r), expected)
     assert np.array_equal(ContinuousKernel.constant(2.5).of_dots(dots),
                           np.full_like(r, 2.5))
+
+
+# ------------------------------------------------------- chunked K pass
+
+# rule -> bound on |chunked - whole block| relative to the block's largest
+# entry.  The 3-term dots t . x_j come from BLAS, which may round a tile at
+# the edge of a product differently from an inner one; with m = 500 the 4
+# trailing node columns fall in such tiles, so a few dots differ by an ulp
+# between a chunk and the whole block.  Every other rule here is exact.
+CHUNK_RULES = {"m1": (lambda request: random_rule(1, seed=61), 0.0),
+               "td20": (lambda request: request.getfixturevalue("td20"), 0.0),
+               "td40": (lambda request: request.getfixturevalue("td40"), 0.0),
+               "random500": (lambda request: random_rule(500, seed=41), 1e-13)}
+
+
+@pytest.mark.parametrize("K_name", sorted(EQUIVALENCE_KERNELS))
+@pytest.mark.parametrize("rule_name", sorted(CHUNK_RULES))
+def test_chunked_k_pass_matches_whole_block_of_dots(rule_name, K_name,
+                                                    request) -> None:
+    # the row-chunked K pass against one K.of_dots over each whole row
+    # block: a second, partial block where one fits in memory, and a
+    # partial last chunk in every block.  BLAS rounds a GEMM of fewer rows
+    # differently, so the expected product is formed per block as well.
+    make_rule, tol = CHUNK_RULES[rule_name]
+    rule = make_rule(request)
+    K = EQUIVALENCE_KERNELS[K_name]
+    moments = modified_moments(SingularKernel.log(), 10)
+    block = solver._BLOCK_ENTRIES // rule.m
+    chunk = solver._CHUNK_ENTRIES // rule.m
+    T = (block if block < 20_000 else 2 * chunk) + 123
+    assert T % chunk and T % block
+    targets = uniform_random_points(T, seed=62).points
+
+    def check(got, expected):
+        if tol == 0.0 or K.family == "constant":  # constant K forms no dots
+            assert np.array_equal(got, expected)
+        else:
+            scale = float(np.max(np.abs(expected)))
+            assert np.max(np.abs(got - expected)) <= tol * scale
+
+    left = solver._target_factor(moments.n, targets)
+    right = solver._rule_factor(rule, moments)
+    expected = []
+    for rows in solver._row_blocks(T, rule.m):
+        dots = np.clip(targets[rows] @ rule.points.T, -1.0, 1.0)
+        expected.append(left[:, rows].T @ right * K.of_dots(dots))
+        check(solver._weighted_kernel_block(rule, right, K, targets[rows],
+                                            left[:, rows]), expected[-1])
+    check(solver._weighted_kernel_matrix(rule, moments, K, targets),
+          np.vstack(expected))
+
+
+def test_row_chunks_leave_no_lone_row() -> None:
+    # a one-row product would take BLAS's GEMV path and round differently
+    for rows in (1, 2, 37, 38, 39, 40, 76, 77, 2495):
+        chunks = solver._row_chunks(rows, 1681)
+        sizes = [c.stop - c.start for c in chunks]
+        assert sum(sizes) == rows and chunks[0].start == 0
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        assert rows == 1 or min(sizes) >= 2
+        assert max(sizes) <= 2 * 38
+
+
+def test_assembly_from_the_solve_basis_is_bit_identical(td20) -> None:
+    # column slices of the node basis serve assembly as the per-block
+    # evaluation did
+    spec = ProblemSpec(kernel=SingularKernel.log(),
+                       K=ContinuousKernel.sin_scaled(10.0), f=0.5, n=10,
+                       rule=td20)
+    left = solver._target_factor(spec.n, td20.points)
+    M, b = assemble_system(spec)
+    M_left, b_left = assemble_system(spec, left=left)
+    assert np.array_equal(M_left, M) and np.array_equal(b_left, b)
+
+
+@pytest.mark.parametrize("K", [ContinuousKernel.constant(1.0),
+                               ContinuousKernel.sin_scaled(10.0)],
+                         ids=["low-rank", "dense-lu"])
+def test_solve_evaluates_node_basis_once(K, td10, monkeypatch) -> None:
+    # one node basis per solve: the Gram matrix for eta and the factor of
+    # either path share it
+    seen = []
+
+    def counting(fn):
+        def wrapper(basis, points):
+            seen.append(points is td10.points)
+            return fn(basis, points)
+        return wrapper
+
+    from sphsolve import harmonics, mz
+    monkeypatch.setattr(harmonics, "eval_basis_matrix",
+                        counting(harmonics.eval_basis_matrix))
+    monkeypatch.setattr(mz, "eval_basis_matrix",
+                        counting(mz.eval_basis_matrix))
+    moments = modified_moments(SingularKernel.log(), 5)
+    sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0,
+                                   n=5, rule=td10), moments)
+    assert sol.path == ("low-rank" if K.family == "constant" else "dense-lu")
+    assert seen == [True]

@@ -172,6 +172,26 @@ def test_mesh_norm_antipodal_pair_is_a_right_angle() -> None:
     assert mesh_norm(poles, probe) == math.pi / 2.0
 
 
+def test_mesh_norm_resolves_a_nanoradian_hole() -> None:
+    # the td20 nodes probed by themselves turned by 1e-9 rad about one
+    # axis: each probe point lies 1e-9 sin(angle to the axis) from its
+    # node, so the mesh norm is just below 1e-9.  arccos of the dot would
+    # read round-off there (arccos(1 - 2^-53) is already 1.5e-8).
+    from conftest import design_rule
+
+    points = design_rule(20).points
+    axis = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+    cross = np.array([[0.0, -axis[2], axis[1]],
+                      [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+    angle = 1e-9
+    rotation = (np.eye(3) + math.sin(angle) * cross
+                + (1.0 - math.cos(angle)) * cross @ cross)
+    probe = EvaluationGrid(points=points @ rotation.T, seed=0)
+    h = mesh_norm(points, probe)
+    assert 0.9e-9 <= h <= 1e-9 * (1.0 + 1e-6)
+
+
 def test_import_leaves_spatial_unloaded() -> None:
     # mesh_norm imports scipy.spatial on its first call only
     src = os.path.dirname(os.path.dirname(sphere.__file__))
