@@ -1,14 +1,16 @@
-"""Timing comparison of the jitted kernels against the numpy fallback.
+"""Timings of the numerical kernels, each checked before it is timed.
 
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--sizes small|large]
 
-Both implementations are importable side by side regardless of the
-SPHSOLVE_BACKEND value, so one process benchmarks both.  The jitted
-functions are warmed once before timing so compilation never pollutes
-the numbers.  The case ``addition_gemm`` times the solver's own path for
-the product_weight_matrix values: the addition theorem as one BLAS
+The first three cases time the per-entry reference kernels of
+``sphsolve._kernels`` on the first rows or columns: ``zonal_sum`` is
+checked against ``legendre_table``, ``basis_matrix`` against the
+addition theorem Y(x)^T Y(y) = sum_l (2l+1)/(4pi) P_l(x . y), and
+``product_weight_matrix`` against w * zonal_sum * sin(10 r).  The case
+``addition_gemm`` times the solver's own path for the
+product_weight_matrix values: the addition theorem as one BLAS
 product of basis matrices, then K.  It is checked against the Legendre
 recurrence before it is timed.  The case ``k_pass`` times the solver's K
 pass over the first stage-2 row block of the grid on the bundled t-design
@@ -34,6 +36,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from sphsolve import _kernels, experiments, solver
+from sphsolve.harmonics import legendre_table
 from sphsolve.moments import ModifiedMoments, SingularKernel, modified_moments
 from sphsolve.pointsets import (QuadratureRule, bundled_pointset_path,
                                 load_pointset, random_rule)
@@ -58,12 +61,14 @@ def brute_force_mesh_norm(points: np.ndarray, probe: np.ndarray,
     return worst
 
 
-def format_row(name: str, shape: str, t_numpy: float,
-               t_numba: float | None) -> str:
-    if t_numba is None:
-        return f"{name:24s} {shape:>18s} {t_numpy * 1e3:10.2f} {'-':>10s} {'-':>8s}"
-    return (f"{name:24s} {shape:>18s} {t_numpy * 1e3:10.2f} "
-            f"{t_numba * 1e3:10.2f} {t_numpy / t_numba:7.1f}x")
+def format_row(name: str, shape: str, seconds: float) -> str:
+    return f"{name:24s} {shape:>18s} {seconds * 1e3:10.2f}"
+
+
+def check_close(name: str, got: np.ndarray, expected: np.ndarray) -> None:
+    err = np.max(np.abs(got - expected))
+    if err > 1e-12 * (1.0 + np.max(np.abs(expected))):
+        raise SystemExit(f"{name} differs from its reference by {err:.3e}")
 
 
 def main() -> None:
@@ -84,37 +89,34 @@ def main() -> None:
     coeffs = rng.standard_normal(degree + 1)
     w = np.full(m_points, 4.0 * np.pi / m_points)
 
-    have = _kernels.HAVE_NUMBA
-    print(f"backend available: numba={'yes' if have else 'no'}  "
-          f"(dispatch now: {_kernels.BACKEND})")
-    print(f"{'kernel':24s} {'shape':>18s} {'numpy ms':>10s} "
-          f"{'numba ms':>10s} {'speedup':>8s}")
+    print(f"{'kernel':24s} {'shape':>18s} {'ms':>10s}")
+
+    head = dots[:100]
+    zs = _kernels.zonal_sum(coeffs, head)
+    check_close("zonal_sum", zs,
+                np.tensordot(coeffs, legendre_table(degree, head), axes=1))
+    Y = _kernels.basis_matrix(degree, pts[:200])
+    ell = np.arange(degree + 1)
+    table = legendre_table(degree, np.clip(pts[:200] @ pts[:200].T, -1.0, 1.0))
+    check_close("basis_matrix", Y.T @ Y,
+                np.tensordot((2 * ell + 1) / (4.0 * np.pi), table, axes=1))
+    r = np.sqrt(np.maximum(2.0 * (1.0 - head), 0.0))
+    check_close("product_weight_matrix",
+                _kernels.product_weight_matrix(head, w, coeffs,
+                                               _kernels.K_SIN, 10.0),
+                w * zs * np.sin(10.0 * r))
 
     cases = [
-        ("zonal_sum",
-         f"({n_grid}, {m_points}) l<={degree}",
-         lambda: _kernels.zonal_sum_numpy(coeffs, dots),
-         (lambda: _kernels.zonal_sum_numba(coeffs, dots)) if have else None),
-        ("basis_matrix",
-         f"deg {degree} x {m_points}",
-         lambda: _kernels.basis_matrix_numpy(degree, pts),
-         (lambda: _kernels.basis_matrix_numba(degree, pts)) if have else None),
-        ("product_weight_matrix",
-         f"({n_grid}, {m_points}) sin",
-         lambda: _kernels.product_weight_matrix_numpy(
-             dots, w, coeffs, _kernels.K_SIN, 10.0),
-         (lambda: _kernels.product_weight_matrix_numba(
-             dots, w, coeffs, _kernels.K_SIN, 10.0)) if have else None),
+        ("zonal_sum", f"({n_grid}, {m_points}) l<={degree}",
+         lambda: _kernels.zonal_sum(coeffs, dots)),
+        ("basis_matrix", f"deg {degree} x {m_points}",
+         lambda: _kernels.basis_matrix(degree, pts)),
+        ("product_weight_matrix", f"({n_grid}, {m_points}) sin",
+         lambda: _kernels.product_weight_matrix(
+             dots, w, coeffs, _kernels.K_SIN, 10.0)),
     ]
-
-    for name, shape, numpy_fn, numba_fn in cases:
-        if numba_fn is not None:
-            numba_fn()  # warm the jit cache
-            a, b = numpy_fn(), numba_fn()
-            assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
-        t_np = best_of(numpy_fn)
-        t_nb = best_of(numba_fn) if numba_fn is not None else None
-        print(format_row(name, shape, t_np, t_nb))
+    for name, shape, fn in cases:
+        print(format_row(name, shape, best_of(fn)))
 
     # sum_l c_l P_l(t) = sum_l mu_l sum_k Y_lk Y_lk with mu_l = 4pi c_l/(2l+1)
     mu = coeffs * 4.0 * np.pi / (2 * np.arange(degree + 1) + 1)
@@ -126,13 +128,11 @@ def main() -> None:
     def gemm():
         return solver._weighted_kernel_matrix(rule, moments, K, grid)
 
-    a = _kernels.product_weight_matrix_numpy(dots, w, coeffs,
-                                             _kernels.K_SIN, 10.0)
-    err = np.max(np.abs(gemm() - a))
-    if err > 1e-12 * (1.0 + np.max(np.abs(a))):
-        raise SystemExit(f"addition_gemm differs from the recurrence by {err:.3e}")
+    check_close("addition_gemm", gemm(),
+                _kernels.product_weight_matrix(dots, w, coeffs,
+                                               _kernels.K_SIN, 10.0))
     print(format_row("addition_gemm", f"({n_grid}, {m_points}) sin",
-                     best_of(gemm), None))
+                     best_of(gemm)))
 
     design = load_pointset(bundled_pointset_path(
         f"td{degree:03d}_{(degree + 1) ** 2:05d}.txt"))
@@ -153,8 +153,8 @@ def main() -> None:
     if not np.array_equal(k_pass(), k_pass_of_dots()):
         raise SystemExit("k_pass differs from the whole-block of_dots pass")
     shape = f"({len(block)}, {design.m}) sin"
-    print(format_row("k_pass", shape, best_of(k_pass), None))
-    print(format_row("k_pass_of_dots", shape, best_of(k_pass_of_dots), None))
+    print(format_row("k_pass", shape, best_of(k_pass)))
+    print(format_row("k_pass_of_dots", shape, best_of(k_pass_of_dots)))
 
     kernel, K_one = experiments.experiment_kernels(3)
     spec = solver.ProblemSpec(kernel=kernel, K=K_one,
@@ -171,9 +171,8 @@ def main() -> None:
                          f"dense solve by {err:.3e}")
     shape = f"m={m_solve} n=10 K=1"
     print(format_row("low_rank_solve", shape,
-                     best_of(lambda: solver.solve_stage1(spec, sol.moments)),
-                     None))
-    print(format_row("dense_lu_solve", shape, t_dense, None))
+                     best_of(lambda: solver.solve_stage1(spec, sol.moments))))
+    print(format_row("dense_lu_solve", shape, t_dense))
 
     probe = uniform_random_points(100_000, seed=2024)
     for rule in (load_pointset(bundled_pointset_path("td030_00961.txt")),
@@ -187,8 +186,8 @@ def main() -> None:
                              f"{abs(h - reference):.3e}")
         shape = f"m={rule.m} P={len(probe)}"
         print(format_row("mesh_norm", shape,
-                         best_of(lambda: mesh_norm(rule.points, probe)), None))
-        print(format_row("mesh_norm_brute", shape, t_brute, None))
+                         best_of(lambda: mesh_norm(rule.points, probe))))
+        print(format_row("mesh_norm_brute", shape, t_brute))
 
 
 if __name__ == "__main__":

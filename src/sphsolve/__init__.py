@@ -7,12 +7,9 @@ profile), then a natural interpolant evaluated anywhere on the sphere.  The
 quality of a rule is measured by its Marcinkiewicz-Zygmund constant.
 
 The weights come from the addition theorem as BLAS products of harmonic
-basis matrices.  SPHSOLVE_BACKEND=numba|numpy selects only the _kernels
-implementations: the basis matrix and the standalone Legendre kernels that
-the benchmarks time.
+basis matrices.
 """
 
-from ._kernels import BACKEND, HAVE_NUMBA
 from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE,
                           EXPERIMENT_IDS, ExperimentRecord, experiment_f,
                           experiment_kernels, recompute_f, run_experiment)
@@ -39,7 +36,6 @@ from .sphere import (EvaluationGrid, euclidean_distance, geodesic_distance,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "HAVE_NUMBA",
     "EvaluationGrid", "euclidean_distance", "geodesic_distance", "mesh_norm",
     "sphere_point", "uniform_random_points",
     "HarmonicBasis", "HarmonicIndex", "addition_kernel", "eval_basis_matrix",

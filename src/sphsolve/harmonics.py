@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .sphere import as_unit_vectors
 
 __all__ = [
@@ -119,10 +118,79 @@ def legendre_table(n: int, t) -> np.ndarray:
     return out
 
 
+def _normalization_tables(n):
+    """Coefficient tables for the normalized associated Legendre recurrence."""
+    diag_c = np.zeros(n + 1)
+    sub_c = np.zeros(n + 1)
+    for m in range(1, n + 1):
+        diag_c[m] = math.sqrt((2 * m + 1) / (2.0 * m))
+    for m in range(0, n + 1):
+        sub_c[m] = math.sqrt(2 * m + 3.0)
+    rec_a = np.zeros((n + 1, n + 1))
+    rec_b = np.zeros((n + 1, n + 1))
+    for m in range(0, n + 1):
+        for l in range(m + 2, n + 1):
+            rec_a[l, m] = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            rec_b[l, m] = math.sqrt(
+                ((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)
+            )
+    return diag_c, sub_c, rec_a, rec_b
+
+
+_NRM0 = 1.0 / math.sqrt(4.0 * math.pi)
+
+
+def _basis_matrix(n, points):
+    """Real orthonormal spherical harmonics up to degree n at unit vectors.
+
+    Returns an array of shape ((n+1)^2, len(points)) in the flat order.
+    The recurrence runs over whole rows: fully normalized associated
+    Legendre functions in l for each order m, and cos/sin(m phi) by the
+    angle-addition recurrence.
+    """
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    diag_c, sub_c, rec_a, rec_b = _normalization_tables(n)
+    out = np.empty(((n + 1) * (n + 1), pts.shape[0]))
+    x = pts[:, 0]
+    y = pts[:, 1]
+    t = pts[:, 2]
+    s = np.hypot(x, y)
+    safe = s > 0.0
+    cphi = np.where(safe, x / np.where(safe, s, 1.0), 1.0)
+    sphi = np.where(safe, y / np.where(safe, s, 1.0), 0.0)
+    sqrt2 = math.sqrt(2.0)
+    pmm = np.full(pts.shape[0], _NRM0)
+    cm = np.ones(pts.shape[0])
+    sm = np.zeros(pts.shape[0])
+    for m in range(0, n + 1):
+        if m > 0:
+            pmm = diag_c[m] * s * pmm
+            cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
+        pl_prev = np.zeros(0)
+        pl = pmm
+        for l in range(m, n + 1):
+            if l == m:
+                val = pmm
+            elif l == m + 1:
+                val = sub_c[m] * t * pmm
+            else:
+                val = rec_a[l, m] * (t * pl - rec_b[l, m] * pl_prev)
+            if l > m:
+                pl_prev = pl
+                pl = val
+            base = l * l
+            if m == 0:
+                out[base + l] = val
+            else:
+                out[base + (l - m)] = sqrt2 * val * sm
+                out[base + (l + m)] = sqrt2 * val * cm
+    return out
+
+
 def eval_basis_matrix(basis: HarmonicBasis, points) -> np.ndarray:
     """Matrix of Y_i(x_j), (n+1)^2 rows by m columns, flat row order."""
     pts = as_unit_vectors(points)
-    return _kernels.basis_matrix(basis.n, pts)
+    return _basis_matrix(basis.n, pts)
 
 
 def eval_harmonic(idx: HarmonicIndex, x) -> float:

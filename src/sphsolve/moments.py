@@ -9,10 +9,11 @@ mu_l Y_{l,k}(x).  Four weight families are supported:
   log                h = log|x-y|
   mixed(nu1, nu2)    h = |x-y|^nu1 |x+y|^nu2,   -1 <= nu_i <= 0
 
-Closed forms are used where available; everything else is served by a
+The first three families have closed forms; the mixed family uses
+Gauss-Jacobi rules that absorb both endpoint singularities exactly.  A
 high-precision 1-D oracle (composite Gauss-Legendre with dyadic refinement
-toward the +-1 endpoints) or, for the mixed family, Gauss-Jacobi rules that
-absorb both endpoint singularities exactly.
+toward the +-1 endpoints) integrates any other profile and is the
+independent reference the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -286,13 +287,6 @@ def profile_integral(h1d, *, near_one=None, near_minus_one=None,
                          near_minus_one=near_minus_one, target=target)
 
 
-def _oracle_for_kernel(kernel: SingularKernel, n: int,
-                       target: float = _DEFAULT_TARGET) -> np.ndarray:
-    return oracle_moments_vector(
-        kernel.profile, n, near_one=kernel.profile_near_one,
-        near_minus_one=kernel.profile_near_minus_one, target=target)
-
-
 def moments_one(n: int) -> ModifiedMoments:
     """mu_0 = 4pi and mu_l = 0 for l >= 1, by Legendre orthogonality."""
     values = np.zeros(n + 1)
@@ -317,26 +311,13 @@ def moments_algebraic(nu: float, n: int) -> ModifiedMoments:
     return ModifiedMoments(kernel, n, values, "closed_form")
 
 
-def moments_log(n: int, candidate_tol: float = 1e-10) -> ModifiedMoments:
-    """h = log|x-y|: mu_0 = pi(4 ln 2 - 2) exactly; higher moments by oracle.
-
-    The oracle values are cross-checked against the candidate closed form
-    -2pi/(l(l+1)); the candidate is adopted (method reported closed_form)
-    only when it matches every l <= n to candidate_tol, otherwise the
-    oracle values stand.
-    """
-    kernel = SingularKernel.log()
-    values = _oracle_for_kernel(kernel, n)
+def moments_log(n: int) -> ModifiedMoments:
+    """h = log|x-y|: mu_0 = pi(4 ln 2 - 2) and mu_l = -2pi/(l(l+1)), l >= 1."""
+    values = np.empty(n + 1)
     values[0] = math.pi * (4.0 * math.log(2.0) - 2.0)
-    if n >= 1:
-        l = np.arange(1, n + 1, dtype=np.float64)
-        candidate = -TWO_PI / (l * (l + 1.0))
-        if np.all(np.abs(values[1:] - candidate)
-                  <= candidate_tol * (1.0 + np.abs(candidate))):
-            values[1:] = candidate
-            return ModifiedMoments(kernel, n, values, "closed_form")
-        return ModifiedMoments(kernel, n, values, "oracle")
-    return ModifiedMoments(kernel, n, values, "closed_form")
+    l = np.arange(1, n + 1, dtype=np.float64)
+    values[1:] = -TWO_PI / (l * (l + 1.0))
+    return ModifiedMoments(SingularKernel.log(), n, values, "closed_form")
 
 
 def moments_mixed(nu1: float, nu2: float, n: int) -> ModifiedMoments:

@@ -193,7 +193,12 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class DiscreteSolution:
-    """Stage-1 nodal values plus everything stage 2 needs."""
+    """Stage-1 nodal values plus everything stage 2 needs.
+
+    On the dense path ``condition_estimate`` comes from LAPACK ``gecon``,
+    whose last bits are not repeatable from run to run on the same input;
+    a bit-identity check of a solution must leave that field out.
+    """
 
     nodal_values: np.ndarray
     spec: ProblemSpec
@@ -464,6 +469,11 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     """phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j) at one or many t.
 
     For a constant K the sum is c Y(t)^T (V phi), O(r) per target.
+
+    The targets are taken in row blocks, and a BLAS product rounds by the
+    height of its block, so the last bits of a value depend on how many
+    targets the call gets: ``evaluate_stage2(sol, pts)[:k]`` need not equal
+    ``evaluate_stage2(sol, pts[:k])`` bit for bit.
     """
     pts = as_unit_vectors(targets)
     rule, K, n = sol.spec.rule, sol.spec.K, sol.moments.n

@@ -1,25 +1,18 @@
-"""The jitted hot-path kernels agree with their pure-numpy fallbacks.
+"""The per-entry Legendre reference kernels against hand-rolled sums.
 
-SPHSOLVE_BACKEND selects the dispatch at import time; both implementations
-stay importable so they can be compared directly in one process, and a
-subprocess check pins the environment-variable contract itself.
+``sphsolve._kernels`` is the reference the solver's BLAS path is checked
+against (``tests/test_solver.py``), so it is pinned here to
+``legendre_table`` directly.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
-from sphsolve import _kernels
-from sphsolve import legendre_table, uniform_random_points
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba backend not available")
+from sphsolve import _kernels, legendre_table
 
 
 def reference_zonal(coeffs: np.ndarray, dots: np.ndarray) -> np.ndarray:
@@ -31,43 +24,10 @@ def test_numpy_zonal_sum_matches_legendre_table() -> None:
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(21)
     dots = rng.uniform(-1.0, 1.0, size=(17, 13))
-    got = _kernels.zonal_sum_numpy(coeffs, dots)
+    got = _kernels.zonal_sum(coeffs, dots)
     assert np.allclose(got, reference_zonal(coeffs, dots), atol=1e-12)
     # degenerate single-coefficient case
-    assert np.allclose(_kernels.zonal_sum_numpy(coeffs[:1], dots), coeffs[0])
-
-
-@needs_numba
-def test_zonal_sum_backends_agree() -> None:
-    rng = np.random.default_rng(1)
-    coeffs = rng.standard_normal(31)
-    dots = rng.uniform(-1.0, 1.0, size=(50, 200))
-    a = _kernels.zonal_sum_numpy(coeffs, dots)
-    b = _kernels.zonal_sum_numba(coeffs, dots)
-    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-
-
-@needs_numba
-def test_basis_matrix_backends_agree() -> None:
-    pts = uniform_random_points(300, seed=2).points
-    a = _kernels.basis_matrix_numpy(12, pts)
-    b = _kernels.basis_matrix_numba(12, pts)
-    assert a.shape == b.shape == (169, 300)
-    assert np.max(np.abs(a - b)) <= 1e-12
-
-
-@needs_numba
-@pytest.mark.parametrize("kcode,kparam", [(_kernels.K_CONST, 2.5),
-                                          (_kernels.K_SIN, 10.0),
-                                          (_kernels.K_COS, 10.0)])
-def test_product_weight_backends_agree(kcode: int, kparam: float) -> None:
-    rng = np.random.default_rng(3)
-    dots = rng.uniform(-1.0, 1.0, size=(40, 121))
-    w = rng.uniform(0.01, 0.2, size=121)
-    coeffs = rng.standard_normal(11)
-    a = _kernels.product_weight_matrix_numpy(dots, w, coeffs, kcode, kparam)
-    b = _kernels.product_weight_matrix_numba(dots, w, coeffs, kcode, kparam)
-    assert np.max(np.abs(a - b)) <= 1e-13 * (1.0 + np.max(np.abs(a)))
+    assert np.allclose(_kernels.zonal_sum(coeffs[:1], dots), coeffs[0])
 
 
 def test_product_weight_matrix_formula() -> None:
@@ -76,56 +36,17 @@ def test_product_weight_matrix_formula() -> None:
     dots = rng.uniform(-1.0, 1.0, size=(6, 9))
     w = rng.uniform(0.1, 1.0, size=9)
     coeffs = rng.standard_normal(5)
-    got = _kernels.product_weight_matrix_numpy(dots, w, coeffs,
-                                               _kernels.K_COS, 10.0)
+    got = _kernels.product_weight_matrix(dots, w, coeffs, _kernels.K_COS, 10.0)
     zon = reference_zonal(coeffs, dots)
     r = np.sqrt(2.0 * (1.0 - dots))
     assert np.allclose(got, w[None, :] * zon * np.cos(10.0 * r), atol=1e-13)
 
 
-def _backend_in_subprocess(env_value: str | None) -> str:
-    env = dict(os.environ)
-    env.pop("SPHSOLVE_BACKEND", None)
-    if env_value is not None:
-        env["SPHSOLVE_BACKEND"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from sphsolve import BACKEND; print(BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    return out.stdout.strip()
-
-
-def test_backend_env_selection() -> None:
-    assert _backend_in_subprocess("numpy") == "numpy"
-    if _kernels.HAVE_NUMBA:
-        assert _backend_in_subprocess(None) == "numba"
-        assert _backend_in_subprocess("numba") == "numba"
-
-
-def test_backend_env_rejects_unknown_value() -> None:
-    env = dict(os.environ)
-    env["SPHSOLVE_BACKEND"] = "fortran"
-    out = subprocess.run(
-        [sys.executable, "-c", "import sphsolve"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode != 0
-    assert "SPHSOLVE_BACKEND" in out.stderr
-
-
-def test_numpy_backend_full_pipeline() -> None:
-    # the solver must give the same answer on the fallback backend
-    code = (
-        "import numpy as np\n"
-        "from sphsolve import (SingularKernel, ContinuousKernel, ProblemSpec,\n"
-        "                      solve_stage1, equal_area_points)\n"
-        "spec = ProblemSpec(kernel=SingularKernel.one(),\n"
-        "                   K=ContinuousKernel.constant(1.0),\n"
-        "                   f=1.0 - 4.0 * np.pi, n=3, rule=equal_area_points(100))\n"
-        "sol = solve_stage1(spec)\n"
-        "print(np.max(np.abs(sol.nodal_values - 1.0)))\n"
-    )
-    env = dict(os.environ)
-    env["SPHSOLVE_BACKEND"] = "numpy"
+def test_import_leaves_the_reference_kernels_unloaded() -> None:
+    # the package has one implementation of each kernel and imports
+    # neither numba nor the per-entry reference module
+    code = ("import sys, sphsolve\n"
+            "print(sorted({'numba', 'sphsolve._kernels'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, env=env, check=True)
-    assert float(out.stdout.strip()) <= 1e-10
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -92,11 +92,15 @@ def test_log_moment_values() -> None:
                                           rel=1e-15)
     assert mom.values[1] == pytest.approx(-math.pi, rel=1e-12)
     assert mom.values[2] == pytest.approx(-math.pi / 3.0, rel=1e-12)
-    # the -2pi/(l(l+1)) candidate is only adopted after the oracle confirms it
     assert mom.method == "closed_form"
     l = np.arange(1, 13, dtype=float)
     assert np.allclose(mom.values[1:], -2.0 * math.pi / (l * (l + 1.0)),
                        rtol=1e-10)
+    # the closed form -2pi/(l(l+1)) against the independent 1-D oracle
+    for n in (12, 30):
+        np.testing.assert_allclose(moments_log(n).values,
+                                   oracle_for(SingularKernel.log(), n),
+                                   rtol=1e-10)
 
 
 def test_mixed_symmetric_reference_value() -> None:

@@ -369,8 +369,8 @@ def test_presets_match_legendre_recurrence(exp_id, n, rule_name, request,
 
     def recurrence(targets: np.ndarray) -> np.ndarray:
         dots = np.clip(targets @ rule.points.T, -1.0, 1.0)
-        return _kernels.product_weight_matrix_numpy(dots, rule.weights,
-                                                    coeffs, code, K.c)
+        return _kernels.product_weight_matrix(dots, rule.weights, coeffs,
+                                              code, K.c)
 
     M = np.eye(rule.m) - recurrence(rule.points)
     phi = lu_solve(lu_factor(M), np.full(rule.m, f))

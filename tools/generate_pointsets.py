@@ -34,7 +34,9 @@ from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sphsolve._kernels import basis_matrix  # noqa: E402
+# The package's basis recurrence without its unit-vector check, so the
+# optimizer's iterates are used exactly as they are.
+from sphsolve.harmonics import _basis_matrix as basis_matrix  # noqa: E402
 from sphsolve.mz import mz_constant, quadrature_error_on_harmonics  # noqa: E402
 from sphsolve.pointsets import QuadratureRule, equal_area_points, save_pointset  # noqa: E402
 
