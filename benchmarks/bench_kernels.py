@@ -17,7 +17,10 @@ pass over the first stage-2 row block of the grid on the bundled t-design
 of degree t = 40 (20 for ``--sizes small``) at n = t/2 with K = sin(10 r):
 one GEMM, then K applied in cache-sized row chunks.  It is checked with
 ``np.array_equal`` against the whole-block expression
-``K.of_dots(clip(t . x, -1, 1))``, timed once more as ``k_pass_of_dots``.
+``K.of_dots(clip(t . x, -1, 1))``, timed once more as ``k_pass_of_dots``,
+and to 4 eps of its largest entry against ``k_pass_libm``, the same
+chunked pass with libm's ``np.sin(10 r)`` in place of the solver's
+half-angle tangent.  These three rows also print their cost per entry.
 The case ``low_rank_solve`` times
 stage 1 of preset 3 (K == 1) at n = 10 on a random rule, which takes the
 Woodbury path; it is checked against LU of the assembled matrix, timed
@@ -150,11 +153,27 @@ def main() -> None:
         B *= K.of_dots(np.clip(block @ design.points.T, -1.0, 1.0))
         return B
 
-    if not np.array_equal(k_pass(), k_pass_of_dots()):
+    def k_pass_libm():
+        B = left.T @ right
+        scaled_nodes = -2.0 * design.points.T
+        for rows in solver._row_chunks(len(block), design.m):
+            r = solver._distance_from_scaled_dots(block[rows] @ scaled_nodes)
+            r *= 10.0
+            B[rows] *= np.sin(r, out=r)
+        return B
+
+    expected = k_pass()
+    if not np.array_equal(expected, k_pass_of_dots()):
         raise SystemExit("k_pass differs from the whole-block of_dots pass")
+    err = np.max(np.abs(k_pass_libm() - expected))
+    if err > 4 * np.finfo(np.float64).eps * np.max(np.abs(expected)):
+        raise SystemExit(f"k_pass differs from the libm sin pass by {err:.3e}")
     shape = f"({len(block)}, {design.m}) sin"
-    print(format_row("k_pass", shape, best_of(k_pass)))
-    print(format_row("k_pass_of_dots", shape, best_of(k_pass_of_dots)))
+    for name, fn in (("k_pass", k_pass), ("k_pass_of_dots", k_pass_of_dots),
+                     ("k_pass_libm", k_pass_libm)):
+        seconds = best_of(fn)
+        print(format_row(name, shape, seconds)
+              + f" {seconds / expected.size * 1e9:8.2f} ns/entry")
 
     kernel, K_one = experiments.experiment_kernels(3)
     spec = solver.ProblemSpec(kernel=kernel, K=K_one,

@@ -382,6 +382,18 @@ def test_non_finite_input_exits_2(capsys) -> None:
         assert "error:" in captured.err and "not finite" in captured.err
 
 
+def test_non_finite_K_constant_exits_2(capsys) -> None:
+    # a sin or cos K with c = inf is named before any solver work
+    for K in ("sin:inf", "cos:nan"):
+        code = cli.main(["solve", "--kernel", "log", "--K", K, "--f",
+                         "const:1", "--n", "5", "--points", "td010_00121.txt",
+                         "--grid", "10"])
+        assert code == EXIT_VALIDATION, K
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err and "c = " in captured.err
+
+
 def test_json_mirror_records_solver_path(tmp_path, capsys) -> None:
     for K, f, path in (("const:1", "const:auto", "low-rank"),
                        ("sin:10", "const:1", "dense-lu")):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -560,6 +561,30 @@ def test_non_finite_f_is_named_before_assembly(K, td10, monkeypatch) -> None:
     assert issubclass(NonFiniteInputError, ValueError)
 
 
+@pytest.mark.parametrize("make_K", [ContinuousKernel.sin_scaled,
+                                    ContinuousKernel.cos_scaled])
+def test_non_finite_c_is_named_before_assembly(make_K, td10,
+                                               monkeypatch) -> None:
+    # a non-finite c of sin or cos K is named before any basis work, with
+    # no RuntimeWarning from evaluating K
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated a kernel with a non-finite c")
+
+    monkeypatch.setattr(solver, "_weighted_kernel_matrix", never)
+    monkeypatch.setattr(solver.harmonics, "eval_basis_matrix", never)
+    for c in (math.inf, -math.inf, math.nan):
+        K = make_K(c)
+        spec = ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0, n=5,
+                           rule=td10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInputError,
+                               match=f"{K.family} K is not finite"):
+                solve_stage1(spec)
+            with pytest.raises(NonFiniteInputError, match=K.family):
+                assemble_system(spec)
+
+
 def test_non_finite_custom_kernel_is_named(td10) -> None:
     def K_with_nan(r: np.ndarray) -> np.ndarray:
         return np.where(r > 1.9, np.nan, np.cos(r))
@@ -577,18 +602,88 @@ def test_of_dots_is_bit_identical_to_the_expression() -> None:
     dots = np.clip(uniform_random_points(2000, seed=51).points
                    @ uniform_random_points(1681, seed=52).points.T, -1.0, 1.0)
     r = np.sqrt(np.maximum(2.0 * (1.0 - dots), 0.0))
+    u = np.tan(0.5 * 10.0 * r)  # sin and cos by the half-angle tangent
 
     def fn(rr):
         return np.exp(-rr) * (1.0 + rr ** 2)
 
-    cases = [(ContinuousKernel.sin_scaled(10.0), np.sin(10.0 * r)),
-             (ContinuousKernel.cos_scaled(10.0), np.cos(10.0 * r)),
+    cases = [(ContinuousKernel.sin_scaled(10.0), 2.0 * u / (1.0 + u * u)),
+             (ContinuousKernel.cos_scaled(10.0), 2.0 / (1.0 + u * u) - 1.0),
              (ContinuousKernel.custom(fn), fn(r))]
     for K, expected in cases:
         assert np.array_equal(K.of_dots(dots), expected)
         assert np.array_equal(K.of_distance(r), expected)
     assert np.array_equal(ContinuousKernel.constant(2.5).of_dots(dots),
                           np.full_like(r, 2.5))
+
+
+# 50 digits of pi: Fraction -> float rounds correctly, so the double
+# nearest pi/2 + k pi comes out exactly.
+PI = Fraction("3.14159265358979323846264338327950288419716939937510")
+HALF_ANGLE_C = (-7.5, -0.0, 0.0, 1.0, 10.0, 1e3)
+
+
+def tan_pole_distances(c: float, r_max: float = 2.0) -> np.ndarray:
+    """The r in [0, r_max] at which (c/2) r is the double nearest a pole of
+    tan, pi/2 + k pi."""
+    half_c = 0.5 * c
+    if half_c == 0.0:
+        return np.empty(0)
+    poles = []
+    k_max = int(abs(half_c) * r_max / math.pi) + 1
+    for k in range(-k_max, k_max):
+        pole = float((k + Fraction(1, 2)) * PI)
+        r = pole / half_c
+        for candidate in (np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf)):
+            if 0.0 <= candidate <= r_max and half_c * candidate == pole:
+                poles.append(candidate)
+                break
+    return np.array(poles)
+
+
+@pytest.mark.parametrize("c", HALF_ANGLE_C)
+def test_half_angle_kernel_matches_libm(c) -> None:
+    # the half-angle tangent against libm's sin and cos, through r = 0 and
+    # the poles of tan, where u = tan(c r / 2) is largest
+    poles = tan_pole_distances(c)
+    if abs(c) > math.pi:  # (c/2) r reaches pi/2 on [0, 2]
+        assert poles.size >= 1
+    r = np.concatenate([[0.0], np.linspace(0.0, 2.0, 20001), poles])
+    eps = np.finfo(np.float64).eps
+    with np.errstate(all="raise"):
+        s = ContinuousKernel.sin_scaled(c).of_distance(r)
+        co = ContinuousKernel.cos_scaled(c).of_distance(r)
+    libm_s, libm_c = np.sin(c * r), np.cos(c * r)
+    assert np.max(np.abs(s - libm_s)) <= 4 * eps
+    assert np.max(np.abs(co - libm_c)) <= 4 * eps
+    nonzero = libm_s != 0.0
+    assert np.all(np.abs(s - libm_s)[nonzero]
+                  <= 4 * np.spacing(np.abs(libm_s[nonzero])))
+    assert s[0] == 0.0 and co[0] == 1.0
+
+
+def targets_at_distances(node: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """Unit vectors at chordal distance d from node, one per d."""
+    e = np.cross(node, [0.0, 0.0, 1.0] if abs(node[2]) < 0.9 else [1.0, 0.0, 0.0])
+    e /= np.linalg.norm(e)
+    theta = 2.0 * np.arcsin(0.5 * distances)
+    return np.cos(theta)[:, None] * node + np.sin(theta)[:, None] * e
+
+
+@pytest.mark.parametrize("family", ["sin_scaled", "cos_scaled"])
+def test_k_pass_raises_no_floating_point_warning(family, td20) -> None:
+    # at r = 0 (the diagonal of assembly) and at the poles of tan no entry
+    # divides by zero or overflows
+    moments = modified_moments(SingularKernel.log(), 10)
+    for c in (-7.5, 10.0, 1e3):
+        K = ContinuousKernel(family, c=c)
+        poles = tan_pole_distances(c)
+        targets = targets_at_distances(td20.points[0], poles)
+        with np.errstate(all="raise"):
+            M = solver._weighted_kernel_matrix(td20, moments, K, td20.points)
+            B = solver._weighted_kernel_matrix(td20, moments, K, targets)
+        assert np.all(np.isfinite(M)) and np.all(np.isfinite(B))
+        assert B.shape == (poles.size, td20.m)
 
 
 # ------------------------------------------------------- chunked K pass
