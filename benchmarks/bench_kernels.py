@@ -21,7 +21,10 @@ one GEMM, then K applied in cache-sized row chunks.  It is checked with
 and to 4 eps of its largest entry against ``k_pass_libm``, the same
 chunked pass with libm's ``np.sin(10 r)`` in place of the solver's
 half-angle tangent.  These three rows also print their cost per entry.
-The case ``low_rank_solve`` times
+The case ``assemble`` times ``assemble_system`` on the same design and K,
+which forms the symmetric matrix by halves; it is checked to 1e-13 of its
+largest entry against I - W K from the full row-block matrix, timed once
+more as ``assemble_full``.  The case ``low_rank_solve`` times
 stage 1 of preset 3 (K == 1) at n = 10 on a random rule, which takes the
 Woodbury path; it is checked against LU of the assembled matrix, timed
 once as ``dense_lu_solve``.  The ``mesh_norm`` cases time the k-d-tree
@@ -141,12 +144,15 @@ def main() -> None:
         f"td{degree:03d}_{(degree + 1) ** 2:05d}.txt"))
     n_design = degree // 2
     design_moments = modified_moments(SingularKernel.log(), n_design)
-    right = solver._rule_factor(design, design_moments)
+    right = solver._rule_factor(
+        design, design_moments,
+        solver._target_factor(design_moments, design.points))
     block = grid[solver._row_blocks(len(grid), design.m)[0]]
-    left = solver._target_factor(n_design, block)
+    left = solver._target_factor(design_moments, block)
 
     def k_pass():
-        return solver._weighted_kernel_block(design, right, K, block, left)
+        return solver._weighted_kernel_block(design.points, right, K, block,
+                                             left)
 
     def k_pass_of_dots():
         B = left.T @ right
@@ -174,6 +180,27 @@ def main() -> None:
         seconds = best_of(fn)
         print(format_row(name, shape, seconds)
               + f" {seconds / expected.size * 1e9:8.2f} ns/entry")
+
+    spec = solver.ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0,
+                              n=n_design, rule=design)
+
+    def assemble():
+        return solver.assemble_system(spec, design_moments)[0]
+
+    def assemble_full():
+        M = solver._weighted_kernel_matrix(design, design_moments, K,
+                                           design.points)
+        np.negative(M, out=M)
+        np.fill_diagonal(M, M.diagonal() + 1.0)
+        return M
+
+    reference = assemble_full()
+    err = np.max(np.abs(assemble() - reference))
+    if err > 1e-13 * np.max(np.abs(reference)):
+        raise SystemExit(f"assemble differs from the full matrix by {err:.3e}")
+    shape = f"m={design.m} n={n_design} sin"
+    for name, fn in (("assemble", assemble), ("assemble_full", assemble_full)):
+        print(format_row(name, shape, best_of(fn)))
 
     kernel, K_one = experiments.experiment_kernels(3)
     spec = solver.ProblemSpec(kernel=kernel, K=K_one,

@@ -325,12 +325,16 @@ def moments_mixed(nu1: float, nu2: float, n: int) -> ModifiedMoments:
 
     mu_l = 2^((nu1+nu2)/2) 2pi int (1-t)^(nu1/2) (1+t)^(nu2/2) P_l(t) dt;
     the Jacobi weight absorbs both singular factors, so the rule with
-    n + 20 nodes integrates the remaining polynomial exactly.
+    n + 20 nodes integrates the remaining polynomial exactly.  For
+    nu1 == nu2 the profile is even in t and the odd moments are exactly 0,
+    not the rounding noise of the sum.
     """
     kernel = SingularKernel.mixed(nu1, nu2)
     t, w = roots_jacobi(n + 20, nu1 / 2.0, nu2 / 2.0)
     scale = 2.0 ** ((nu1 + nu2) / 2.0) * TWO_PI
     values = scale * (legendre_table(n, t) @ w)
+    if nu1 == nu2:
+        values[1::2] = 0.0
     return ModifiedMoments(kernel, n, values, "closed_form")
 
 

@@ -9,35 +9,46 @@ where the product-integration weights absorb the singular factor h:
     W_j(x) = w_j sum_{l<=n} mu_l ((2l+1)/(4pi)) P_l(x . x_j)
            = w_j sum_{l<=n} mu_l sum_k Y_lk(x) Y_lk(x_j).
 
-Read right to left, the addition theorem makes the weights a product of
-rank (n+1)^2, Y(x)^T diag(mu_l repeated 2l+1 times) Y(X) diag(w), so every
-block of weights is one BLAS matrix product of basis matrices.  K is then
-applied entrywise in row chunks of about 1 << 16 entries, small enough to
-stay in cache: the dots t . x_j, the distance |t - x_j| and K of it are
-formed in one chunk-sized buffer, never in a block-sized one.  A sin or
-cos K comes from numpy's vectorised tan by the half-angle identities
-sin x = 2u/(1+u^2) and cos x = 2/(1+u^2) - 1 with u = tan(x/2), within
-about 2 ulp of libm (see ContinuousKernel).  The speed needs numpy's
-AVX-512 tan: numpy leaves float64 sin and cos to scalar libm.  A solve
-evaluates the basis of its m nodes once: the same matrix gives the Gram
-matrix for eta, then, with row 0 set to ones, the factor Y(X)^T of the
-collocation matrix on either path.  Stage 2 evaluates the natural
-interpolant anywhere,
+Read right to left, the addition theorem makes the weights a product
+Y(x)^T diag(mu_l repeated 2l+1 times) Y(X) diag(w), so every block of
+weights is one BLAS matrix product of basis matrices.  A harmonic whose
+moment mu_l is zero adds nothing, so the factors keep only the rows of
+degrees with mu_l != 0 (and row 0): their rank is the sum of 2l+1 over
+those degrees, 1 for h == 1 and about half of (n+1)^2 for an h even in
+x.y, whose odd moments vanish.  K is then applied entrywise in row chunks
+of about 1 << 16 entries, small enough to stay in cache: the dots t . x_j,
+the distance |t - x_j| and K of it are formed in one chunk-sized buffer,
+never in a block-sized one.  A sin or cos K comes from numpy's vectorised
+tan by the half-angle identities sin x = 2u/(1+u^2) and cos x =
+2/(1+u^2) - 1 with u = tan(x/2), within about 2 ulp of libm (see
+ContinuousKernel).  The speed needs numpy's AVX-512 tan: numpy leaves
+float64 sin and cos to scalar libm.
+
+A solve evaluates the basis of its m nodes once: the same matrix gives the
+Gram matrix for eta, then, with row 0 set to ones, the factor Y(X)^T of
+the collocation matrix on either path.  Assembly uses that
+M_ij = delta_ij - S_ij w_j, where S_ij = W_j(x_i) K(x_i, x_j) / w_j is
+symmetric: it forms only the row blocks' columns from the block's first
+row on, mirrors them, and scales by -w in one pass.  Stage 2 evaluates
+the natural interpolant anywhere,
 
     phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j),
 
 which reproduces the nodal values exactly at the quadrature points.  It
-runs over row blocks of targets, so no targets-by-m matrix is formed.
+runs over row blocks of targets, so no targets-by-m matrix is formed, and
+it reuses the right factor that stage 1 kept on the solution: it
+evaluates no basis of the nodes.
 
 For a constant K = c the collocation matrix is the identity plus a term of
-rank r = (n+1)^2, M = I - c U V with U = Y(X)^T and V = diag(mu) Y(X)
-diag(w).  When r < m, stage 1 never forms M: Woodbury's identity
+rank r, M = I - c U V with U = Y(X)^T and V = diag(mu) Y(X) diag(w).  When
+(n+1)^2 < m, stage 1 never forms M: Woodbury's identity
 
     M^{-1} = I + c U (I_r - c V U)^{-1} V
 
 reduces the solve to the r x r system (I_r - c V U) z = V f, with
-phi = f + c U z.  Stage 2 shares the factor V and costs O(r) per target:
-phi(t) = f(t) + c Y(t)^T (V phi).  Every other K takes the dense LU.
+phi = f + c U z.  The solution keeps only the vector c V phi, and stage 2
+costs O(r) per target: phi(t) = f(t) + Y(t)^T (c V phi).  Every other K
+takes the dense LU.
 """
 
 from __future__ import annotations
@@ -86,13 +97,18 @@ _BLOCK_ENTRIES = 1 << 22
 # (512 KB) stay in cache between the passes that form them.
 _CHUNK_ENTRIES = 1 << 16
 
+# Rows per block of assembly by halves: each block also forms its square
+# diagonal block in full, which costs m * _HALF_ROWS / 2 entries in all.
+_HALF_ROWS = 128
+
 
 class SingularSystemError(np.linalg.LinAlgError):
     """The collocation matrix is singular to working precision."""
 
 
 class NonFiniteInputError(ValueError):
-    """f at a node, the constant c, or an entry of K is not finite."""
+    """f at a node, the constant c of a kernel, or an entry of K is not
+    finite."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -106,7 +122,8 @@ class ContinuousKernel:
     Built-ins: constant(c), sin_scaled(c) = sin(c|x-y|), cos_scaled(c) =
     cos(c|x-y|).  An arbitrary radial K can be supplied as a vectorized
     function of the distance |x-y| via custom(); built-ins keep a
-    reproducible command-line description.
+    reproducible command-line description.  A non-finite c is rejected
+    here, with NonFiniteInputError, so no K of NaN is ever evaluated.
 
     sin and cos are evaluated from the half-angle tangent u = tan(c r / 2):
 
@@ -132,6 +149,9 @@ class ContinuousKernel:
             raise ValueError(f"unknown continuous kernel {self.family!r}")
         if self.family == "custom" and self.fn is None:
             raise ValueError("custom kernel needs a distance function")
+        if self.family != "custom" and not math.isfinite(self.c):
+            raise NonFiniteInputError(
+                f"{self.family} K is not finite: c = {self.c}")
 
     @classmethod
     def constant(cls, c: float) -> "ContinuousKernel":
@@ -223,6 +243,11 @@ class ProblemSpec:
 class DiscreteSolution:
     """Stage-1 nodal values plus everything stage 2 needs.
 
+    ``factor`` is the right factor of the weights that stage 1 built,
+    diag(mu) Y(X) diag(w) at the rows of _active_rows, shape (rank, m),
+    for a non-constant K; for a constant K it is only the vector c V phi,
+    length rank.  Stage 2 reads it and evaluates no basis of the nodes.
+
     On the dense path ``condition_estimate`` comes from LAPACK ``gecon``,
     whose last bits are not repeatable from run to run on the same input;
     a bit-identity check of a solution must leave that field out.
@@ -235,11 +260,13 @@ class DiscreteSolution:
     residual: float
     condition_estimate: float
     path: str  # "dense-lu" or "low-rank"
+    factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.nodal_values, dtype=np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "nodal_values", v)
+        for name in ("nodal_values", "factor"):
+            v = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
 
 def weight_matrix(rule: QuadratureRule, moments: ModifiedMoments,
@@ -254,28 +281,60 @@ def weight_row(rule: QuadratureRule, moments: ModifiedMoments, x) -> np.ndarray:
     return weight_matrix(rule, moments, np.asarray(x)[None, :])[0]
 
 
-def _target_factor(n: int, targets: np.ndarray) -> np.ndarray:
-    """Y(x) with row 0 set to ones, shape ((n+1)^2, len(targets)): the
-    target side of _rule_factor."""
-    left = harmonics.eval_basis_matrix(HarmonicBasis(n), targets)
-    left[0] = 1.0
+def _active_rows(moments: ModifiedMoments):
+    """(degree, rows, mu): the harmonics that the weight factors keep.
+
+    A harmonic whose moment mu_l is zero adds nothing to W_j, so the
+    factors keep only the rows of the degrees with mu_l != 0, and row 0
+    always.  degree is the highest degree kept.  rows picks the kept rows
+    of any basis of degree >= degree: a slice when they are its first
+    (degree+1)^2 rows, so that the factors are views of the basis, else an
+    index array.  mu holds mu_l at each kept row, row 0 divided by 4pi
+    (see _rule_factor).
+    """
+    keep = moments.values != 0.0
+    keep[0] = True
+    degree = int(np.flatnonzero(keep)[-1])
+    counts = 2 * np.arange(degree + 1) + 1
+    kept = np.repeat(keep[:degree + 1], counts)
+    mu = np.repeat(moments.values[:degree + 1], counts)
+    mu[0] /= FOUR_PI
+    if kept.all():
+        return degree, slice(0, kept.size), mu
+    return degree, np.flatnonzero(kept), mu[kept]
+
+
+def _target_factor(moments: ModifiedMoments, targets: np.ndarray,
+                   basis: np.ndarray | None = None) -> np.ndarray:
+    """Y(x) with row 0 set to ones at the rows of _active_rows, shape
+    (rank, len(targets)): the target side of _rule_factor.
+
+    basis, if given, is the basis of the targets of any degree >= the
+    highest kept one; it is overwritten.  The result is a view of the
+    basis when it keeps every row, and owns its memory otherwise, so that
+    it never holds on to a larger basis.
+    """
+    degree, rows, _ = _active_rows(moments)
+    if basis is None:
+        basis = harmonics.eval_basis_matrix(HarmonicBasis(degree), targets)
+    basis[0] = 1.0
+    left = basis[rows]
+    if left.shape[0] < basis.shape[0] and np.may_share_memory(left, basis):
+        left = left.copy()
     return left
 
 
 def _rule_factor(rule: QuadratureRule, moments: ModifiedMoments,
-                 left: np.ndarray | None = None) -> np.ndarray:
-    """diag(mu_l repeated 2l+1 times) Y(X) diag(w), shape ((n+1)^2, m).
+                 left: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """diag(mu) Y(X) diag(w) at the rows of _active_rows, shape (rank, m).
 
-    Row 0 carries both factors of the constant Y_00 = 1/sqrt(4pi), and the
-    target side carries ones there: the degree-0 term mu_0 w_j / (4pi) is
-    then exact, as P_0 == 1 makes it in the Legendre sum.  left, if given,
-    is _target_factor(n, rule.points), which saves evaluating the basis.
+    left is _target_factor(moments, rule.points); out, if given, receives
+    the factor and may be left itself.  Row 0 carries both factors of the
+    constant Y_00 = 1/sqrt(4pi), and the target side carries ones there:
+    the degree-0 term mu_0 w_j / (4pi) is then exact, as P_0 == 1 makes it
+    in the Legendre sum.
     """
-    right = (_target_factor(moments.n, rule.points) if left is None
-             else left.copy())
-    mu = np.repeat(moments.values, 2 * np.arange(moments.n + 1) + 1)
-    mu[0] /= FOUR_PI
-    right *= mu[:, None]
+    right = np.multiply(left, _active_rows(moments)[2][:, None], out=out)
     right *= rule.weights
     return right
 
@@ -300,44 +359,65 @@ def _row_chunks(rows: int, cols: int) -> list[slice]:
             for start, stop in zip([0] + stops, stops + [rows])]
 
 
-def _weighted_kernel_block(rule: QuadratureRule, right: np.ndarray,
+def _weighted_kernel_block(nodes: np.ndarray, right: np.ndarray,
                            K: ContinuousKernel, targets: np.ndarray,
                            left: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
-    """W_j(x) K(x, x_j) for one row block of targets: one GEMM, then K.
+    """(left^T right) K(x, x_j) for one row block of targets: one GEMM,
+    then K.
 
-    left is _target_factor(n, targets) and right is _rule_factor(rule,
-    moments); out, if given, receives the block.  K runs over row chunks,
-    each formed in one cache-sized buffer as K.of_dots forms it.
+    left is _target_factor(moments, targets), and right has one column
+    per node: _rule_factor(rule, moments) gives W_j(x) K(x, x_j).  out, if
+    given, receives the block.  K runs over row chunks, each formed in one
+    cache-sized buffer as K.of_dots forms it.
     """
     B = np.matmul(left.T, right, out=out)
     if K.family == "constant":
         B *= K.c
         return B
-    scaled_nodes = -2.0 * rule.points.T
-    for rows in _row_chunks(targets.shape[0], rule.m):
+    scaled_nodes = -2.0 * nodes.T
+    for rows in _row_chunks(targets.shape[0], nodes.shape[0]):
         r = _distance_from_scaled_dots(targets[rows] @ scaled_nodes)
         B[rows] *= K._of_distance_inplace(r)
     return B
 
 
 def _weighted_kernel_matrix(rule: QuadratureRule, moments: ModifiedMoments,
-                            K: ContinuousKernel, targets: np.ndarray,
-                            left: np.ndarray | None = None) -> np.ndarray:
-    """W_j(x) K(x, x_j) for every target; the matrix of assembly.
-
-    left, if given, is _target_factor(n, rule.points) and the targets are
-    the nodes: its column slices serve every row block, and it also gives
-    the right factor, so no basis is evaluated here.
-    """
-    right = _rule_factor(rule, moments, left)
+                            K: ContinuousKernel,
+                            targets: np.ndarray) -> np.ndarray:
+    """W_j(x) K(x, x_j) for every target, in row blocks."""
+    right = _rule_factor(rule, moments, _target_factor(moments, rule.points))
     out = np.empty((targets.shape[0], rule.m))
     for rows in _row_blocks(targets.shape[0], rule.m):
-        block_left = (_target_factor(moments.n, targets[rows]) if left is None
-                      else left[:, rows])
-        _weighted_kernel_block(rule, right, K, targets[rows], block_left,
+        _weighted_kernel_block(rule.points, right, K, targets[rows],
+                               _target_factor(moments, targets[rows]),
                                out=out[rows])
     return out
+
+
+def _kernel_matrix_by_halves(nodes: np.ndarray, left: np.ndarray,
+                             right: np.ndarray,
+                             K: ContinuousKernel) -> np.ndarray:
+    """The symmetric S = (left^T right) K(x_i, x_j) at the nodes, by halves.
+
+    left and right are the same basis up to row scaling, so S is symmetric
+    in exact arithmetic.  Each row block of _HALF_ROWS rows forms (GEMM
+    and K pass) only its columns from the block's first row on; the
+    strict lower triangle of its diagonal block and the column block below
+    it are copied from their mirror images, so S is exactly symmetric.
+    """
+    m = nodes.shape[0]
+    S = np.empty((m, m))
+    for start in range(0, m, _HALF_ROWS):
+        stop = min(start + _HALF_ROWS, m)
+        upper = _weighted_kernel_block(nodes[start:], right[:, start:], K,
+                                       nodes[start:stop], left[:, start:stop],
+                                       out=S[start:stop, start:])
+        square = upper[:, :stop - start]
+        below = np.tril_indices(stop - start, -1)
+        square[below] = square.T[below]
+        S[stop:, start:stop] = upper[:, stop - start:].T
+    return S
 
 
 def _check_moments(spec: ProblemSpec, moments: ModifiedMoments) -> None:
@@ -346,11 +426,7 @@ def _check_moments(spec: ProblemSpec, moments: ModifiedMoments) -> None:
 
 
 def _nodal_rhs(spec: ProblemSpec) -> np.ndarray:
-    """f(x_i), once the constant c of a built-in K and every f(x_i) are
-    known to be finite."""
-    if spec.K.family != "custom" and not math.isfinite(spec.K.c):
-        raise NonFiniteInputError(
-            f"{spec.K.family} K is not finite: c = {spec.K.c}")
+    """f(x_i), once every f(x_i) is known to be finite."""
     b = spec.f_values(spec.rule.points)
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
@@ -366,16 +442,21 @@ def assemble_system(spec: ProblemSpec,
                     left: np.ndarray | None = None):
     """Collocation matrix M_ij = delta_ij - W_j(x_i) K(x_i, x_j) and rhs f(x_i).
 
-    left, if given, is the node basis with row 0 set to ones, as
-    solve_stage1 evaluates it; otherwise it is evaluated here.
+    M = I - S diag(w) with the symmetric S of _kernel_matrix_by_halves,
+    scaled by -w in one pass.  left, if given, is
+    _target_factor(moments, rule.points), as solve_stage1 takes it from
+    its node basis; otherwise it is evaluated here.
     """
     if moments is None:
         moments = modified_moments(spec.kernel, spec.n)
     _check_moments(spec, moments)
     b = _nodal_rhs(spec)
-    M = _weighted_kernel_matrix(spec.rule, moments, spec.K, spec.rule.points,
-                                left)
-    np.negative(M, out=M)
+    if left is None:
+        left = _target_factor(moments, spec.rule.points)
+    mu = _active_rows(moments)[2]
+    M = _kernel_matrix_by_halves(spec.rule.points, left, left * mu[:, None],
+                                 spec.K)
+    np.multiply(M, -spec.rule.weights, out=M)
     np.fill_diagonal(M, M.diagonal() + 1.0)
     return M, b
 
@@ -422,10 +503,10 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
 
 def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
                     b: np.ndarray, U_T: np.ndarray):
-    """(phi, residual, condition estimate) for K = c without forming M.
+    """(phi, residual, condition estimate, V) for K = c without forming M.
 
-    M = I - c U V with U = _target_factor(n, X)^T (m x r), passed in as
-    U_T, and V = _rule_factor (r x m).  Woodbury gives M^-1 = I + c U S^-1
+    M = I - c U V with U = _target_factor(moments, X)^T (m x r), passed in
+    as U_T, and V = _rule_factor (r x m).  Woodbury gives M^-1 = I + c U S^-1
     V with the r x r matrix S = I_r - c V U, so phi = f + c U z with
     S z = V f.  One step of iterative refinement follows: phi = f + c U z
     shifts every nodal value by the same rounding error of z, which stage 2
@@ -461,7 +542,7 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
             lu_piv, U.T @ x, trans=1, check_finite=False)),
         rmatvec=solve)
     cond = float(onenormest(M_T, t=1)) * float(onenormest(M_inv_T, t=1))
-    return phi, residual, cond
+    return phi, residual, cond, V
 
 
 def solve_stage1(spec: ProblemSpec,
@@ -471,10 +552,12 @@ def solve_stage1(spec: ProblemSpec,
     A constant K with (n+1)^2 < m takes the low-rank path (Woodbury on the
     r x r reduced system); every other problem is assembled and LU-factored.
     The basis of the nodes is evaluated once: it gives the Gram matrix for
-    eta, then, with row 0 set to ones in place, the factor of either path.
-    Raises NonFiniteInputError before any basis or assembly work when f(x_i)
-    or c is not finite (or, on the dense path, when K gives a non-finite
-    entry);
+    eta, then, with row 0 set to ones and only the rows of _active_rows,
+    the factor of either path.  The solution keeps the right factor of the
+    weights for stage 2 (for a constant K only c V phi).  Raises
+    NonFiniteInputError before any basis or assembly work when f(x_i) is
+    not finite (or, on the dense path, when K gives a non-finite entry; a
+    non-finite c never gets this far);
     SingularSystemError naming the zero pivot when a factorization breaks
     down; attaches IllConditionedWarning when the infinity-norm condition
     estimate of M exceeds 1e12.
@@ -485,10 +568,16 @@ def solve_stage1(spec: ProblemSpec,
     b = _nodal_rhs(spec)
     Y = harmonics.eval_basis_matrix(HarmonicBasis(spec.n), spec.rule.points)
     eta = gram_spectrum(gram_matrix(spec.rule, spec.n, basis=Y))[0]
-    Y[0] = 1.0  # now _target_factor(n, X)
+    left = _target_factor(moments, spec.rule.points, Y)
+    del Y  # freed here unless left is all of it
     low_rank = spec.K.family == "constant" and (spec.n + 1) ** 2 < spec.rule.m
-    phi, residual, cond = (_solve_low_rank if low_rank
-                           else _solve_dense)(spec, moments, b, Y)
+    if low_rank:
+        phi, residual, cond, right = _solve_low_rank(spec, moments, b, left)
+    else:  # the right factor once M and its LU are gone, in left's place
+        phi, residual, cond = _solve_dense(spec, moments, b, left)
+        right = _rule_factor(spec.rule, moments, left, out=left)
+    factor = (spec.K.c * (right @ phi) if spec.K.family == "constant"
+              else right)
     if not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"collocation matrix condition estimate {cond:.3e} exceeds "
@@ -497,13 +586,15 @@ def solve_stage1(spec: ProblemSpec,
     return DiscreteSolution(nodal_values=phi, spec=spec, moments=moments,
                             gamma=(spec.rule.m, spec.n, eta),
                             residual=residual, condition_estimate=cond,
-                            path="low-rank" if low_rank else "dense-lu")
+                            path="low-rank" if low_rank else "dense-lu",
+                            factor=factor)
 
 
 def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     """phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j) at one or many t.
 
-    For a constant K the sum is c Y(t)^T (V phi), O(r) per target.
+    The right factor is the one stage 1 kept on the solution.  For a
+    constant K the sum is Y(t)^T (c V phi), O(r) per target.
 
     The targets are taken in row blocks, and a BLAS product rounds by the
     height of its block, so the last bits of a value depend on how many
@@ -511,17 +602,15 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     ``evaluate_stage2(sol, pts[:k])`` bit for bit.
     """
     pts = as_unit_vectors(targets)
-    rule, K, n = sol.spec.rule, sol.spec.K, sol.moments.n
-    right = _rule_factor(rule, sol.moments)
+    rule, K, moments = sol.spec.rule, sol.spec.K, sol.moments
     integral = np.empty(pts.shape[0])
     if K.family == "constant":
-        coeffs = K.c * (right @ sol.nodal_values)
-        for rows in _row_blocks(pts.shape[0], coeffs.size):
-            integral[rows] = _target_factor(n, pts[rows]).T @ coeffs
+        for rows in _row_blocks(pts.shape[0], sol.factor.size):
+            integral[rows] = _target_factor(moments, pts[rows]).T @ sol.factor
     else:
         for rows in _row_blocks(pts.shape[0], rule.m):
-            B = _weighted_kernel_block(rule, right, K, pts[rows],
-                                       _target_factor(n, pts[rows]))
+            B = _weighted_kernel_block(rule.points, sol.factor, K, pts[rows],
+                                       _target_factor(moments, pts[rows]))
             integral[rows] = B @ sol.nodal_values
     return sol.spec.f_values(pts) + integral
 

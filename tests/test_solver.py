@@ -18,6 +18,7 @@ from sphsolve import (
     HarmonicBasis,
     HarmonicIndex,
     IllConditionedWarning,
+    ModifiedMoments,
     NonFiniteInputError,
     ProblemSpec,
     QuadratureRule,
@@ -35,6 +36,7 @@ from sphsolve import (
     mz_constant,
     profile_integral,
     random_rule,
+    run_experiment,
     solve_stage1,
     uniform_error,
     uniform_random_points,
@@ -301,6 +303,31 @@ EQUIVALENCE_KERNELS = {
 }
 
 
+def moment_sets(n: int) -> dict:
+    """Moment vectors of degree n with and without vanishing moments."""
+    log = modified_moments(SingularKernel.log(), n)
+    interior = log.values.copy()
+    interior[1::3] = 0.0  # degrees 1, 4, 7, ...; the top one too at n = 10
+    return {
+        "log": log,
+        "one": modified_moments(SingularKernel.one(), n),
+        "mixed-even": modified_moments(SingularKernel.mixed(-0.5, -0.5), n),
+        "mixed": modified_moments(SingularKernel.mixed(-0.3, -0.8), n),
+        "interior-zeros": ModifiedMoments(log.kernel, n, interior,
+                                          "closed_form"),
+        "all-zero": ModifiedMoments(log.kernel, n, np.zeros(n + 1),
+                                    "closed_form"),
+    }
+
+
+def active_rank(moments) -> int:
+    """Rows the weight factor keeps: 2l+1 per degree with mu_l != 0, and
+    row 0 always."""
+    degree = np.arange(moments.n + 1)
+    active = (moments.values != 0.0) | (degree == 0)
+    return int(np.sum((2 * degree + 1)[active]))
+
+
 @pytest.mark.parametrize("n", [0, 1, 10, 20])
 @pytest.mark.parametrize("K_name", sorted(EQUIVALENCE_KERNELS))
 @pytest.mark.parametrize("rule_name", ["td20", "random500"])
@@ -308,23 +335,28 @@ def test_weighted_kernel_matches_legendre_sum(rule_name, K_name, n,
                                               request) -> None:
     # the GEMM of basis matrices against the direct Legendre zonal sum
     # w_j sum_l mu_l (2l+1)/(4pi) P_l(x . x_j) K(x, x_j), at the nodes
-    # (diagonal dots == 1) and at off-node targets
+    # (diagonal dots == 1) and at off-node targets, for moment sets whose
+    # zero moments trim the factors: h == 1 keeps rank 1, an even mixed h
+    # drops the odd degrees, and all-zero moments give exactly 0
     rule = (request.getfixturevalue("td20") if rule_name == "td20"
             else random_rule(500, seed=41))
     K = EQUIVALENCE_KERNELS[K_name]
-    moments = modified_moments(SingularKernel.log(), n)
     targets = np.vstack([rule.points,
                          uniform_random_points(200, seed=42).points])
     dots = np.clip(targets @ rule.points.T, -1.0, 1.0)
-    zonal = np.tensordot(zonal_coefficients(moments),
-                         legendre_table(n, dots), axes=1)
-    expected = rule.weights * zonal * K.of_dots(dots)
-    got = solver._weighted_kernel_matrix(rule, moments, K, targets)
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
-    if K_name == "constant":
-        W = weight_matrix(rule, moments, targets)
-        assert np.max(np.abs(K.c * W - expected)) <= 1e-12 * scale
+    table = legendre_table(n, dots)
+    K_dots = K.of_dots(dots)
+    for name, moments in moment_sets(n).items():
+        assert solver._target_factor(moments, targets).shape == (
+            active_rank(moments), len(targets)), name
+        zonal = np.tensordot(zonal_coefficients(moments), table, axes=1)
+        expected = rule.weights * zonal * K_dots
+        got = solver._weighted_kernel_matrix(rule, moments, K, targets)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale, name
+        if K_name == "constant":
+            W = weight_matrix(rule, moments, targets)
+            assert np.max(np.abs(K.c * W - expected)) <= 1e-12 * scale, name
 
 
 def test_stage2_blocks_match_one_product(td20) -> None:
@@ -409,6 +441,12 @@ LOW_RANK_CASES = {
                           "random500"),
     "log-random2000-n10": (SingularKernel.log(), 1.0, smooth_f, 10,
                            "random2000"),
+    # vanishing moments: h == 1 leaves the reduced system rank 1, an even
+    # mixed h rank 66 of 121
+    "one-random500-n10": (SingularKernel.one(), 0.05, smooth_f, 10,
+                          "random500"),
+    "mixed-random500-n10": (SingularKernel.mixed(-0.5, -0.5), 0.3, smooth_f,
+                            10, "random500"),
 }
 
 
@@ -437,6 +475,7 @@ def test_low_rank_matches_dense_lu(case, request, eval_grid) -> None:
     sol = solve_stage1(spec)
     r = (spec.n + 1) ** 2
     assert sol.path == ("low-rank" if r < spec.rule.m else "dense-lu")
+    assert sol.factor.shape == (active_rank(sol.moments),)  # c V phi
 
     M, b = assemble_system(spec, sol.moments)
     phi = lu_solve(lu_factor(M), b)
@@ -552,37 +591,27 @@ def test_non_finite_f_is_named_before_assembly(K, td10, monkeypatch) -> None:
                            rule=td10)
         with pytest.raises(NonFiniteInputError, match=f"node {node} of 121"):
             solve_stage1(spec)
-    for c in (math.nan, math.inf):
-        spec = ProblemSpec(kernel=SingularKernel.log(),
-                           K=ContinuousKernel.constant(c), f=1.0, n=5,
-                           rule=td10)
+    for c in (math.nan, math.inf):  # a constant K of such c cannot be built
         with pytest.raises(NonFiniteInputError, match="constant K"):
-            solve_stage1(spec)
+            ContinuousKernel.constant(c)
     assert issubclass(NonFiniteInputError, ValueError)
 
 
 @pytest.mark.parametrize("make_K", [ContinuousKernel.sin_scaled,
                                     ContinuousKernel.cos_scaled])
-def test_non_finite_c_is_named_before_assembly(make_K, td10,
-                                               monkeypatch) -> None:
-    # a non-finite c of sin or cos K is named before any basis work, with
-    # no RuntimeWarning from evaluating K
-    def never(*args, **kwargs):
-        raise AssertionError("evaluated a kernel with a non-finite c")
-
-    monkeypatch.setattr(solver, "_weighted_kernel_matrix", never)
-    monkeypatch.setattr(solver.harmonics, "eval_basis_matrix", never)
+def test_non_finite_c_is_named_before_assembly(make_K) -> None:
+    # a sin or cos K with a non-finite c cannot be built: the kernel names
+    # it at construction, with no RuntimeWarning, so no solve, assembly or
+    # direct of_distance call ever evaluates it
+    family = make_K(1.0).family
     for c in (math.inf, -math.inf, math.nan):
-        K = make_K(c)
-        spec = ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0, n=5,
-                           rule=td10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteInputError,
-                               match=f"{K.family} K is not finite"):
-                solve_stage1(spec)
-            with pytest.raises(NonFiniteInputError, match=K.family):
-                assemble_system(spec)
+                               match=f"{family} K is not finite: c = "):
+                make_K(c)
+            with pytest.raises(NonFiniteInputError, match=family):
+                ContinuousKernel(family, c=c)
 
 
 def test_non_finite_custom_kernel_is_named(td10) -> None:
@@ -724,14 +753,16 @@ def test_chunked_k_pass_matches_whole_block_of_dots(rule_name, K_name,
             scale = float(np.max(np.abs(expected)))
             assert np.max(np.abs(got - expected)) <= tol * scale
 
-    left = solver._target_factor(moments.n, targets)
-    right = solver._rule_factor(rule, moments)
+    left = solver._target_factor(moments, targets)
+    right = solver._rule_factor(rule, moments,
+                                solver._target_factor(moments, rule.points))
     expected = []
     for rows in solver._row_blocks(T, rule.m):
         dots = np.clip(targets[rows] @ rule.points.T, -1.0, 1.0)
         expected.append(left[:, rows].T @ right * K.of_dots(dots))
-        check(solver._weighted_kernel_block(rule, right, K, targets[rows],
-                                            left[:, rows]), expected[-1])
+        check(solver._weighted_kernel_block(rule.points, right, K,
+                                            targets[rows], left[:, rows]),
+              expected[-1])
     check(solver._weighted_kernel_matrix(rule, moments, K, targets),
           np.vstack(expected))
 
@@ -753,10 +784,35 @@ def test_assembly_from_the_solve_basis_is_bit_identical(td20) -> None:
     spec = ProblemSpec(kernel=SingularKernel.log(),
                        K=ContinuousKernel.sin_scaled(10.0), f=0.5, n=10,
                        rule=td20)
-    left = solver._target_factor(spec.n, td20.points)
+    left = solver._target_factor(modified_moments(spec.kernel, spec.n),
+                                 td20.points)
     M, b = assemble_system(spec)
     M_left, b_left = assemble_system(spec, left=left)
     assert np.array_equal(M_left, M) and np.array_equal(b_left, b)
+
+
+@pytest.mark.parametrize("K_name", ["sin", "cos", "custom"])
+@pytest.mark.parametrize("rule_name", ["td20", "random500"])
+def test_assembly_by_halves_is_symmetric(rule_name, K_name, request) -> None:
+    # assembly forms the upper row blocks of S = W K / w and mirrors them.
+    # Both rules have equal weights, so dividing I - M by w undoes the
+    # same rounding on either side of the diagonal: the result is exactly
+    # symmetric.  It also matches the full row-block matrix W K, with all
+    # moments kept (log) and with the odd degrees dropped (even mixed h).
+    rule = (request.getfixturevalue("td20") if rule_name == "td20"
+            else random_rule(500, seed=41))
+    assert rule.m % solver._HALF_ROWS and rule.m > 2 * solver._HALF_ROWS
+    K = EQUIVALENCE_KERNELS[K_name]
+    identity = np.eye(rule.m)
+    for kernel in (SingularKernel.log(), SingularKernel.mixed(-0.5, -0.5)):
+        spec = ProblemSpec(kernel=kernel, K=K, f=1.0, n=10, rule=rule)
+        M, _ = assemble_system(spec)
+        S = (identity - M) / rule.weights
+        assert np.array_equal(S, S.T)
+        full = solver._weighted_kernel_matrix(
+            rule, modified_moments(kernel, spec.n), K, rule.points)
+        scale = float(np.max(np.abs(full)))
+        assert np.max(np.abs(M - (identity - full))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("K", [ContinuousKernel.constant(1.0),
@@ -765,21 +821,42 @@ def test_assembly_from_the_solve_basis_is_bit_identical(td20) -> None:
 def test_solve_evaluates_node_basis_once(K, td10, monkeypatch) -> None:
     # one node basis per solve: the Gram matrix for eta and the factor of
     # either path share it
-    seen = []
-
-    def counting(fn):
-        def wrapper(basis, points):
-            seen.append(points is td10.points)
-            return fn(basis, points)
-        return wrapper
-
-    from sphsolve import harmonics, mz
-    monkeypatch.setattr(harmonics, "eval_basis_matrix",
-                        counting(harmonics.eval_basis_matrix))
-    monkeypatch.setattr(mz, "eval_basis_matrix",
-                        counting(mz.eval_basis_matrix))
+    seen = count_basis_calls(monkeypatch, td10.points)
     moments = modified_moments(SingularKernel.log(), 5)
     sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0,
                                    n=5, rule=td10), moments)
     assert sol.path == ("low-rank" if K.family == "constant" else "dense-lu")
     assert seen == [True]
+
+
+@pytest.mark.parametrize("exp_id, path", [(3, "low-rank"), (1, "dense-lu"),
+                                          (4, "dense-lu")])
+def test_experiment_evaluates_node_basis_once(exp_id, path, td10,
+                                              monkeypatch) -> None:
+    # stage 2 reads the factor that stage 1 kept on the solution: a whole
+    # run_experiment evaluates the node basis once, and the basis of the
+    # targets once per row block
+    seen = count_basis_calls(monkeypatch, td10.points)
+    grid = uniform_random_points(300, seed=44)
+    rec = run_experiment(exp_id, 5, td10, grid=grid)
+    assert rec.solver_path == path
+    assert seen == [True, False]
+
+
+def count_basis_calls(monkeypatch, nodes: np.ndarray) -> list[bool]:
+    """Wrap every basis evaluation; the list records, per call, whether it
+    evaluated the basis of nodes."""
+    from sphsolve import harmonics, mz
+    seen = []
+
+    def counting(fn):
+        def wrapper(basis, points):
+            seen.append(points is nodes)
+            return fn(basis, points)
+        return wrapper
+
+    monkeypatch.setattr(harmonics, "eval_basis_matrix",
+                        counting(harmonics.eval_basis_matrix))
+    monkeypatch.setattr(mz, "eval_basis_matrix",
+                        counting(mz.eval_basis_matrix))
+    return seen
