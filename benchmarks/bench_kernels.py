@@ -20,11 +20,19 @@ one GEMM, then K applied in cache-sized row chunks.  It is checked with
 ``K.of_dots(clip(t . x, -1, 1))``, timed once more as ``k_pass_of_dots``,
 and to 4 eps of its largest entry against ``k_pass_libm``, the same
 chunked pass with libm's ``np.sin(10 r)`` in place of the solver's
-half-angle tangent.  These three rows also print their cost per entry.
+half-angle tangent.  Both form their products with the solver's
+``sphsolve._blas``, so that the first check compares like with like.
+These three rows also print their cost per entry.
 The case ``assemble`` times ``assemble_system`` on the same design and K,
 which forms the symmetric matrix by halves; it is checked to 1e-13 of its
 largest entry against I - W K from the full row-block matrix, timed once
-more as ``assemble_full``.  The case ``low_rank_solve`` times
+more as ``assemble_full``.  The cases ``lu_after_gemm`` time
+``lu_factor`` of that assembled matrix right after a stage-2 GEMM, once
+formed by numpy (``numpy``) and once by ``sphsolve._blas`` (``scipy``),
+as the median of 5 runs: the numpy and scipy wheels each ship their own
+OpenBLAS, and a worker of numpy's pool still spinning after its GEMM
+competes with scipy's LU.  The two factorizations are checked to be
+equal.  The case ``low_rank_solve`` times
 stage 1 of preset 3 (K == 1) at n = 10 on a random rule, which takes the
 Woodbury path; it is checked against LU of the assembled matrix, timed
 once as ``dense_lu_solve``.  The ``mesh_norm`` cases time the k-d-tree
@@ -41,7 +49,7 @@ import time
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from sphsolve import _kernels, experiments, solver
+from sphsolve import _blas, _kernels, experiments, solver
 from sphsolve.harmonics import legendre_table
 from sphsolve.moments import ModifiedMoments, SingularKernel, modified_moments
 from sphsolve.pointsets import (QuadratureRule, bundled_pointset_path,
@@ -155,15 +163,17 @@ def main() -> None:
                                              left)
 
     def k_pass_of_dots():
-        B = left.T @ right
-        B *= K.of_dots(np.clip(block @ design.points.T, -1.0, 1.0))
+        B = _blas.matmul(left.T, right)
+        B *= K.of_dots(np.clip(_blas.matmul(block, design.points.T),
+                               -1.0, 1.0))
         return B
 
     def k_pass_libm():
-        B = left.T @ right
+        B = _blas.matmul(left.T, right)
         scaled_nodes = -2.0 * design.points.T
         for rows in solver._row_chunks(len(block), design.m):
-            r = solver._distance_from_scaled_dots(block[rows] @ scaled_nodes)
+            r = solver._distance_from_scaled_dots(
+                _blas.matmul(block[rows], scaled_nodes))
             r *= 10.0
             B[rows] *= np.sin(r, out=r)
         return B
@@ -201,6 +211,22 @@ def main() -> None:
     shape = f"m={design.m} n={n_design} sin"
     for name, fn in (("assemble", assemble), ("assemble_full", assemble_full)):
         print(format_row(name, shape, best_of(fn)))
+
+    def lu_after(gemm):
+        seconds = []
+        for _ in range(5):
+            gemm(left.T, right)
+            start = time.perf_counter()
+            lu_piv = lu_factor(reference, check_finite=False)
+            seconds.append(time.perf_counter() - start)
+        return float(np.median(seconds)), lu_piv
+
+    t_numpy, lu_numpy = lu_after(np.matmul)
+    t_scipy, lu_scipy = lu_after(_blas.matmul)
+    if not all(np.array_equal(a, b) for a, b in zip(lu_numpy, lu_scipy)):
+        raise SystemExit("lu_factor differs after a numpy and a scipy GEMM")
+    print(format_row("lu_after_gemm numpy", shape, t_numpy))
+    print(format_row("lu_after_gemm scipy", shape, t_scipy))
 
     kernel, K_one = experiments.experiment_kernels(3)
     spec = solver.ProblemSpec(kernel=kernel, K=K_one,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .harmonics import HarmonicBasis, eval_basis_matrix
 from .pointsets import QuadratureRule
 from .sphere import as_unit_vectors
@@ -44,7 +45,7 @@ def hyper_coefficients(rule: QuadratureRule, n: int,
         raise ValueError(
             f"expected {rule.m} samples to match the rule, got {g.shape}")
     Y = eval_basis_matrix(HarmonicBasis(n), rule.points)
-    return HyperCoefficients(n=n, coeffs=Y @ (rule.weights * g),
+    return HyperCoefficients(n=n, coeffs=_blas.matvec(Y, rule.weights * g),
                              rule_label=rule.label)
 
 
@@ -52,7 +53,7 @@ def hyper_evaluate(c: HyperCoefficients, targets) -> np.ndarray:
     """Values of the hyperinterpolant at one or many points."""
     pts = as_unit_vectors(targets)
     Y = eval_basis_matrix(HarmonicBasis(c.n), pts)
-    return c.coeffs @ Y
+    return _blas.matvec(Y.T, c.coeffs)
 
 
 def hyper_l2_norm(c: HyperCoefficients) -> float:

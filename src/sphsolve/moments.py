@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
+from . import _blas
 from .harmonics import legendre_table
 
 __all__ = [
@@ -215,7 +216,8 @@ def _oracle_core(h_mid, h_right, h_left, n: int, target: float,
     # factor is applied up front so the stopping test runs in result units.
     edges = np.linspace(-0.5, 0.5, 9)
     t_mid, w_mid = _gauss_panels(list(zip(edges[:-1], edges[1:])), n_nodes)
-    totals = TWO_PI * (legendre_table(n, t_mid) @ (w_mid * h_mid(t_mid)))
+    totals = TWO_PI * _blas.matvec(legendre_table(n, t_mid),
+                                   w_mid * h_mid(t_mid))
 
     certified = True
     for sign, h_u in ((+1.0, h_right), (-1.0, h_left)):
@@ -226,7 +228,7 @@ def _oracle_core(h_mid, h_right, h_left, n: int, target: float,
             u = lo + 0.5 * (hi - lo) * (nodes_x + 1.0)
             wu = 0.5 * (hi - lo) * nodes_w
             t = sign * (1.0 - u)
-            contrib = TWO_PI * (legendre_table(n, t) @ (wu * h_u(u)))
+            contrib = TWO_PI * _blas.matvec(legendre_table(n, t), wu * h_u(u))
             totals += contrib
             floor = 1e-16 * (1.0 + float(np.min(np.abs(totals))))
             tails = _tail_vector(prev, contrib, floor)
@@ -332,7 +334,7 @@ def moments_mixed(nu1: float, nu2: float, n: int) -> ModifiedMoments:
     kernel = SingularKernel.mixed(nu1, nu2)
     t, w = roots_jacobi(n + 20, nu1 / 2.0, nu2 / 2.0)
     scale = 2.0 ** ((nu1 + nu2) / 2.0) * TWO_PI
-    values = scale * (legendre_table(n, t) @ w)
+    values = scale * _blas.matvec(legendre_table(n, t), w)
     if nu1 == nu2:
         values[1::2] = 0.0
     return ModifiedMoments(kernel, n, values, "closed_form")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .harmonics import HarmonicBasis, eval_basis_matrix
 from .pointsets import QuadratureRule
 from .sphere import EvaluationGrid, mesh_norm, uniform_random_points
@@ -74,13 +75,13 @@ def gram_matrix(rule: QuadratureRule, n: int,
     """
     Y = (eval_basis_matrix(HarmonicBasis(n), rule.points) if basis is None
          else basis)
-    G = (Y * rule.weights) @ Y.T
+    G = _blas.matmul(Y * rule.weights, Y.T)
     return 0.5 * (G + G.T)  # exact symmetry for the eigensolver
 
 
 def gram_spectrum(G: np.ndarray) -> tuple[float, float, float]:
     """(eta, lambda_min, lambda_max) of a Gram matrix from gram_matrix."""
-    lam = np.linalg.eigvalsh(G)
+    lam = _blas.eigvalsh(G)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     return max(lam_max - 1.0, 1.0 - lam_min, 0.0), lam_min, lam_max
 
@@ -92,7 +93,7 @@ def _harmonic_quadrature_errors(Y: np.ndarray,
     The true integrals are sqrt(4pi) for the constant harmonic and 0 for
     every other one.  Entry i belongs to degree floor(sqrt(i)).
     """
-    s = Y @ weights
+    s = _blas.matvec(Y, weights)
     s[0] -= SQRT_4PI
     return s
 

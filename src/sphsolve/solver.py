@@ -49,6 +49,14 @@ reduces the solve to the r x r system (I_r - c V U) z = V f, with
 phi = f + c U z.  The solution keeps only the vector c V phi, and stage 2
 costs O(r) per target: phi(t) = f(t) + Y(t)^T (c V phi).  Every other K
 takes the dense LU.
+
+Every dense product here, and the Gram eigensolve, runs through
+sphsolve._blas on scipy's BLAS and LAPACK, never through numpy's @.  The
+numpy and scipy wheels each ship their own OpenBLAS with its own thread
+pool, and a worker of one pool keeps spinning for a while after a
+threaded call.  A product in numpy's pool would leave that spin taking
+the CPUs from scipy's lu_factor, and scipy's spin would slow numpy's
+stage-2 GEMMs; in one pool neither waits on the other's idle thread.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from . import harmonics
+from . import _blas, harmonics
 from .harmonics import HarmonicBasis
 from .moments import ModifiedMoments, SingularKernel, modified_moments
 from .mz import gram_matrix, gram_spectrum
@@ -371,13 +379,14 @@ def _weighted_kernel_block(nodes: np.ndarray, right: np.ndarray,
     given, receives the block.  K runs over row chunks, each formed in one
     cache-sized buffer as K.of_dots forms it.
     """
-    B = np.matmul(left.T, right, out=out)
+    B = _blas.matmul(left.T, right, out=out)
     if K.family == "constant":
         B *= K.c
         return B
     scaled_nodes = -2.0 * nodes.T
     for rows in _row_chunks(targets.shape[0], nodes.shape[0]):
-        r = _distance_from_scaled_dots(targets[rows] @ scaled_nodes)
+        r = _distance_from_scaled_dots(
+            _blas.matmul(targets[rows], scaled_nodes))
         B[rows] *= K._of_distance_inplace(r)
     return B
 
@@ -405,9 +414,12 @@ def _kernel_matrix_by_halves(nodes: np.ndarray, left: np.ndarray,
     and K pass) only its columns from the block's first row on; the
     strict lower triangle of its diagonal block and the column block below
     it are copied from their mirror images, so S is exactly symmetric.
+    The factors are taken in Fortran order, so that their column blocks
+    reach BLAS without a copy.
     """
     m = nodes.shape[0]
     S = np.empty((m, m))
+    left, right = np.asfortranarray(left), np.asfortranarray(right)
     for start in range(0, m, _HALF_ROWS):
         stop = min(start + _HALF_ROWS, m)
         upper = _weighted_kernel_block(nodes[start:], right[:, start:], K,
@@ -498,7 +510,7 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
     rcond, info = gecon(lu, anorm, norm="I")
     cond = math.inf if rcond == 0.0 or info < 0 else 1.0 / float(rcond)
     phi = lu_solve((lu, piv), b, check_finite=False)
-    return phi, float(np.max(np.abs(M @ phi - b))), cond
+    return phi, float(np.max(np.abs(_blas.matvec(M, phi) - b))), cond
 
 
 def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
@@ -519,14 +531,15 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
 
     c, m = spec.K.c, spec.rule.m
     V, U = _rule_factor(spec.rule, moments, U_T), U_T.T
-    S = np.eye(V.shape[0]) - c * (V @ U)
+    S = np.eye(V.shape[0]) - c * _blas.matmul(V, U)
     lu_piv = _factor(S, "reduced system I - c V U")
 
     def solve(y):  # M^-1 y
-        return y + c * (U @ lu_solve(lu_piv, V @ y, check_finite=False))
+        return y + c * _blas.matvec(
+            U, lu_solve(lu_piv, _blas.matvec(V, y), check_finite=False))
 
     def residual_of(x):  # M x - f
-        return x - c * (U @ (V @ x)) - b
+        return x - c * _blas.matvec(U, _blas.matvec(V, x)) - b
 
     phi = solve(b)
     phi -= solve(residual_of(phi))
@@ -534,12 +547,12 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
 
     M_T = LinearOperator(
         (m, m), dtype=np.float64,
-        matvec=lambda x: x - c * (V.T @ (U.T @ x)),
-        rmatvec=lambda x: x - c * (U @ (V @ x)))
+        matvec=lambda x: x - c * _blas.matvec(V.T, _blas.matvec(U.T, x)),
+        rmatvec=lambda x: x - c * _blas.matvec(U, _blas.matvec(V, x)))
     M_inv_T = LinearOperator(
         (m, m), dtype=np.float64,
-        matvec=lambda x: x + c * (V.T @ lu_solve(
-            lu_piv, U.T @ x, trans=1, check_finite=False)),
+        matvec=lambda x: x + c * _blas.matvec(V.T, lu_solve(
+            lu_piv, _blas.matvec(U.T, x), trans=1, check_finite=False)),
         rmatvec=solve)
     cond = float(onenormest(M_T, t=1)) * float(onenormest(M_inv_T, t=1))
     return phi, residual, cond, V
@@ -576,7 +589,8 @@ def solve_stage1(spec: ProblemSpec,
     else:  # the right factor once M and its LU are gone, in left's place
         phi, residual, cond = _solve_dense(spec, moments, b, left)
         right = _rule_factor(spec.rule, moments, left, out=left)
-    factor = (spec.K.c * (right @ phi) if spec.K.family == "constant"
+    factor = (spec.K.c * _blas.matvec(right, phi)
+              if spec.K.family == "constant"
               else right)
     if not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -606,12 +620,13 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     integral = np.empty(pts.shape[0])
     if K.family == "constant":
         for rows in _row_blocks(pts.shape[0], sol.factor.size):
-            integral[rows] = _target_factor(moments, pts[rows]).T @ sol.factor
+            integral[rows] = _blas.matvec(_target_factor(moments, pts[rows]).T,
+                                          sol.factor)
     else:
         for rows in _row_blocks(pts.shape[0], rule.m):
             B = _weighted_kernel_block(rule.points, sol.factor, K, pts[rows],
                                        _target_factor(moments, pts[rows]))
-            integral[rows] = B @ sol.nodal_values
+            integral[rows] = _blas.matvec(B, sol.nodal_values)
     return sol.spec.f_values(pts) + integral
 
 

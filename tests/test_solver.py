@@ -43,7 +43,7 @@ from sphsolve import (
     weight_matrix,
     weight_row,
 )
-from sphsolve import _kernels, solver
+from sphsolve import _blas, _kernels, solver
 
 from conftest import design_rule
 
@@ -735,7 +735,8 @@ def test_chunked_k_pass_matches_whole_block_of_dots(rule_name, K_name,
     # the row-chunked K pass against one K.of_dots over each whole row
     # block: a second, partial block where one fits in memory, and a
     # partial last chunk in every block.  BLAS rounds a GEMM of fewer rows
-    # differently, so the expected product is formed per block as well.
+    # differently, so the expected product is formed per block as well,
+    # and with the solver's BLAS: numpy's may round it differently again.
     make_rule, tol = CHUNK_RULES[rule_name]
     rule = make_rule(request)
     K = EQUIVALENCE_KERNELS[K_name]
@@ -758,8 +759,8 @@ def test_chunked_k_pass_matches_whole_block_of_dots(rule_name, K_name,
                                 solver._target_factor(moments, rule.points))
     expected = []
     for rows in solver._row_blocks(T, rule.m):
-        dots = np.clip(targets[rows] @ rule.points.T, -1.0, 1.0)
-        expected.append(left[:, rows].T @ right * K.of_dots(dots))
+        dots = np.clip(_blas.matmul(targets[rows], rule.points.T), -1.0, 1.0)
+        expected.append(_blas.matmul(left[:, rows].T, right) * K.of_dots(dots))
         check(solver._weighted_kernel_block(rule.points, right, K,
                                             targets[rows], left[:, rows]),
               expected[-1])
