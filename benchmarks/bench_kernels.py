@@ -4,18 +4,14 @@ Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--sizes small|large]
 
-The first three cases time the per-entry reference kernels of
-``sphsolve._kernels`` on the first rows or columns: ``zonal_sum`` is
-checked against ``legendre_table``, ``basis_matrix`` against the
-addition theorem Y(x)^T Y(y) = sum_l (2l+1)/(4pi) P_l(x . y), and
-``product_weight_matrix`` against w * zonal_sum * sin(10 r).  The case
-``addition_gemm`` times the solver's own path for the
-product_weight_matrix values: the addition theorem as one BLAS
-product of basis matrices, then K.  It is checked against the Legendre
-recurrence before it is timed.  The case ``k_pass`` times the solver's K
-pass over the first stage-2 row block of the grid on the bundled t-design
-of degree t = 40 (20 for ``--sizes small``) at n = t/2 with K = sin(10 r):
-one GEMM, then K applied in cache-sized row chunks.  It is checked with
+The case ``addition_gemm`` times the solver's product-integration
+weights times K: the addition theorem as one BLAS product of basis
+matrices, then K.  It is checked before it is timed against
+``sphsolve._kernels.product_weight_matrix``, the per-entry Legendre
+recurrence w * zonal_sum * sin(10 r).  The case ``k_pass`` times the
+solver's K pass over the first stage-2 row block of the grid on the
+bundled t-design of degree t = 40 (20 for ``--sizes small``) at n = t/2
+with K = sin(10 r): one GEMM, then K applied in cache-sized row chunks.  It is checked with
 ``np.array_equal`` against the whole-block expression
 ``K.of_dots(clip(t . x, -1, 1))``, timed once more as ``k_pass_of_dots``,
 and to 4 eps of its largest entry against ``k_pass_libm``, the same
@@ -50,7 +46,6 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from sphsolve import _blas, _kernels, experiments, solver
-from sphsolve.harmonics import legendre_table
 from sphsolve.moments import ModifiedMoments, SingularKernel, modified_moments
 from sphsolve.pointsets import (QuadratureRule, bundled_pointset_path,
                                 load_pointset, random_rule)
@@ -104,33 +99,6 @@ def main() -> None:
     w = np.full(m_points, 4.0 * np.pi / m_points)
 
     print(f"{'kernel':24s} {'shape':>18s} {'ms':>10s}")
-
-    head = dots[:100]
-    zs = _kernels.zonal_sum(coeffs, head)
-    check_close("zonal_sum", zs,
-                np.tensordot(coeffs, legendre_table(degree, head), axes=1))
-    Y = _kernels.basis_matrix(degree, pts[:200])
-    ell = np.arange(degree + 1)
-    table = legendre_table(degree, np.clip(pts[:200] @ pts[:200].T, -1.0, 1.0))
-    check_close("basis_matrix", Y.T @ Y,
-                np.tensordot((2 * ell + 1) / (4.0 * np.pi), table, axes=1))
-    r = np.sqrt(np.maximum(2.0 * (1.0 - head), 0.0))
-    check_close("product_weight_matrix",
-                _kernels.product_weight_matrix(head, w, coeffs,
-                                               _kernels.K_SIN, 10.0),
-                w * zs * np.sin(10.0 * r))
-
-    cases = [
-        ("zonal_sum", f"({n_grid}, {m_points}) l<={degree}",
-         lambda: _kernels.zonal_sum(coeffs, dots)),
-        ("basis_matrix", f"deg {degree} x {m_points}",
-         lambda: _kernels.basis_matrix(degree, pts)),
-        ("product_weight_matrix", f"({n_grid}, {m_points}) sin",
-         lambda: _kernels.product_weight_matrix(
-             dots, w, coeffs, _kernels.K_SIN, 10.0)),
-    ]
-    for name, shape, fn in cases:
-        print(format_row(name, shape, best_of(fn)))
 
     # sum_l c_l P_l(t) = sum_l mu_l sum_k Y_lk Y_lk with mu_l = 4pi c_l/(2l+1)
     mu = coeffs * 4.0 * np.pi / (2 * np.arange(degree + 1) + 1)

@@ -9,9 +9,10 @@ Subcommands:
 
 Point descriptors: ``file:PATH`` (a bare path or a bundled file name also
 works), ``equal_area:M``, ``random:M:SEED``.  A config file of ``key=value``
-lines may supply any flag; explicit flags override it.  Results go to a CSV
-(header ``experiment,n,m,eta,uniform_error,residual,seconds``) plus a JSON
-mirror carrying the full configuration echo.
+lines may supply any flag, typed and range-checked as the flag is; explicit
+flags override it.  Results go to a CSV (header
+``experiment,n,m,eta,uniform_error,residual,seconds``) plus a JSON mirror
+carrying the full configuration echo.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -24,21 +25,19 @@ import json
 import math
 import re
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE, EXPERIMENT_IDS,
-                          ExperimentRecord, run_experiment)
+                          ExperimentRecord, run_experiment, run_spec)
 from .moments import SingularKernel, modified_moments
-from .mz import MZReport, mz_constant
-from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
+from .mz import mz_constant
+from .pointsets import (PointFileError, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
                         random_rule)
-from .solver import (ContinuousKernel, ProblemSpec, SingularSystemError,
-                     solve_stage1, uniform_error)
+from .solver import ContinuousKernel, ProblemSpec, SingularSystemError
 from .sphere import uniform_random_points
 
 __all__ = ["main", "RunConfig", "ValidationError", "emit_results",
@@ -50,35 +49,41 @@ EXIT_NUMERICAL = 3
 
 CSV_HEADER = "experiment,n,m,eta,uniform_error,residual,seconds"
 
-_INT_KEYS = frozenset({"n", "id", "grid", "seed"})
-_CONFIG_KEYS = frozenset({"points", "weights", "kernel", "K", "f", "n", "id",
-                          "sweep", "grid", "seed", "out"})
-
 
 class ValidationError(ValueError):
     """Bad arguments, descriptors, or referenced files; exit code 2."""
+
+
+def _flag(default=None, **argparse_kwargs):
+    """A RunConfig field that is a flag; its metadata are the keyword
+    arguments of the flag's add_argument (type str unless given)."""
+    return field(default=default, metadata=argparse_kwargs)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Canonical, JSON-serializable echo of one invocation.
 
-    Descriptor fields keep their string form so a JSON re-parse reproduces
-    the config exactly.
+    Every field after subcommand is a flag, --NAME, and a config-file key
+    of the same name.  Descriptor fields keep their string form so a JSON
+    re-parse reproduces the config exactly.
     """
 
     subcommand: str
-    points: str | None = None
-    weights: str = "equal"
-    kernel: str | None = None
-    K: str | None = None
-    f: str | None = None
-    n: int | None = None
-    id: int | None = None
-    sweep: str | None = None
-    grid: int = DEFAULT_GRID_SIZE
-    seed: int = DEFAULT_GRID_SEED
-    out: str | None = None
+    points: str | None = _flag(
+        help="file:PATH | equal_area:M | random:M:SEED | path | bundled name")
+    weights: str = _flag("equal", choices=("equal", "file"))
+    kernel: str | None = _flag(help="one | alg:NU | log | mixed:NU1:NU2")
+    K: str | None = _flag(help="const:C | sin:C | cos:C")
+    f: str | None = _flag(help="const:VALUE | const:auto")
+    n: int | None = _flag(type=int)
+    id: int | None = _flag(type=int)
+    sweep: str | None = _flag(help="n=LO:STEP:HI over bundled designs with "
+                                   "m = (floor(1.2 n)+1)^2")
+    grid: int = _flag(DEFAULT_GRID_SIZE, type=int)
+    seed: int = _flag(DEFAULT_GRID_SEED, type=int)
+    out: str | None = _flag(help="output path (CSV plus JSON mirror, or "
+                                 "JSON for analyze/moments)")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -86,6 +91,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         return cls(**d)
+
+
+_FLAGS = {f.name: f.metadata for f in dataclasses.fields(RunConfig)
+          if f.name != "subcommand"}
 
 
 # ------------------------------------------------------------- descriptors
@@ -206,34 +215,25 @@ def sweep_rule_name(n: int) -> tuple[str, int]:
 
 # ------------------------------------------------------------------ output
 
-def _record_dict(record: ExperimentRecord) -> dict:
-    return dataclasses.asdict(record)
+def _write(path: Path, text: str) -> None:
+    """Write text to path, creating its parent directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="ascii")
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def emit_results(records: list[ExperimentRecord], config: RunConfig,
                  out_path) -> None:
     """CSV at out_path plus a JSON mirror (same stem, .json) with the config."""
     out = Path(out_path)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="ascii") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
-    payload = {"config": config.to_dict(),
-               "records": [_record_dict(r) for r in records]}
-    with open(out.with_suffix(".json"), "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _emit_json(payload: dict, out_path) -> None:
-    out = Path(out_path)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write(out, "".join(line + "\n" for line in
+                        [CSV_HEADER] + [rec.csv_row() for rec in records]))
+    _write(out.with_suffix(".json"), _json_text(
+        {"config": config.to_dict(),
+         "records": [dataclasses.asdict(r) for r in records]}))
 
 
 # -------------------------------------------------------------- subcommands
@@ -246,73 +246,41 @@ def _require(config: RunConfig, *fields: str) -> None:
                 f"(flag or config-file entry)")
 
 
-def _evaluation_grid(config: RunConfig):
-    if config.grid < 1:
-        raise ValidationError(f"--grid must be >= 1, got {config.grid}")
-    return uniform_random_points(config.grid, seed=config.seed)
-
-
 ANALYZE_CSV_HEADER = "n,eta,lambda_min,lambda_max,exact_to,mesh_norm,degree_bound"
 
 
 def _cmd_analyze(config: RunConfig) -> int:
     _require(config, "points", "n")
-    if config.n < 0:
-        raise ValidationError(f"--n must be >= 0, got {config.n}")
     loader = resolve_points_descriptor(config.points, config.weights)
     rule = loader()
     report = mz_constant(rule, config.n)
     print(f"{rule.label}: {report.summary()}")
     if config.out:
         out = Path(config.out)
-        payload = {"config": config.to_dict(),
-                   "rule": {"label": rule.label, "m": rule.m},
-                   "report": dataclasses.asdict(report)}
-        if out.suffix == ".json":
-            _emit_json(payload, out)
-        else:
-            if out.parent and not out.parent.exists():
-                out.parent.mkdir(parents=True, exist_ok=True)
+        if out.suffix != ".json":  # the CSV row, then its JSON mirror
             row = (f"{report.n},{report.eta:.17g},{report.lambda_min:.17g},"
                    f"{report.lambda_max:.17g},{report.exact_to},"
                    f"{report.mesh_norm:.17g},{report.degree_bound:.17g}")
-            with open(out, "w", encoding="ascii") as fh:
-                fh.write(ANALYZE_CSV_HEADER + "\n" + row + "\n")
-            _emit_json(payload, out.with_suffix(".json"))
+            _write(out, ANALYZE_CSV_HEADER + "\n" + row + "\n")
+            out = out.with_suffix(".json")
+        _write(out, _json_text({"config": config.to_dict(),
+                                "rule": {"label": rule.label, "m": rule.m},
+                                "report": dataclasses.asdict(report)}))
     return EXIT_OK
 
 
 def _cmd_moments(config: RunConfig) -> int:
     _require(config, "kernel", "n")
-    if config.n < 0:
-        raise ValidationError(f"--n must be >= 0, got {config.n}")
     kernel = parse_kernel_descriptor(config.kernel)
     mom = modified_moments(kernel, config.n)
     print("l,mu,method")
     for l, v in enumerate(mom.values):
         print(f"{l},{v:.17g},{mom.method}")
     if config.out:
-        _emit_json({"config": config.to_dict(),
-                    "kernel": kernel.describe(), "method": mom.method,
-                    "values": list(mom.values)}, config.out)
+        _write(Path(config.out), _json_text(
+            {"config": config.to_dict(), "kernel": kernel.describe(),
+             "method": mom.method, "values": list(mom.values)}))
     return EXIT_OK
-
-
-def _solve_record(kernel: SingularKernel, K: ContinuousKernel,
-                  f_value: float, exact: float | None, n: int,
-                  rule: QuadratureRule, grid, experiment: int = 0
-                  ) -> ExperimentRecord:
-    start = time.perf_counter()
-    spec = ProblemSpec(kernel=kernel, K=K, f=f_value, n=n, rule=rule)
-    sol = solve_stage1(spec)
-    err = uniform_error(sol, exact, grid) if exact is not None else math.nan
-    seconds = time.perf_counter() - start
-    return ExperimentRecord(experiment=experiment, n=n, m=rule.m,
-                            eta=sol.gamma[2], uniform_error=err,
-                            residual=sol.residual, seconds=seconds,
-                            condition_estimate=sol.condition_estimate,
-                            rule_label=rule.label, f=f_value,
-                            solver_path=sol.path)
 
 
 def _check_finite(record: ExperimentRecord) -> ExperimentRecord:
@@ -325,8 +293,6 @@ def _check_finite(record: ExperimentRecord) -> ExperimentRecord:
 
 def _cmd_solve(config: RunConfig) -> int:
     _require(config, "kernel", "K", "f", "n", "points")
-    if config.n < 0:
-        raise ValidationError(f"--n must be >= 0, got {config.n}")
     kernel = parse_kernel_descriptor(config.kernel)
     K = parse_K_descriptor(config.K)
     f_const = parse_f_descriptor(config.f)
@@ -335,7 +301,7 @@ def _cmd_solve(config: RunConfig) -> int:
             "--f const:auto needs a constant K (const:C); give an explicit "
             "--f const:VALUE for oscillatory kernels")
     loader = resolve_points_descriptor(config.points, config.weights)
-    grid = _evaluation_grid(config)
+    grid = uniform_random_points(config.grid, seed=config.seed)
     rule = loader()
 
     mom = modified_moments(kernel, config.n)
@@ -349,8 +315,8 @@ def _cmd_solve(config: RunConfig) -> int:
         f_value = f_const
     else:
         f_value, exact = f_const, None
-    record = _check_finite(_solve_record(kernel, K, f_value, exact,
-                                         config.n, rule, grid))
+    spec = ProblemSpec(kernel=kernel, K=K, f=f_value, n=config.n, rule=rule)
+    record = _check_finite(run_spec(spec, exact, grid))
     print(CSV_HEADER)
     print(record.csv_row())
     if config.out:
@@ -385,13 +351,11 @@ def _cmd_experiment(config: RunConfig) -> int:
             raise ValidationError(
                 f"sweep {config.sweep!r} matched no bundled designs")
     else:
-        if config.n < 0:
-            raise ValidationError(f"--n must be >= 0, got {config.n}")
         _require(config, "points")
         plan.append((config.n,
                      resolve_points_descriptor(config.points, config.weights)))
 
-    grid = _evaluation_grid(config)
+    grid = uniform_random_points(config.grid, seed=config.seed)
     records = []
     print(CSV_HEADER)
     for n, loader in plan:
@@ -404,14 +368,28 @@ def _cmd_experiment(config: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {"analyze": _cmd_analyze, "moments": _cmd_moments,
-             "solve": _cmd_solve, "experiment": _cmd_experiment}
+# subcommand -> (run, help, flags): the one list of each subcommand's flags,
+# read by _build_parser and build_config.  Every subcommand also takes
+# --config FILE.
+_SUBCOMMANDS = {
+    "analyze": (_cmd_analyze, "MZ diagnostics of a rule at degree n",
+                ("points", "weights", "n", "out")),
+    "moments": (_cmd_moments, "modified moments of a kernel up to n",
+                ("kernel", "n", "out")),
+    "solve": (_cmd_solve, "one custom solve",
+              ("kernel", "K", "f", "n", "points", "weights", "grid", "seed",
+               "out")),
+    "experiment": (_cmd_experiment, "run a preset (1..4)",
+                   ("id", "n", "sweep", "points", "weights", "grid", "seed",
+                    "out")),
+}
 
 
 # ------------------------------------------------------------ parsing/merge
 
 def read_config_file(path) -> dict:
-    """key=value lines, # comments; keys match the CLI flag names."""
+    """key=value lines, # comments; keys are the flag names, and an
+    integer flag's value must be an integer."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
@@ -426,19 +404,16 @@ def read_config_file(path) -> dict:
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _FLAGS:
                 raise ValidationError(
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    f"{', '.join(sorted(_CONFIG_KEYS))}")
-            if key in _INT_KEYS:
-                try:
-                    merged[key] = int(value)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: {key} needs an integer, "
-                        f"got {value!r}") from None
-            else:
-                merged[key] = value
+                    f"{', '.join(sorted(_FLAGS))}")
+            try:
+                merged[key] = _FLAGS[key].get("type", str)(value)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: {key} needs an integer, "
+                    f"got {value!r}") from None
     return merged
 
 
@@ -448,79 +423,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Product-integration solver for weakly singular "
                     "Fredholm equations on the sphere.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="key=value file supplying any flag below; "
                             "explicit flags win")
-        p.add_argument("--out", default=None,
-                       help="output path (CSV plus JSON mirror, or JSON for "
-                            "analyze/moments)")
-
-    p = sub.add_parser("analyze", help="MZ diagnostics of a rule at degree n")
-    add_common(p)
-    p.add_argument("--points", default=None,
-                   help="file:PATH | equal_area:M | random:M:SEED | "
-                        "path | bundled name")
-    p.add_argument("--weights", default=None, choices=("equal", "file"))
-    p.add_argument("--n", type=int, default=None)
-
-    p = sub.add_parser("moments", help="modified moments of a kernel up to n")
-    add_common(p)
-    p.add_argument("--kernel", default=None,
-                   help="one | alg:NU | log | mixed:NU1:NU2")
-    p.add_argument("--n", type=int, default=None)
-
-    p = sub.add_parser("solve", help="one custom solve")
-    add_common(p)
-    p.add_argument("--kernel", default=None,
-                   help="one | alg:NU | log | mixed:NU1:NU2")
-    p.add_argument("--K", default=None, help="const:C | sin:C | cos:C")
-    p.add_argument("--f", default=None, help="const:VALUE | const:auto")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--points", default=None)
-    p.add_argument("--weights", default=None, choices=("equal", "file"))
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("experiment", help="run a preset (1..4)")
-    add_common(p)
-    p.add_argument("--id", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--sweep", default=None,
-                   help="n=LO:STEP:HI over bundled designs with "
-                        "m = (floor(1.2 n)+1)^2")
-    p.add_argument("--points", default=None)
-    p.add_argument("--weights", default=None, choices=("equal", "file"))
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
     return parser
 
 
 def build_config(argv=None) -> RunConfig:
+    """The config file's values overridden by explicit flags; n and grid
+    are range-checked here, once, whichever of the two gave them."""
     args = _build_parser().parse_args(argv)
-    file_cfg = read_config_file(args.config) if args.config else {}
-
-    def pick(key, fallback=None):
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key, fallback)
-        return value
-
-    return RunConfig(
-        subcommand=args.subcommand,
-        points=pick("points"),
-        weights=pick("weights", "equal"),
-        kernel=pick("kernel"),
-        K=pick("K"),
-        f=pick("f"),
-        n=pick("n"),
-        id=pick("id"),
-        sweep=pick("sweep"),
-        grid=pick("grid", DEFAULT_GRID_SIZE),
-        seed=pick("seed", DEFAULT_GRID_SEED),
-        out=pick("out"),
-    )
+    values = read_config_file(args.config) if args.config else {}
+    for flag in _SUBCOMMANDS[args.subcommand][2]:
+        if getattr(args, flag) is not None:
+            values[flag] = getattr(args, flag)
+    for flag, low in (("n", 0), ("grid", 1)):
+        if values.get(flag, low) < low:
+            raise ValidationError(f"--{flag} must be >= {low}, "
+                                  f"got {values[flag]}")
+    return RunConfig(subcommand=args.subcommand, **values)
 
 
 def main(argv=None) -> int:
@@ -530,7 +455,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return _COMMANDS[config.subcommand](config)
+        return _SUBCOMMANDS[config.subcommand][0](config)
     except (SingularSystemError, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         # Before ValueError: LinAlgError subclasses it.

@@ -30,7 +30,7 @@ from .solver import (ContinuousKernel, ProblemSpec, solve_stage1,
 from .sphere import EvaluationGrid, uniform_random_points
 
 __all__ = ["ExperimentRecord", "EXPERIMENT_IDS", "experiment_kernels",
-           "experiment_f", "recompute_f", "run_experiment",
+           "experiment_f", "recompute_f", "run_experiment", "run_spec",
            "DEFAULT_GRID_SIZE", "DEFAULT_GRID_SEED"]
 
 DEFAULT_GRID_SIZE = 5000
@@ -87,11 +87,8 @@ def recompute_f(exp_id: int) -> float:
     """f = 1 - 2pi int h1d(t) K1d(t) dt from the endpoint-refined oracle."""
     kernel, K = experiment_kernels(exp_id)
 
-    def k_of_t(t):
-        return K.of_distance(np.sqrt(np.maximum(2.0 * (1.0 - t), 0.0)))
-
     integral = profile_integral(
-        lambda t: kernel.profile(t) * k_of_t(t),
+        lambda t: kernel.profile(t) * K.of_dots(t),
         near_one=lambda u: kernel.profile_near_one(u)
         * K.of_distance(np.sqrt(2.0 * u)),
         near_minus_one=lambda u: kernel.profile_near_minus_one(u)
@@ -109,21 +106,29 @@ def experiment_f(exp_id: int) -> float:
     return recompute_f(exp_id)
 
 
+def run_spec(spec: ProblemSpec, exact: float | None, grid: EvaluationGrid,
+             experiment: int = 0) -> ExperimentRecord:
+    """One timed solve of spec with a constant f: stage 1, then the uniform
+    error of stage 2 on the grid against the constant exact solution (nan
+    when exact is None)."""
+    start = time.perf_counter()
+    sol = solve_stage1(spec)
+    err = uniform_error(sol, exact, grid) if exact is not None else math.nan
+    seconds = time.perf_counter() - start
+    return ExperimentRecord(experiment=experiment, n=spec.n, m=spec.rule.m,
+                            eta=sol.eta, uniform_error=err,
+                            residual=sol.residual, seconds=seconds,
+                            condition_estimate=sol.condition_estimate,
+                            rule_label=spec.rule.label, f=spec.f,
+                            solver_path=sol.path)
+
+
 def run_experiment(exp_id: int, n: int, rule: QuadratureRule,
                    grid: EvaluationGrid | None = None) -> ExperimentRecord:
     """Full pipeline for one preset: solve, evaluate, compare against phi == 1."""
     kernel, K = experiment_kernels(exp_id)
-    f = experiment_f(exp_id)
     if grid is None:
         grid = uniform_random_points(DEFAULT_GRID_SIZE, seed=DEFAULT_GRID_SEED)
-    start = time.perf_counter()
-    spec = ProblemSpec(kernel=kernel, K=K, f=f, n=n, rule=rule)
-    sol = solve_stage1(spec)
-    err = uniform_error(sol, 1.0, grid)
-    seconds = time.perf_counter() - start
-    return ExperimentRecord(experiment=exp_id, n=n, m=rule.m,
-                            eta=sol.gamma[2], uniform_error=err,
-                            residual=sol.residual, seconds=seconds,
-                            condition_estimate=sol.condition_estimate,
-                            rule_label=rule.label, f=f,
-                            solver_path=sol.path)
+    spec = ProblemSpec(kernel=kernel, K=K, f=experiment_f(exp_id), n=n,
+                       rule=rule)
+    return run_spec(spec, 1.0, grid, experiment=exp_id)

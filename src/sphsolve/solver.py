@@ -29,8 +29,8 @@ Gram matrix for eta, then, with row 0 set to ones, the factor Y(X)^T of
 the collocation matrix on either path.  Assembly uses that
 M_ij = delta_ij - S_ij w_j, where S_ij = W_j(x_i) K(x_i, x_j) / w_j is
 symmetric: it forms only the row blocks' columns from the block's first
-row on, mirrors them, and scales by -w in one pass.  Stage 2 evaluates
-the natural interpolant anywhere,
+row on, and writes them and their mirror images scaled by -w.  Stage 2
+evaluates the natural interpolant anywhere,
 
     phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j),
 
@@ -264,7 +264,7 @@ class DiscreteSolution:
     nodal_values: np.ndarray
     spec: ProblemSpec
     moments: ModifiedMoments
-    gamma: tuple[int, int, float]  # (m, n, eta)
+    eta: float  # MZ constant of spec.rule at degree spec.n
     residual: float
     condition_estimate: float
     path: str  # "dense-lu" or "low-rank"
@@ -405,31 +405,34 @@ def _weighted_kernel_matrix(rule: QuadratureRule, moments: ModifiedMoments,
 
 
 def _kernel_matrix_by_halves(nodes: np.ndarray, left: np.ndarray,
-                             right: np.ndarray,
-                             K: ContinuousKernel) -> np.ndarray:
-    """The symmetric S = (left^T right) K(x_i, x_j) at the nodes, by halves.
+                             right: np.ndarray, K: ContinuousKernel,
+                             scale: np.ndarray) -> np.ndarray:
+    """S diag(scale) for the symmetric S = (left^T right) K(x_i, x_j) at
+    the nodes, by halves.
 
     left and right are the same basis up to row scaling, so S is symmetric
     in exact arithmetic.  Each row block of _HALF_ROWS rows forms (GEMM
-    and K pass) only its columns from the block's first row on; the
-    strict lower triangle of its diagonal block and the column block below
-    it are copied from their mirror images, so S is exactly symmetric.
-    The factors are taken in Fortran order, so that their column blocks
-    reach BLAS without a copy.
+    and K pass) only its columns from the block's first row on, in a
+    temporary; the strict lower triangle of its diagonal block is copied
+    from its mirror image, so S is exactly symmetric.  The block, and its
+    transpose for the column block below it, go into the result already
+    scaled.  The factors are taken in Fortran order, so that their column
+    blocks reach BLAS without a copy.
     """
     m = nodes.shape[0]
-    S = np.empty((m, m))
+    out = np.empty((m, m))
     left, right = np.asfortranarray(left), np.asfortranarray(right)
     for start in range(0, m, _HALF_ROWS):
         stop = min(start + _HALF_ROWS, m)
         upper = _weighted_kernel_block(nodes[start:], right[:, start:], K,
-                                       nodes[start:stop], left[:, start:stop],
-                                       out=S[start:stop, start:])
+                                       nodes[start:stop], left[:, start:stop])
         square = upper[:, :stop - start]
         below = np.tril_indices(stop - start, -1)
         square[below] = square.T[below]
-        S[stop:, start:stop] = upper[:, stop - start:].T
-    return S
+        np.multiply(upper, scale[start:], out=out[start:stop, start:])
+        np.multiply(upper[:, stop - start:].T, scale[start:stop],
+                    out=out[stop:, start:stop])
+    return out
 
 
 def _check_moments(spec: ProblemSpec, moments: ModifiedMoments) -> None:
@@ -455,7 +458,7 @@ def assemble_system(spec: ProblemSpec,
     """Collocation matrix M_ij = delta_ij - W_j(x_i) K(x_i, x_j) and rhs f(x_i).
 
     M = I - S diag(w) with the symmetric S of _kernel_matrix_by_halves,
-    scaled by -w in one pass.  left, if given, is
+    which scales each block by -w as it writes it.  left, if given, is
     _target_factor(moments, rule.points), as solve_stage1 takes it from
     its node basis; otherwise it is evaluated here.
     """
@@ -467,8 +470,7 @@ def assemble_system(spec: ProblemSpec,
         left = _target_factor(moments, spec.rule.points)
     mu = _active_rows(moments)[2]
     M = _kernel_matrix_by_halves(spec.rule.points, left, left * mu[:, None],
-                                 spec.K)
-    np.multiply(M, -spec.rule.weights, out=M)
+                                 spec.K, -spec.rule.weights)
     np.fill_diagonal(M, M.diagonal() + 1.0)
     return M, b
 
@@ -598,7 +600,7 @@ def solve_stage1(spec: ProblemSpec,
             f"{CONDITION_WARN_THRESHOLD:.0e}; results may lose accuracy",
             IllConditionedWarning, stacklevel=2)
     return DiscreteSolution(nodal_values=phi, spec=spec, moments=moments,
-                            gamma=(spec.rule.m, spec.n, eta),
+                            eta=eta,
                             residual=residual, condition_estimate=cond,
                             path="low-rank" if low_rank else "dense-lu",
                             factor=factor)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -142,6 +143,43 @@ def test_config_file_supplies_and_flags_override(tmp_path, capsys) -> None:
     assert cli.main(["moments", "--config", str(cfg), "--n", "2"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4  # the explicit flag wins over the file
+
+
+@pytest.mark.parametrize("entry, message", [("n = -1", "--n must be >= 0"),
+                                            ("grid = 0", "--grid must be >= 1")])
+def test_config_file_values_are_range_checked(entry, message, tmp_path,
+                                              capsys) -> None:
+    # the same bounds as for the flags, before any output is written
+    out = tmp_path / "never.csv"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"kernel=log\nK=const:1\nf=const:auto\nn=5\n"
+                   f"points=td010_00121.txt\nout={out}\n{entry}\n")
+    assert cli.main(["solve", "--config", str(cfg)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "error:" in captured.err and message in captured.err
+
+
+SUBCOMMAND_FLAGS = {
+    "analyze": {"--points", "--weights", "--n"},
+    "moments": {"--kernel", "--n"},
+    "solve": {"--kernel", "--K", "--f", "--n", "--points", "--weights",
+              "--grid", "--seed"},
+    "experiment": {"--id", "--n", "--sweep", "--points", "--weights",
+                   "--grid", "--seed"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_FLAGS))
+def test_subcommand_flag_sets(name) -> None:
+    # every subcommand also takes --config and --out
+    parser = cli._build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {option for action in sub.choices[name]._actions
+             for option in action.option_strings}
+    assert flags == SUBCOMMAND_FLAGS[name] | {"-h", "--help", "--config",
+                                              "--out"}
 
 
 # ------------------------------------------------------------- subcommands

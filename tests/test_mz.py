@@ -115,7 +115,7 @@ def test_eta_is_one_computation_for_mz_and_solver() -> None:
         sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K,
                                        f=1.0, n=n, rule=rule))
         assert sol.path == path
-        assert sol.gamma[2] == eta
+        assert sol.eta == eta
 
 
 @pytest.mark.parametrize("which", ["td10", "td20", "random500"])

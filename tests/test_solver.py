@@ -8,10 +8,12 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.special import lpmv
 
 from sphsolve import (
     ContinuousKernel,
@@ -34,6 +36,7 @@ from sphsolve import (
     legendre_table,
     modified_moments,
     mz_constant,
+    oracle_moments_vector,
     profile_integral,
     random_rule,
     run_experiment,
@@ -141,8 +144,7 @@ def test_fixed_point_constant_solution(td10, eval_grid) -> None:
     sol = solve_stage1(spec)
     assert np.max(np.abs(sol.nodal_values - 1.0)) <= 1e-10
     assert uniform_error(sol, 1.0, eval_grid) <= 1e-10
-    assert sol.gamma == (td10.m, 5, sol.gamma[2])
-    assert sol.gamma[2] <= 1e-10  # design rule: eta at round-off
+    assert sol.eta <= 1e-10  # design rule: eta at round-off
     assert sol.condition_estimate >= 1.0
     assert sol.residual <= 1e-10 * (1.0 + abs(1.0 - FOUR_PI))
 
@@ -524,6 +526,74 @@ def test_low_rank_reproduces_harmonic_solution(kernel, l, td20,
         assert np.max(np.abs(sol.nodal_values - exact)) <= 1e-13
         got = evaluate_stage2(sol, targets)
         assert np.max(np.abs(got - harmonic_values(l, k, targets))) <= 1e-13
+
+
+def zonal_q(s):
+    """q(s) = 1 + 0.5 s + 0.3 s^2, the zonal-polynomial K of the dense-path
+    manufactured solutions, as a function of s = x . y."""
+    return 1.0 + 0.5 * s + 0.3 * s * s
+
+
+def closed_form_harmonic(l: int, k: int, points: np.ndarray) -> np.ndarray:
+    """Y_lk from scipy's associated Legendre function, independent of the
+    library's recurrence: k <= l is sin(m phi) with m = l + 1 - k, k = l + 1
+    the zonal one, k > l + 1 cos(m phi) with m = k - l - 1; no
+    Condon-Shortley phase, which lpmv carries as (-1)^m."""
+    m = abs(k - l - 1)
+    norm = math.sqrt((2 * l + 1) / FOUR_PI * math.factorial(l - m)
+                     / math.factorial(l + m))
+    legendre = (-1) ** m * norm * lpmv(m, l, np.clip(points[:, 2], -1, 1))
+    if m == 0:
+        return legendre
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    return math.sqrt(2.0) * legendre * (np.sin(m * phi) if k <= l
+                                        else np.cos(m * phi))
+
+
+@lru_cache(maxsize=None)
+def zonal_q_eigenvalues(kernel: SingularKernel) -> np.ndarray:
+    """lam_l = 2pi int h(t) q(t) P_l(t) dt, l <= 8: by Funk-Hecke the
+    operator with kernel h K, K = q(x . y), maps Y_lk to lam_l Y_lk."""
+    return oracle_moments_vector(
+        lambda t: kernel.profile(t) * zonal_q(t), 8,
+        near_one=lambda u: kernel.profile_near_one(u) * zonal_q(1.0 - u),
+        near_minus_one=lambda u: (kernel.profile_near_minus_one(u)
+                                  * zonal_q(-1.0 + u)))
+
+
+@pytest.mark.parametrize("rotation", [None, 29], ids=["td20", "rotated"])
+@pytest.mark.parametrize("l, k", [(3, 2), (5, 6), (8, 17)],
+                         ids=["sin", "zonal", "cos"])
+@pytest.mark.parametrize("kernel", [SingularKernel.algebraic(-0.5),
+                                    SingularKernel.log(),
+                                    SingularKernel.mixed(-0.5, -0.5)],
+                         ids=["algebraic", "log", "mixed"])
+def test_dense_path_reproduces_harmonic_solution(kernel, l, k, rotation,
+                                                 td20, eval_grid) -> None:
+    # K = q(x . y) of degree 2 and f = (1 - lam_l) Y_lk: the solution is
+    # Y_lk.  With 2 + l <= n and a rule exact to degree 2n, hyperinterpolation
+    # reproduces K(x, .) Y_lk, so the discrete solution is Y_lk at the nodes
+    # and, after stage 2, everywhere.  f takes Y_lk from the library's basis
+    # and the solution is checked against the closed form, so an ordering,
+    # sign or sin/cos error in the basis fails here, as does one in the
+    # dense path's use of it.  A design stays a design when rotated.
+    rule = td20
+    if rotation is not None:
+        rule = QuadratureRule(points=td20.points @ rotation_matrix(rotation).T,
+                              weights=td20.weights, label="td20-rotated")
+    K = ContinuousKernel.custom(lambda r: zonal_q(1.0 - r * r / 2.0))
+    scale = 1.0 - zonal_q_eigenvalues(kernel)[l]
+
+    def f(points):
+        return scale * harmonic_values(l, k, points)
+
+    sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=f, n=10, rule=rule))
+    assert sol.path == "dense-lu"
+    exact = closed_form_harmonic(l, k, rule.points)
+    assert np.max(np.abs(sol.nodal_values - exact)) <= 1e-11
+    targets = eval_grid.points[:500]
+    got = evaluate_stage2(sol, targets)
+    assert np.max(np.abs(got - closed_form_harmonic(l, k, targets))) <= 1e-11
 
 
 @pytest.mark.parametrize("case", ["one-td10-n5", "one-td10-n3", "one-ea100-n0",
