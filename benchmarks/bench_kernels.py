@@ -28,7 +28,13 @@ formed by numpy (``numpy``) and once by ``sphsolve._blas`` (``scipy``),
 as the median of 5 runs: the numpy and scipy wheels each ship their own
 OpenBLAS, and a worker of numpy's pool still spinning after its GEMM
 competes with scipy's LU.  The two factorizations are checked to be
-equal.  The case ``low_rank_solve`` times
+equal.  The case ``dense_solve`` times
+``solver._solve_dense`` on the same design and K, assembly included: a
+float32 LU refined in float64.  It is checked to 1e-12 against the float64
+``lu_factor`` and ``lu_solve`` of the same assembled matrix, timed once
+more as ``dense_solve_lu_factor``; with ``--sizes large`` both also run on
+a random rule of m = 4000 points, where a symmetric-indefinite LDL^T lost
+to the float64 LU.  The case ``low_rank_solve`` times
 stage 1 of preset 3 (K == 1) at n = 10 on a random rule, which takes the
 Woodbury path; it is checked against LU of the assembled matrix, timed
 once as ``dense_lu_solve``.  The ``mesh_norm`` cases time the k-d-tree
@@ -195,6 +201,33 @@ def main() -> None:
         raise SystemExit("lu_factor differs after a numpy and a scipy GEMM")
     print(format_row("lu_after_gemm numpy", shape, t_numpy))
     print(format_row("lu_after_gemm scipy", shape, t_scipy))
+
+    dense_specs = [spec]
+    if args.sizes == "large":
+        dense_specs.append(solver.ProblemSpec(
+            kernel=SingularKernel.log(), K=K, f=1.0, n=n_design,
+            rule=random_rule(4000, 5)))
+    for dense_spec in dense_specs:
+        nodes = dense_spec.rule.points
+        left_nodes = solver._target_factor(design_moments, nodes)
+        b = np.ones(len(nodes))
+
+        def dense_solve():
+            return solver._solve_dense(dense_spec, design_moments, b,
+                                       left_nodes)[0]
+
+        def dense_solve_lu_factor():
+            M, _ = solver.assemble_system(dense_spec, design_moments,
+                                          left_nodes)
+            return lu_solve(lu_factor(M, overwrite_a=True,
+                                      check_finite=False),
+                            b, check_finite=False)
+
+        check_close("dense_solve", dense_solve(), dense_solve_lu_factor())
+        shape = f"m={len(nodes)} n={n_design} sin"
+        for name, fn in (("dense_solve", dense_solve),
+                         ("dense_solve_lu_factor", dense_solve_lu_factor)):
+            print(format_row(name, shape, best_of(fn)))
 
     kernel, K_one = experiments.experiment_kernels(3)
     spec = solver.ProblemSpec(kernel=kernel, K=K_one,

@@ -37,7 +37,10 @@ evaluates the natural interpolant anywhere,
 which reproduces the nodal values exactly at the quadrature points.  It
 runs over row blocks of targets, so no targets-by-m matrix is formed, and
 it reuses the right factor that stage 1 kept on the solution: it
-evaluates no basis of the nodes.
+evaluates no basis of the nodes.  When that factor has rank 1 (h == 1), the
+target side is all ones: each row chunk of K meets one matrix-vector
+product with right * phi, and no block and no basis of the targets is
+formed.
 
 For a constant K = c the collocation matrix is the identity plus a term of
 rank r, M = I - c U V with U = Y(X)^T and V = diag(mu) Y(X) diag(w).  When
@@ -48,7 +51,18 @@ rank r, M = I - c U V with U = Y(X)^T and V = diag(mu) Y(X) diag(w).  When
 reduces the solve to the r x r system (I_r - c V U) z = V f, with
 phi = f + c U z.  The solution keeps only the vector c V phi, and stage 2
 costs O(r) per target: phi(t) = f(t) + Y(t)^T (c V phi).  Every other K
-takes the dense LU.
+takes the dense solve.
+
+The dense solve factors M in single precision and refines the solution in
+double, as LAPACK's dsgesv does (Langou et al., SC 2006; Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 12): a float32 LU costs half a
+float64 one, and on a matrix as well conditioned as the collocation
+matrices (condition estimates of a few hundred on the t-designs) two or
+three corrections reach the float64 answer, the residual passing dsgesv's
+test max|b - M x| <= max|x| ||M||_inf eps sqrt(m).  It falls back to the
+float64 LU when ||M||_inf overflows float32, when the float32 LU meets a
+zero pivot, or when 30 corrections do not pass the test, so a singular or
+ill-conditioned M is named as it always was.
 
 Every dense product here, and the Gram eigensolve, runs through
 sphsolve._blas on scipy's BLAS and LAPACK, never through numpy's @.  The
@@ -68,6 +82,7 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg.lapack import sgecon, sgetrf, sgetrs
 
 from . import _blas, harmonics
 from .harmonics import HarmonicBasis
@@ -99,7 +114,7 @@ CONDITION_WARN_THRESHOLD = 1e12
 
 # Entries per row block of weighted-kernel values; bounds the GEMM output
 # of every stage-2 block.
-_BLOCK_ENTRIES = 1 << 22
+_BLOCK_ENTRIES = 1 << 21
 
 # Entries per row chunk of the K pass over a block; the chunk's distances
 # (512 KB) stay in cache between the passes that form them.
@@ -108,6 +123,12 @@ _CHUNK_ENTRIES = 1 << 16
 # Rows per block of assembly by halves: each block also forms its square
 # diagonal block in full, which costs m * _HALF_ROWS / 2 entries in all.
 _HALF_ROWS = 128
+
+# Corrections of the mixed-precision solve before it falls back to a
+# float64 LU: ITERMAX of LAPACK dsgesv.
+_REFINE_STEPS = 30
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -195,12 +216,13 @@ class ContinuousKernel:
             _distance_from_scaled_dots(-2.0 * np.asarray(dots, np.float64)))
 
     def _of_distance_inplace(self, r: np.ndarray) -> np.ndarray:
-        """K at the distances r, overwriting r unless K is custom."""
+        """K at the distances r, written over r."""
         if self.family == "constant":
             r.fill(self.c)
             return r
-        if self.family == "custom":
-            return np.asarray(self.fn(r), dtype=np.float64)
+        if self.family == "custom":  # fn may return a scalar for a constant
+            r[...] = self.fn(r)
+            return r
         r *= 0.5 * self.c  # (c r) / 2 exactly, as halving is exact
         u = np.tan(r, out=r)
         if self.family == "sin_scaled":  # 2u / (1 + u^2), 0 at r = 0
@@ -256,9 +278,11 @@ class DiscreteSolution:
     for a non-constant K; for a constant K it is only the vector c V phi,
     length rank.  Stage 2 reads it and evaluates no basis of the nodes.
 
-    On the dense path ``condition_estimate`` comes from LAPACK ``gecon``,
-    whose last bits are not repeatable from run to run on the same input;
-    a bit-identity check of a solution must leave that field out.
+    On the dense path ``condition_estimate`` comes from LAPACK ``sgecon``
+    on the float32 factor of M^T, or from ``dgecon`` on the float64 factor
+    of M where the solve fell back to it.  Neither is repeatable in its last
+    bits from run to run on the same input; a bit-identity check of a
+    solution must leave that field out.
     """
 
     nodal_values: np.ndarray
@@ -383,12 +407,20 @@ def _weighted_kernel_block(nodes: np.ndarray, right: np.ndarray,
     if K.family == "constant":
         B *= K.c
         return B
+    for rows, k in _kernel_chunks(nodes, K, targets):
+        B[rows] *= k
+    return B
+
+
+def _kernel_chunks(nodes: np.ndarray, K: ContinuousKernel,
+                   targets: np.ndarray):
+    """(rows, K(t, x_j)) for each row chunk of _row_chunks, formed in one
+    cache-sized buffer as K.of_dots forms it."""
     scaled_nodes = -2.0 * nodes.T
     for rows in _row_chunks(targets.shape[0], nodes.shape[0]):
         r = _distance_from_scaled_dots(
             _blas.matmul(targets[rows], scaled_nodes))
-        B[rows] *= K._of_distance_inplace(r)
-    return B
+        yield rows, K._of_distance_inplace(r)
 
 
 def _weighted_kernel_matrix(rule: QuadratureRule, moments: ModifiedMoments,
@@ -495,9 +527,63 @@ def _factor(A: np.ndarray, name: str):
     return lu, piv
 
 
+def _condition(gecon, lu: np.ndarray, anorm: float, norm: str) -> float:
+    """1 / rcond from LAPACK gecon on the LU factor lu; inf when it is
+    singular."""
+    rcond, info = gecon(lu, anorm, norm=norm)
+    return math.inf if rcond == 0.0 or info < 0 else 1.0 / float(rcond)
+
+
+def _solve_mixed(M: np.ndarray, b: np.ndarray, anorm: float):
+    """(phi, residual, condition estimate) from a float32 LU of M refined
+    in float64, as LAPACK dsgesv does, or None where dsgesv falls back.
+
+    M is C-ordered, so its float32 copy's transpose is M^T in Fortran
+    order: sgetrf factors it in place, and trans=1 solves with M.  Each
+    correction solves with the residual scaled to a largest entry of 1, so
+    that its cast to float32 cannot overflow, nor flush a small residual
+    to zero.  The solve has converged when
+    max|b - M x| <= max|x| ||M||_inf eps sqrt(m), the test of dsgesv, and
+    that last residual is the one reported.  None when ||M||_inf overflows
+    float32, sgetrf meets a zero pivot, or the test fails after
+    _REFINE_STEPS corrections.
+    """
+    if anorm > _FLOAT32_MAX:
+        return None
+    lu, piv, info = sgetrf(M.astype(np.float32).T, overwrite_a=True)
+    if info != 0:
+        return None
+
+    def correction(r):  # M^-1 r from the float32 factor
+        scale = float(np.max(np.abs(r)))
+        if scale == 0.0:
+            return np.zeros_like(r)
+        x = sgetrs(lu, piv, (r / scale).astype(np.float32), trans=1)[0]
+        return scale * x.astype(np.float64)
+
+    tol = anorm * np.finfo(np.float64).eps * math.sqrt(M.shape[0])
+    x = correction(b)
+    for _ in range(_REFINE_STEPS + 1):
+        r = b - _blas.matvec(M, x)
+        residual = float(np.max(np.abs(r)))
+        if residual <= float(np.max(np.abs(x))) * tol:
+            return x, residual, _condition(sgecon, lu, anorm, "O")
+        if not math.isfinite(residual):
+            break
+        x += correction(r)
+    return None
+
+
 def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
                  left: np.ndarray):
-    """(phi, residual, condition estimate) by LU of the assembled M."""
+    """(phi, residual, condition estimate) of the assembled M.
+
+    The solve is _solve_mixed's: a float32 LU refined in float64.  Where it
+    falls back, M is factored in float64 as it always was, by _factor, which
+    names a zero pivot with SingularSystemError.  The condition estimate is
+    the infinity-norm one of M, from sgecon on the float32 factor of M^T or
+    from dgecon on the float64 factor of M.
+    """
     M, _ = assemble_system(spec, moments, left)
     anorm = 0.0  # infinity norm, chunked to avoid an m^2 temporary
     for start in range(0, M.shape[0], 512):
@@ -507,10 +593,11 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
             raise NonFiniteInputError(
                 f"K is not finite in row {i} of the collocation matrix")
         anorm = max(anorm, float(row_sums.max()))
+    solved = _solve_mixed(M, b, anorm)
+    if solved is not None:
+        return solved
     lu, piv = _factor(M, "collocation matrix")
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="I")
-    cond = math.inf if rcond == 0.0 or info < 0 else 1.0 / float(rcond)
+    cond = _condition(get_lapack_funcs("gecon", (lu,)), lu, anorm, "I")
     phi = lu_solve((lu, piv), b, check_finite=False)
     return phi, float(np.max(np.abs(_blas.matvec(M, phi) - b))), cond
 
@@ -565,7 +652,8 @@ def solve_stage1(spec: ProblemSpec,
     """Solve the collocation system; record eta and diagnostics.
 
     A constant K with (n+1)^2 < m takes the low-rank path (Woodbury on the
-    r x r reduced system); every other problem is assembled and LU-factored.
+    r x r reduced system); every other problem is assembled and solved by
+    _solve_dense, a float32 LU refined in float64.
     The basis of the nodes is evaluated once: it gives the Gram matrix for
     eta, then, with row 0 set to ones and only the rows of _active_rows,
     the factor of either path.  The solution keeps the right factor of the
@@ -610,7 +698,8 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     """phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j) at one or many t.
 
     The right factor is the one stage 1 kept on the solution.  For a
-    constant K the sum is Y(t)^T (c V phi), O(r) per target.
+    constant K the sum is Y(t)^T (c V phi), O(r) per target; for a rank-1
+    factor it is K(t, x_j) applied to right * phi, one row chunk at a time.
 
     The targets are taken in row blocks, and a BLAS product rounds by the
     height of its block, so the last bits of a value depend on how many
@@ -624,6 +713,10 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
         for rows in _row_blocks(pts.shape[0], sol.factor.size):
             integral[rows] = _blas.matvec(_target_factor(moments, pts[rows]).T,
                                           sol.factor)
+    elif sol.factor.shape[0] == 1:  # W_j(t) = right_j, as Y_00 is 1 here
+        weighted = sol.factor[0] * sol.nodal_values
+        for rows, k in _kernel_chunks(rule.points, K, pts):
+            integral[rows] = _blas.matvec(k, weighted)
     else:
         for rows in _row_blocks(pts.shape[0], rule.m):
             B = _weighted_kernel_block(rule.points, sol.factor, K, pts[rows],
