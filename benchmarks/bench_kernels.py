@@ -4,9 +4,12 @@ Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--sizes small|large]
 
-The case ``addition_gemm`` times the solver's product-integration
-weights times K: the addition theorem as one BLAS product of basis
-matrices, then K.  It is checked before it is timed against
+The solver's product-integration weights are one BLAS product of basis
+matrices (the addition theorem, ``solver.weight_matrix``), and only
+assembly and stage 2 apply K, through one block builder,
+``solver._weighted_kernel_block``: that product for a row block of
+targets, then K.  The case ``addition_gemm`` times the builder over the
+stage-2 row blocks of the grid.  It is checked before it is timed against
 ``sphsolve._kernels.product_weight_matrix``, the per-entry Legendre
 recurrence w * zonal_sum * sin(10 r).  The case ``k_pass`` times the
 solver's K pass over the first stage-2 row block of the grid on the
@@ -21,10 +24,11 @@ half-angle tangent.  Both form their products with the solver's
 These three rows also print their cost per entry.
 The case ``assemble`` times ``assemble_system`` on the same design and K,
 which forms the symmetric matrix by halves; it is checked to 1e-13 of its
-largest entry against I - W K from the full row-block matrix, timed once
-more as ``assemble_full``.  The cases ``lu_after_gemm`` time
-``lu_factor`` of that assembled matrix right after a stage-2 GEMM, once
-formed by numpy (``numpy``) and once by ``sphsolve._blas`` (``scipy``),
+largest entry against I - W K from one whole-matrix block of the same
+builder, timed once more as ``assemble_full``.  The cases
+``lu_after_gemm`` time ``lu_factor`` of that assembled matrix right after
+a stage-2 GEMM, once formed by numpy (``numpy``) and once by
+``sphsolve._blas`` (``scipy``),
 as the median of 5 runs: the numpy and scipy wheels each ship their own
 OpenBLAS, and a worker of numpy's pool still spinning after its GEMM
 competes with scipy's LU.  The two factorizations are checked to be
@@ -113,8 +117,16 @@ def main() -> None:
     rule = QuadratureRule(points=pts, weights=w, label="bench")
     K = solver.ContinuousKernel.sin_scaled(10.0)
 
+    right = solver._rule_factor(rule, moments,
+                                solver._target_factor(moments, pts))
+
     def gemm():
-        return solver._weighted_kernel_matrix(rule, moments, K, grid)
+        return np.vstack([
+            solver._weighted_kernel_block(
+                pts, right, K, grid[rows],
+                solver._target_factor(moments, grid[rows]))
+            for rows in solver._row_chunks(len(grid), rule.m,
+                                           solver._BLOCK_ENTRIES)])
 
     check_close("addition_gemm", gemm(),
                 _kernels.product_weight_matrix(dots, w, coeffs,
@@ -129,7 +141,8 @@ def main() -> None:
     right = solver._rule_factor(
         design, design_moments,
         solver._target_factor(design_moments, design.points))
-    block = grid[solver._row_blocks(len(grid), design.m)[0]]
+    block = grid[solver._row_chunks(len(grid), design.m,
+                                    solver._BLOCK_ENTRIES)[0]]
     left = solver._target_factor(design_moments, block)
 
     def k_pass():
@@ -172,8 +185,11 @@ def main() -> None:
         return solver.assemble_system(spec, design_moments)[0]
 
     def assemble_full():
-        M = solver._weighted_kernel_matrix(design, design_moments, K,
-                                           design.points)
+        left_nodes = solver._target_factor(design_moments, design.points)
+        M = solver._weighted_kernel_block(
+            design.points,
+            solver._rule_factor(design, design_moments, left_nodes), K,
+            design.points, left_nodes)
         np.negative(M, out=M)
         np.fill_diagonal(M, M.diagonal() + 1.0)
         return M

@@ -34,7 +34,7 @@ from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE, EXPERIMENT_IDS,
                           ExperimentRecord, run_experiment, run_spec)
 from .moments import SingularKernel, modified_moments
 from .mz import mz_constant
-from .pointsets import (PointFileError, bundled_pointset_path,
+from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
                         random_rule)
 from .solver import ContinuousKernel, ProblemSpec, SingularSystemError
@@ -145,11 +145,11 @@ def parse_f_descriptor(text: str) -> float | None:
         f"bad --f {text!r}: expected const:VALUE | const:auto")
 
 
-def resolve_points_descriptor(desc: str, weight_mode: str):
-    """Validate a descriptor; return a zero-argument loader.
+def resolve_points_descriptor(desc: str, weight_mode: str) -> QuadratureRule:
+    """Validate a descriptor and load its rule.
 
-    File existence is checked here, before any heavy work; the possibly
-    expensive parse happens when the loader is called.
+    Every subcommand resolves its rules before it prints anything, so a
+    missing or malformed point file exits 2 with no output.
     """
     if weight_mode not in ("equal", "file"):
         raise ValidationError(f"bad --weights {weight_mode!r}: "
@@ -159,7 +159,7 @@ def resolve_points_descriptor(desc: str, weight_mode: str):
     def from_path(path: Path):
         if not path.exists():
             raise ValidationError(f"point file not found: {path}")
-        return lambda: load_pointset(path, weight_mode=load_mode)
+        return load_pointset(path, weight_mode=load_mode)
 
     if desc.startswith("file:"):
         return from_path(Path(desc[5:]))
@@ -171,7 +171,7 @@ def resolve_points_descriptor(desc: str, weight_mode: str):
         count = int(m.group(1))
         if count < 1:
             raise ValidationError(f"equal_area needs m >= 1, got {count}")
-        return lambda: equal_area_points(count)
+        return equal_area_points(count)
     m = re.fullmatch(r"random:(\d+):(\d+)", desc)
     if m:
         if weight_mode != "equal":
@@ -180,7 +180,7 @@ def resolve_points_descriptor(desc: str, weight_mode: str):
         count, seed = int(m.group(1)), int(m.group(2))
         if count < 1:
             raise ValidationError(f"random needs m >= 1, got {count}")
-        return lambda: random_rule(count, seed)
+        return random_rule(count, seed)
     if ":" in desc:
         raise ValidationError(
             f"bad --points {desc!r}: expected file:PATH | equal_area:M | "
@@ -251,8 +251,7 @@ ANALYZE_CSV_HEADER = "n,eta,lambda_min,lambda_max,exact_to,mesh_norm,degree_boun
 
 def _cmd_analyze(config: RunConfig) -> int:
     _require(config, "points", "n")
-    loader = resolve_points_descriptor(config.points, config.weights)
-    rule = loader()
+    rule = resolve_points_descriptor(config.points, config.weights)
     report = mz_constant(rule, config.n)
     print(f"{rule.label}: {report.summary()}")
     if config.out:
@@ -300,9 +299,8 @@ def _cmd_solve(config: RunConfig) -> int:
         raise ValidationError(
             "--f const:auto needs a constant K (const:C); give an explicit "
             "--f const:VALUE for oscillatory kernels")
-    loader = resolve_points_descriptor(config.points, config.weights)
+    rule = resolve_points_descriptor(config.points, config.weights)
     grid = uniform_random_points(config.grid, seed=config.seed)
-    rule = loader()
 
     mom = modified_moments(kernel, config.n)
     mu0 = float(mom.values[0])
@@ -332,7 +330,7 @@ def _cmd_experiment(config: RunConfig) -> int:
     if (config.sweep is None) == (config.n is None):
         raise ValidationError("experiment needs exactly one of --n or --sweep")
 
-    plan: list[tuple[int, object]] = []  # (n, loader)
+    plan: list[tuple[int, QuadratureRule]] = []  # every rule loaded first
     if config.sweep is not None:
         if config.points is not None:
             raise ValidationError(
@@ -345,8 +343,7 @@ def _cmd_experiment(config: RunConfig) -> int:
                 print(f"warning: no bundled design with m={m} for n={n}; "
                       f"skipping", file=sys.stderr)
                 continue
-            path = bundled_pointset_path(name)
-            plan.append((n, lambda p=path: load_pointset(p)))
+            plan.append((n, load_pointset(bundled_pointset_path(name))))
         if not plan:
             raise ValidationError(
                 f"sweep {config.sweep!r} matched no bundled designs")
@@ -358,9 +355,8 @@ def _cmd_experiment(config: RunConfig) -> int:
     grid = uniform_random_points(config.grid, seed=config.seed)
     records = []
     print(CSV_HEADER)
-    for n, loader in plan:
-        record = _check_finite(run_experiment(config.id, n, loader(),
-                                              grid=grid))
+    for n, rule in plan:
+        record = _check_finite(run_experiment(config.id, n, rule, grid=grid))
         records.append(record)
         print(record.csv_row())
     if config.out:

@@ -9,9 +9,10 @@ radial, and the equation has the known solution phi == 1:
   3: h = log|x-y|,               K = 1
   4: h = |x-y|^-0.5 |x+y|^-0.5,  K = sin(10|x-y|)
 
-Presets 1 and 2 carry frozen reference constants; preset 3 has the exact
-value 1 - pi(4 ln 2 - 2); preset 4 is recomputed from the 1-D oracle.
-recompute_f cross-validates any of them against the oracle.
+Every preset takes f from the endpoint-refined 1-D oracle, recompute_f.
+The published constants, and preset 3's exact 1 - pi(4 ln 2 - 2), are test
+data checked against it; preset 2's published value is 3.4e-8 off the
+oracle, an offset that held that preset's error near 1e-7.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ DEFAULT_GRID_SIZE = 5000
 DEFAULT_GRID_SEED = 2024
 
 EXPERIMENT_IDS = (1, 2, 3, 4)
-
-# Frozen reference constants for the oscillatory-K presets.  The preset 2
-# value is a published reference rounded upstream; it differs from the
-# oracle recomputation by ~3.4e-8 (see tests), far below the accuracy the
-# preset is used to demonstrate.
-_F_REFERENCE = {
-    1: 1.455449001125579,
-    2: 0.303738699125466,
-}
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -98,11 +89,7 @@ def recompute_f(exp_id: int) -> float:
 
 
 def experiment_f(exp_id: int) -> float:
-    """The constant right-hand side each preset runs with."""
-    if exp_id in _F_REFERENCE:
-        return _F_REFERENCE[exp_id]
-    if exp_id == 3:
-        return 1.0 - math.pi * (4.0 * math.log(2.0) - 2.0)
+    """The constant right-hand side each preset runs with: the oracle's."""
     return recompute_f(exp_id)
 
 

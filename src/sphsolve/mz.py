@@ -26,8 +26,8 @@ from .sphere import EvaluationGrid, mesh_norm, uniform_random_points
 __all__ = ["MZReport", "gram_matrix", "gram_spectrum", "mz_constant",
            "quadrature_error_on_harmonics", "EXACTNESS_TOL"]
 
-# Above accumulated round-off of <= 5000-term weighted sums; configurable
-# per call where it matters.
+# Tolerance of the exactness degree: above the accumulated round-off of
+# <= 5000-term weighted sums.
 EXACTNESS_TOL = 1e-9
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -115,8 +115,7 @@ def _exactness_degree(s: np.ndarray, tol: float) -> int:
 
 
 def mz_constant(rule: QuadratureRule, n: int,
-                probe: EvaluationGrid | None = None,
-                exactness_tol: float = EXACTNESS_TOL) -> MZReport:
+                probe: EvaluationGrid | None = None) -> MZReport:
     """MZ constant from the Gram spectrum, with exactness and mesh diagnostics.
 
     One basis evaluation at degree 2n+1 serves both: in the flat order its
@@ -130,7 +129,7 @@ def mz_constant(rule: QuadratureRule, n: int,
     eta, lam_min, lam_max = gram_spectrum(
         gram_matrix(rule, n, basis=Y[:(n + 1) ** 2]))
     exact_to = _exactness_degree(_harmonic_quadrature_errors(Y, rule.weights),
-                                 exactness_tol)
+                                 EXACTNESS_TOL)
     if probe is None:
         probe = uniform_random_points(min(100 * rule.m, 100_000), seed=2024)
     h = mesh_norm(rule.points, probe)

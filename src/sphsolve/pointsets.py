@@ -34,7 +34,7 @@ __all__ = [
 
 # Row norms may deviate from 1 by at most this much before normalization.
 INGEST_NORM_TOL = 1e-6
-# Default bound on the total weight (the true surface measure is 4*pi).
+# Bound on the total weight of a rule (the true surface measure is 4*pi).
 DEFAULT_WEIGHT_BOUND = 8.0 * math.pi
 
 FOUR_PI = 4.0 * math.pi
@@ -51,7 +51,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     label: str
-    weight_bound: float = DEFAULT_WEIGHT_BOUND
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -71,9 +70,9 @@ class QuadratureRule:
             j = int(np.argmax(w <= 0.0))
             raise ValueError(f"weight {j} is not positive: {w[j]!r}")
         total = float(np.sum(w))
-        if total > self.weight_bound:
-            raise ValueError(
-                f"total weight {total!r} exceeds the bound {self.weight_bound!r}")
+        if total > DEFAULT_WEIGHT_BOUND:
+            raise ValueError(f"total weight {total!r} exceeds the bound "
+                             f"{DEFAULT_WEIGHT_BOUND!r}")
         pts.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "points", pts)

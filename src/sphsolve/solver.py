@@ -9,20 +9,20 @@ where the product-integration weights absorb the singular factor h:
     W_j(x) = w_j sum_{l<=n} mu_l ((2l+1)/(4pi)) P_l(x . x_j)
            = w_j sum_{l<=n} mu_l sum_k Y_lk(x) Y_lk(x_j).
 
-Read right to left, the addition theorem makes the weights a product
-Y(x)^T diag(mu_l repeated 2l+1 times) Y(X) diag(w), so every block of
-weights is one BLAS matrix product of basis matrices.  A harmonic whose
-moment mu_l is zero adds nothing, so the factors keep only the rows of
-degrees with mu_l != 0 (and row 0): their rank is the sum of 2l+1 over
-those degrees, 1 for h == 1 and about half of (n+1)^2 for an h even in
-x.y, whose odd moments vanish.  K is then applied entrywise in row chunks
-of about 1 << 16 entries, small enough to stay in cache: the dots t . x_j,
-the distance |t - x_j| and K of it are formed in one chunk-sized buffer,
-never in a block-sized one.  A sin or cos K comes from numpy's vectorised
-tan by the half-angle identities sin x = 2u/(1+u^2) and cos x =
-2/(1+u^2) - 1 with u = tan(x/2), within about 2 ulp of libm (see
-ContinuousKernel).  The speed needs numpy's AVX-512 tan: numpy leaves
-float64 sin and cos to scalar libm.
+Read right to left, the addition theorem makes the weights one BLAS
+product of basis matrices, Y(x)^T diag(mu_l repeated 2l+1 times) Y(X)
+diag(w) (weight_matrix).  A harmonic whose moment mu_l is zero adds
+nothing, so the factors keep only the rows of degrees with mu_l != 0 (and
+row 0): their rank is the sum of 2l+1 over those degrees, 1 for h == 1
+and about half of (n+1)^2 for an h even in x.y, whose odd moments vanish.
+Only assembly and stage 2 apply K, through one block builder: a GEMM of
+the factors, then K entrywise in row chunks of about 1 << 16 entries,
+small enough to stay in cache: the dots t . x_j, the distance |t - x_j|
+and K of it are formed in one chunk-sized buffer, never in a block-sized
+one.  A sin or cos K comes from numpy's vectorised tan by the half-angle
+identities sin x = 2u/(1+u^2) and cos x = 2/(1+u^2) - 1 with u = tan(x/2),
+within about 2 ulp of libm (see ContinuousKernel).  The speed needs numpy's
+AVX-512 tan: numpy leaves float64 sin and cos to scalar libm.
 
 A solve evaluates the basis of its m nodes once: the same matrix gives the
 Gram matrix for eta, then, with row 0 set to ones, the factor Y(X)^T of
@@ -82,7 +82,7 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-from scipy.linalg.lapack import sgecon, sgetrf, sgetrs
+from scipy.linalg.lapack import dlange, sgecon, sgetrf, sgetrs
 
 from . import _blas, harmonics
 from .harmonics import HarmonicBasis
@@ -303,9 +303,11 @@ class DiscreteSolution:
 
 def weight_matrix(rule: QuadratureRule, moments: ModifiedMoments,
                   targets) -> np.ndarray:
-    """W_j(x) for a batch of targets x; shape (len(targets), m)."""
-    return _weighted_kernel_matrix(rule, moments, ContinuousKernel.constant(1.0),
-                                   as_unit_vectors(targets))
+    """W_j(x) for a batch of targets x; shape (len(targets), m): the one
+    GEMM Y(x)^T diag(mu) Y(X) diag(w) of _target_factor and _rule_factor."""
+    left = _target_factor(moments, as_unit_vectors(targets))
+    return _blas.matmul(left.T, _rule_factor(
+        rule, moments, _target_factor(moments, rule.points)))
 
 
 def weight_row(rule: QuadratureRule, moments: ModifiedMoments, x) -> np.ndarray:
@@ -371,19 +373,15 @@ def _rule_factor(rule: QuadratureRule, moments: ModifiedMoments,
     return right
 
 
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    step = max(1, _BLOCK_ENTRIES // cols)
-    return [slice(start, start + step) for start in range(0, rows, step)]
-
-
-def _row_chunks(rows: int, cols: int) -> list[slice]:
-    """Row chunks of about _CHUNK_ENTRIES entries, none a lone row of many.
+def _row_chunks(rows: int, cols: int,
+                entries: int = _CHUNK_ENTRIES) -> list[slice]:
+    """Row chunks of about `entries` entries, none a lone row of many.
 
     BLAS takes a one-row product down its GEMV path, whose dots round
     differently from the GEMM of a taller block; a lone last row joins the
     chunk before it.
     """
-    step = max(2, _CHUNK_ENTRIES // cols)
+    step = max(2, entries // cols)
     stops = list(range(step, rows, step))
     if stops and rows - stops[-1] == 1:
         stops.pop()
@@ -393,20 +391,16 @@ def _row_chunks(rows: int, cols: int) -> list[slice]:
 
 def _weighted_kernel_block(nodes: np.ndarray, right: np.ndarray,
                            K: ContinuousKernel, targets: np.ndarray,
-                           left: np.ndarray,
-                           out: np.ndarray | None = None) -> np.ndarray:
+                           left: np.ndarray) -> np.ndarray:
     """(left^T right) K(x, x_j) for one row block of targets: one GEMM,
     then K.
 
     left is _target_factor(moments, targets), and right has one column
-    per node: _rule_factor(rule, moments) gives W_j(x) K(x, x_j).  out, if
-    given, receives the block.  K runs over row chunks, each formed in one
-    cache-sized buffer as K.of_dots forms it.
+    per node: _rule_factor(rule, moments) gives W_j(x) K(x, x_j).  K runs
+    over row chunks, each formed in one cache-sized buffer as K.of_dots
+    forms it.
     """
-    B = _blas.matmul(left.T, right, out=out)
-    if K.family == "constant":
-        B *= K.c
-        return B
+    B = _blas.matmul(left.T, right)
     for rows, k in _kernel_chunks(nodes, K, targets):
         B[rows] *= k
     return B
@@ -421,19 +415,6 @@ def _kernel_chunks(nodes: np.ndarray, K: ContinuousKernel,
         r = _distance_from_scaled_dots(
             _blas.matmul(targets[rows], scaled_nodes))
         yield rows, K._of_distance_inplace(r)
-
-
-def _weighted_kernel_matrix(rule: QuadratureRule, moments: ModifiedMoments,
-                            K: ContinuousKernel,
-                            targets: np.ndarray) -> np.ndarray:
-    """W_j(x) K(x, x_j) for every target, in row blocks."""
-    right = _rule_factor(rule, moments, _target_factor(moments, rule.points))
-    out = np.empty((targets.shape[0], rule.m))
-    for rows in _row_blocks(targets.shape[0], rule.m):
-        _weighted_kernel_block(rule.points, right, K, targets[rows],
-                               _target_factor(moments, targets[rows]),
-                               out=out[rows])
-    return out
 
 
 def _kernel_matrix_by_halves(nodes: np.ndarray, left: np.ndarray,
@@ -585,14 +566,11 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
     from dgecon on the float64 factor of M.
     """
     M, _ = assemble_system(spec, moments, left)
-    anorm = 0.0  # infinity norm, chunked to avoid an m^2 temporary
-    for start in range(0, M.shape[0], 512):
-        row_sums = np.abs(M[start:start + 512]).sum(axis=1)
-        if not np.all(np.isfinite(row_sums)):
-            i = start + int(np.argmin(np.isfinite(row_sums)))
-            raise NonFiniteInputError(
-                f"K is not finite in row {i} of the collocation matrix")
-        anorm = max(anorm, float(row_sums.max()))
+    anorm = float(dlange("1", M.T))  # ||M||_inf: M.T is M in Fortran order
+    if not math.isfinite(anorm):
+        i = int(np.argmin([math.isfinite(np.abs(row).sum()) for row in M]))
+        raise NonFiniteInputError(
+            f"K is not finite in row {i} of the collocation matrix")
     solved = _solve_mixed(M, b, anorm)
     if solved is not None:
         return solved
@@ -710,7 +688,7 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     rule, K, moments = sol.spec.rule, sol.spec.K, sol.moments
     integral = np.empty(pts.shape[0])
     if K.family == "constant":
-        for rows in _row_blocks(pts.shape[0], sol.factor.size):
+        for rows in _row_chunks(len(pts), sol.factor.size, _BLOCK_ENTRIES):
             integral[rows] = _blas.matvec(_target_factor(moments, pts[rows]).T,
                                           sol.factor)
     elif sol.factor.shape[0] == 1:  # W_j(t) = right_j, as Y_00 is 1 here
@@ -718,7 +696,7 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
         for rows, k in _kernel_chunks(rule.points, K, pts):
             integral[rows] = _blas.matvec(k, weighted)
     else:
-        for rows in _row_blocks(pts.shape[0], rule.m):
+        for rows in _row_chunks(len(pts), rule.m, _BLOCK_ENTRIES):
             B = _weighted_kernel_block(rule.points, sol.factor, K, pts[rows],
                                        _target_factor(moments, pts[rows]))
             integral[rows] = _blas.matvec(B, sol.nodal_values)

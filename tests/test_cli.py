@@ -60,16 +60,16 @@ def test_f_descriptor_grammar() -> None:
 
 
 def test_points_descriptor_sources(tmp_path) -> None:
-    rule = resolve_points_descriptor("equal_area:50", "equal")()
+    rule = resolve_points_descriptor("equal_area:50", "equal")
     assert rule.m == 50
-    rule = resolve_points_descriptor("random:40:7", "equal")()
+    rule = resolve_points_descriptor("random:40:7", "equal")
     assert rule.label == "random:40:7"
     # bundled name, bare path, file: prefix
-    assert resolve_points_descriptor("td010_00121.txt", "equal")().m == 121
+    assert resolve_points_descriptor("td010_00121.txt", "equal").m == 121
     p = tmp_path / "two.txt"
     p.write_text("0 0 1\n0 0 -1\n")
-    assert resolve_points_descriptor(str(p), "equal")().m == 2
-    assert resolve_points_descriptor(f"file:{p}", "equal")().m == 2
+    assert resolve_points_descriptor(str(p), "equal").m == 2
+    assert resolve_points_descriptor(f"file:{p}", "equal").m == 2
 
 
 def test_points_descriptor_validation(tmp_path) -> None:
@@ -244,7 +244,7 @@ def test_analyze_mesh_norm_matches_brute_force(tmp_path, capsys,
     header, row = out.read_text().strip().splitlines()
     assert header == ANALYZE_CSV_HEADER
     h = float(row.split(",")[header.split(",").index("mesh_norm")])
-    points = resolve_points_descriptor("random:4000:1", "equal")().points
+    points = resolve_points_descriptor("random:4000:1", "equal").points
     reference = brute_mesh_norm(points, uniform_random_points(100_000, seed=2024))
     assert abs(h - reference) <= 1e-12 * reference
 
@@ -344,6 +344,8 @@ def test_experiment_flag_validation(capsys) -> None:
 
 def test_validation_failures_exit_2_before_any_output(tmp_path, capsys) -> None:
     out = tmp_path / "never.csv"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0 1\n0 1\n")  # line 2 has two columns
     cases = [
         ["solve", "--kernel", "poly:3", "--K", "const:1", "--f", "const:1",
          "--n", "2", "--points", "equal_area:10", "--out", str(out)],
@@ -356,11 +358,16 @@ def test_validation_failures_exit_2_before_any_output(tmp_path, capsys) -> None:
          "--n", "2", "--out", str(out)],  # missing --points entirely
         ["analyze", "--points", "equal_area:100", "--n", "-2",
          "--out", str(out)],
+        # a malformed file is read before the CSV header is printed
+        ["experiment", "--id", "3", "--n", "2", "--points", f"file:{bad}",
+         "--out", str(out)],
     ]
     for argv in cases:
         assert cli.main(argv) == EXIT_VALIDATION, argv
         assert not out.exists()
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == "", argv
 
 
 def test_singular_system_exits_3(capsys) -> None:

@@ -13,6 +13,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import lpmv
 
@@ -349,6 +351,13 @@ def active_rank(moments) -> int:
     return int(np.sum((2 * degree + 1)[active]))
 
 
+def weighted_kernel(rule, moments, K, targets) -> np.ndarray:
+    """W_j(x) K(x, x_j) from weight_matrix and one K.of_dots over every
+    target: a reference for the solver's row-chunked block builder."""
+    dots = np.clip(targets @ rule.points.T, -1.0, 1.0)
+    return weight_matrix(rule, moments, targets) * K.of_dots(dots)
+
+
 @pytest.mark.parametrize("n", [0, 1, 10, 20])
 @pytest.mark.parametrize("K_name", sorted(EQUIVALENCE_KERNELS))
 @pytest.mark.parametrize("rule_name", ["td20", "random500"])
@@ -372,7 +381,7 @@ def test_weighted_kernel_matches_legendre_sum(rule_name, K_name, n,
             active_rank(moments), len(targets)), name
         zonal = np.tensordot(zonal_coefficients(moments), table, axes=1)
         expected = rule.weights * zonal * K_dots
-        got = solver._weighted_kernel_matrix(rule, moments, K, targets)
+        got = weighted_kernel(rule, moments, K, targets)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale, name
         if K_name == "constant":
@@ -385,7 +394,7 @@ def test_stage2_blocks_match_one_product(td20) -> None:
     n = 10
     step = solver._BLOCK_ENTRIES // td20.m
     targets = uniform_random_points(step + 123, seed=43).points
-    blocks = solver._row_blocks(len(targets), td20.m)
+    blocks = solver._row_chunks(len(targets), td20.m, solver._BLOCK_ENTRIES)
     assert len(blocks) == 2 and len(targets) - blocks[1].start == 123
 
     K = ContinuousKernel.sin_scaled(10.0)
@@ -505,7 +514,7 @@ def test_low_rank_matches_dense_lu(case, request, eval_grid) -> None:
     assert sol.residual <= 1e-10 * (1.0 + float(np.max(np.abs(b))))
 
     targets = eval_grid.points[:1000]
-    B = solver._weighted_kernel_matrix(spec.rule, sol.moments, spec.K, targets)
+    B = weighted_kernel(spec.rule, sol.moments, spec.K, targets)
     expected = spec.f_values(targets) + B @ sol.nodal_values
     got = evaluate_stage2(sol, targets)
     assert np.max(np.abs(got - expected)) <= 1e-10 * float(
@@ -607,6 +616,62 @@ def test_dense_path_reproduces_harmonic_solution(kernel, l, k, rotation,
         return scale * harmonic_values(l, k, points)
 
     sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=f, n=10, rule=rule))
+    assert sol.path == "dense-lu"
+    exact = closed_form_harmonic(l, k, rule.points)
+    assert np.max(np.abs(sol.nodal_values - exact)) <= 1e-11
+    targets = eval_grid.points[:500]
+    got = evaluate_stage2(sol, targets)
+    assert np.max(np.abs(got - closed_form_harmonic(l, k, targets))) <= 1e-11
+
+
+@lru_cache(maxsize=None)
+def monomial_eigenvalues(kernel: SingularKernel, j: int) -> np.ndarray:
+    """2pi int h(t) t^j P_l(t) dt for l <= 20: lam_l of K = (x . y)^j."""
+    return oracle_moments_vector(
+        lambda t: kernel.profile(t) * t ** j, 20,
+        near_one=lambda u: kernel.profile_near_one(u) * (1.0 - u) ** j,
+        near_minus_one=lambda u: (kernel.profile_near_minus_one(u)
+                                  * (u - 1.0) ** j))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_dense_path_reproduces_harmonic_solution_property(td20, eval_grid,
+                                                          data) -> None:
+    # the fixed-parameter test above as a property: any h family, any q of
+    # degree d <= 3, any n <= 10 (td20 is exact to 2n), any Y_lk with
+    # l + d <= n, so that hyperinterpolation reproduces K(x, .) Y_lk, and
+    # any rotation of td20.  q is scaled so that max |lam_l| over l <= 2n is
+    # at most 0.6: 1 - lam_l stays at least 0.4 away from 0.
+    kernel = data.draw(st.sampled_from(
+        [SingularKernel.one(), SingularKernel.algebraic(-0.5),
+         SingularKernel.log(), SingularKernel.mixed(-0.5, -0.5)]),
+        label="h")
+    # n and l count down from their largest values, which hypothesis then
+    # draws most often
+    n = 10 - data.draw(st.integers(0, 7), label="10 - n")
+    d = data.draw(st.integers(0, 3), label="deg q")
+    l = n - d - data.draw(st.integers(0, n - d), label="n - d - l")
+    k = data.draw(st.integers(1, 2 * l + 1), label="k")
+    coeffs = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d + 1,
+                                         max_size=d + 1), label="q"))
+    lam = sum(a * monomial_eigenvalues(kernel, j)[:2 * n + 1]
+              for j, a in enumerate(coeffs))
+    assume(np.max(np.abs(lam)) > 1e-3)
+    scale = data.draw(st.floats(0.05, 0.6), label="max |lam|")
+    coeffs *= scale / np.max(np.abs(lam))
+    lam_l = scale * lam[l] / np.max(np.abs(lam))
+    rotation = rotation_matrix(data.draw(st.integers(0, 2 ** 16),
+                                         label="seed"))
+    rule = QuadratureRule(points=td20.points @ rotation.T,
+                          weights=td20.weights, label="td20-rotated")
+    K = ContinuousKernel.custom(
+        lambda r: np.polynomial.polynomial.polyval(1.0 - r * r / 2.0, coeffs))
+
+    def f(points):
+        return (1.0 - lam_l) * harmonic_values(l, k, points)
+
+    sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=f, n=n, rule=rule))
     assert sol.path == "dense-lu"
     exact = closed_form_harmonic(l, k, rule.points)
     assert np.max(np.abs(sol.nodal_values - exact)) <= 1e-11
@@ -764,7 +829,7 @@ def test_non_finite_f_is_named_before_assembly(K, td10, monkeypatch) -> None:
     def never(*args, **kwargs):
         raise AssertionError("assembled or factored a non-finite problem")
 
-    monkeypatch.setattr(solver, "_weighted_kernel_matrix", never)
+    monkeypatch.setattr(solver, "_weighted_kernel_block", never)
     monkeypatch.setattr(solver, "_rule_factor", never)
     monkeypatch.setattr(solver, "lu_factor", never)
     for f, node in ((nan_at_node_7, 7), (math.inf, 0), (math.nan, 0)):
@@ -803,6 +868,24 @@ def test_non_finite_custom_kernel_is_named(td10) -> None:
                        K=ContinuousKernel.custom(K_with_nan), f=1.0, n=5,
                        rule=td10)
     with pytest.raises(NonFiniteInputError, match="row"):
+        solve_stage1(spec)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_kernel_names_its_first_row(value) -> None:
+    # nodes 17 and 30 are antipodal and no other pair is near it: K is
+    # non-finite only in rows 17 and 30, and the error names the first
+    points = random_rule(40, seed=5).points.copy()
+    points[30] = -points[17]
+    dots = points @ points.T
+    np.fill_diagonal(dots, 0.0)
+    assert np.sort(dots.ravel())[2] > -0.999 and dots[17, 30] < -0.99999
+    rule = QuadratureRule(points=points, weights=np.full(40, FOUR_PI / 40),
+                          label="antipodal pair")
+    K = ContinuousKernel.custom(lambda r: np.where(r > 1.9999, value, 1.0))
+    spec = ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0, n=3,
+                       rule=rule)
+    with pytest.raises(NonFiniteInputError, match="in row 17 of"):
         solve_stage1(spec)
 
 
@@ -883,17 +966,24 @@ def targets_at_distances(node: np.ndarray, distances: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("family", ["sin_scaled", "cos_scaled"])
 def test_k_pass_raises_no_floating_point_warning(family, td20) -> None:
     # at r = 0 (the diagonal of assembly) and at the poles of tan no entry
-    # divides by zero or overflows
+    # divides by zero or overflows, neither in the reference nor in the
+    # solver's row-chunked block builder
     moments = modified_moments(SingularKernel.log(), 10)
+    right = solver._rule_factor(td20, moments,
+                                solver._target_factor(moments, td20.points))
     for c in (-7.5, 10.0, 1e3):
         K = ContinuousKernel(family, c=c)
         poles = tan_pole_distances(c)
         targets = targets_at_distances(td20.points[0], poles)
         with np.errstate(all="raise"):
-            M = solver._weighted_kernel_matrix(td20, moments, K, td20.points)
-            B = solver._weighted_kernel_matrix(td20, moments, K, targets)
-        assert np.all(np.isfinite(M)) and np.all(np.isfinite(B))
-        assert B.shape == (poles.size, td20.m)
+            M = weighted_kernel(td20, moments, K, td20.points)
+            B = weighted_kernel(td20, moments, K, targets)
+            blocks = [solver._weighted_kernel_block(
+                td20.points, right, K, x, solver._target_factor(moments, x))
+                for x in (td20.points, targets)]
+        for values in [M, B] + blocks:
+            assert np.all(np.isfinite(values))
+        assert B.shape == blocks[1].shape == (poles.size, td20.m)
 
 
 # ------------------------------------------------------- chunked K pass
@@ -938,15 +1028,12 @@ def test_chunked_k_pass_matches_whole_block_of_dots(rule_name, K_name,
     left = solver._target_factor(moments, targets)
     right = solver._rule_factor(rule, moments,
                                 solver._target_factor(moments, rule.points))
-    expected = []
-    for rows in solver._row_blocks(T, rule.m):
+    for rows in solver._row_chunks(T, rule.m, solver._BLOCK_ENTRIES):
         dots = np.clip(_blas.matmul(targets[rows], rule.points.T), -1.0, 1.0)
-        expected.append(_blas.matmul(left[:, rows].T, right) * K.of_dots(dots))
+        expected = _blas.matmul(left[:, rows].T, right) * K.of_dots(dots)
         check(solver._weighted_kernel_block(rule.points, right, K,
                                             targets[rows], left[:, rows]),
-              expected[-1])
-    check(solver._weighted_kernel_matrix(rule, moments, K, targets),
-          np.vstack(expected))
+              expected)
 
 
 def test_row_chunks_leave_no_lone_row() -> None:
@@ -991,8 +1078,8 @@ def test_assembly_by_halves_is_symmetric(rule_name, K_name, request) -> None:
         M, _ = assemble_system(spec)
         S = (identity - M) / rule.weights
         assert np.array_equal(S, S.T)
-        full = solver._weighted_kernel_matrix(
-            rule, modified_moments(kernel, spec.n), K, rule.points)
+        full = weighted_kernel(rule, modified_moments(kernel, spec.n), K,
+                               rule.points)
         scale = float(np.max(np.abs(full)))
         assert np.max(np.abs(M - (identity - full))) <= 1e-13 * scale
 
