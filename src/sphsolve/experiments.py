@@ -75,17 +75,11 @@ def experiment_kernels(exp_id: int) -> tuple[SingularKernel, ContinuousKernel]:
 
 @lru_cache(maxsize=None)
 def recompute_f(exp_id: int) -> float:
-    """f = 1 - 2pi int h1d(t) K1d(t) dt from the endpoint-refined oracle."""
+    """f = 1 - 2pi int h K dt from the endpoint-refined oracle, with
+    |x-y| = sqrt(2 up) at the distance up = 1 - t from +1."""
     kernel, K = experiment_kernels(exp_id)
-
-    integral = profile_integral(
-        lambda t: kernel.profile(t) * K.of_dots(t),
-        near_one=lambda u: kernel.profile_near_one(u)
-        * K.of_distance(np.sqrt(2.0 * u)),
-        near_minus_one=lambda u: kernel.profile_near_minus_one(u)
-        * K.of_distance(np.sqrt(2.0 * (2.0 - u))),
-    )
-    return 1.0 - integral
+    return 1.0 - profile_integral(
+        lambda up, um: kernel.profile(up, um) * K.of_distance(np.sqrt(2.0 * up)))
 
 
 def experiment_f(exp_id: int) -> float:

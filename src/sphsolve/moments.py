@@ -14,6 +14,17 @@ Gauss-Jacobi rules that absorb both endpoint singularities exactly.  A
 high-precision 1-D oracle (composite Gauss-Legendre with dyadic refinement
 toward the +-1 endpoints) integrates any other profile and is the
 independent reference the closed forms are tested against.
+
+A profile is one function h(up, um) of up = 1 - t and um = 1 + t, the
+distances of t = x.y from the two endpoints; |x-y| = sqrt(2 up) and
+|x+y| = sqrt(2 um).  The oracle hands it both distances exactly, so no
+panel near +-1 forms 1 -+ t by cancellation.  SingularKernel.profile is
+such a function, and a product with a radial K is one lambda:
+
+    kernel, K = SingularKernel.log(), ContinuousKernel.cos_scaled(10.0)
+    mu = oracle_moments_vector(
+        lambda up, um: kernel.profile(up, um)
+        * K.of_distance(np.sqrt(2.0 * up)), 20)
 """
 
 from __future__ import annotations
@@ -46,19 +57,20 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 # Oracle defaults: 32-node panels, dyadic refinement toward each endpoint.
-# With exact distance-from-endpoint profiles the depth cap is far past the
-# ~1e-16 tail of every supported singularity.  A bare profile of t cannot
-# be refined past level ~45: forming 1 - u in float64 loses u to rounding
-# (and collapses to 1.0 exactly beyond level 52), so refinement stops
-# there and the remaining tail is extrapolated geometrically instead.
+# As profiles take exact endpoint distances, the depth cap is far past the
+# ~1e-16 tail of every supported singularity.
 _PANEL_NODES = 32
-_MAX_LEVELS_EXACT = 120
-_MAX_LEVELS_BARE = 45
+_MAX_LEVELS = 120
 _DEFAULT_TARGET = 1e-12
 
 
 class OracleAccuracyWarning(UserWarning):
     """The 1-D oracle could not certify the requested precision."""
+
+
+def shortest(x: float) -> str:
+    """The shortest text that parses back to x, with no trailing ".0"."""
+    return repr(float(x)).removesuffix(".0")
 
 
 @dataclass(frozen=True)
@@ -105,43 +117,23 @@ class SingularKernel:
 
     def describe(self) -> str:
         if self.family == "algebraic":
-            return f"algebraic:{self.nu:g}"
+            return f"algebraic:{shortest(self.nu)}"
         if self.family == "mixed":
-            return f"mixed:{self.nu:g}:{self.nu2:g}"
+            return f"mixed:{shortest(self.nu)}:{shortest(self.nu2)}"
         return self.family
 
-    # 1-D profiles as functions of t = x.y, using |x-y| = sqrt(2(1-t)) and
-    # |x+y| = sqrt(2(1+t)).  Vectorized over t.
-    def profile(self, t):
-        t = np.asarray(t, dtype=np.float64)
+    def profile(self, up, um):
+        """h as a function of up = 1 - t and um = 1 + t, t = x.y, using
+        |x-y| = sqrt(2 up) and |x+y| = sqrt(2 um).  Vectorized."""
+        up = np.asarray(up, dtype=np.float64)
         if self.family == "one":
-            return np.ones_like(t)
+            return np.ones_like(up)
         if self.family == "algebraic":
-            return (2.0 * (1.0 - t)) ** (self.nu / 2.0)
+            return (2.0 * up) ** (self.nu / 2.0)
         if self.family == "log":
-            return 0.5 * np.log(2.0 * (1.0 - t))
-        return ((2.0 * (1.0 - t)) ** (self.nu / 2.0)
-                * (2.0 * (1.0 + t)) ** (self.nu2 / 2.0))
-
-    # The same profiles as exact functions of u = 1 -+ t, the distance from
-    # the singular endpoint, so deep panels never suffer the cancellation
-    # of forming 1 - t in float64.
-    def profile_near_one(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        if self.family == "one":
-            return np.ones_like(u)
-        if self.family == "algebraic":
-            return (2.0 * u) ** (self.nu / 2.0)
-        if self.family == "log":
-            return 0.5 * np.log(2.0 * u)
-        return (2.0 * u) ** (self.nu / 2.0) * (2.0 * (2.0 - u)) ** (self.nu2 / 2.0)
-
-    def profile_near_minus_one(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        if self.family == "mixed":
-            return ((2.0 * (2.0 - u)) ** (self.nu / 2.0)
-                    * (2.0 * u) ** (self.nu2 / 2.0))
-        return self.profile(-1.0 + u)
+            return 0.5 * np.log(2.0 * up)
+        return ((2.0 * up) ** (self.nu / 2.0)
+                * (2.0 * np.asarray(um, dtype=np.float64)) ** (self.nu2 / 2.0))
 
 
 @dataclass(frozen=True)
@@ -196,16 +188,25 @@ def _tail_vector(prev: np.ndarray, last: np.ndarray,
     return tails
 
 
-def _oracle_core(h_mid, h_right, h_left, n: int, target: float,
-                 max_levels: int):
-    """Shared panel machinery; returns (moments vector, certified flag).
+def oracle_moments_vector(h, n: int, *,
+                          target: float = _DEFAULT_TARGET) -> np.ndarray:
+    """All moments 2pi int h P_l(t) dt, l = 0..n, in one adaptive pass.
 
-    h_mid(t) serves the central band; h_right(u)/h_left(u) serve dyadic
-    panels at distance u from +1 / -1.  All three are vectorized.  Each
-    side refines until its extrapolated tail is negligible (or the level
-    cap is hit), then the tail estimate is added to the result; the
-    certification asks the residual uncertainty, taken as 2% of the
-    estimate, to stay within target*(1+|result|).
+    h(up, um) is a vectorized profile of the endpoint distances up = 1 - t
+    and um = 1 + t (see the module docstring), integrable on (-1, 1) with
+    endpoint singularities no worse than u^a (a > -1) or log u, such as
+    kernel.profile or h K for a radial K:
+
+        oracle_moments_vector(lambda up, um: kernel.profile(up, um)
+                              * K.of_distance(np.sqrt(2.0 * up)), n)
+
+    The central band [-1/2, 1/2] gets (1 - t, 1 + t), a dyadic panel at
+    distance u from +1 gets (u, 2 - u), and one at distance u from -1
+    gets (2 - u, u).  Each side refines until its extrapolated tail is
+    negligible (or the level cap is hit), then the tail estimate is added
+    to the result.  An OracleAccuracyWarning is raised unless the residual
+    uncertainty, taken as 2% of the tail estimate, stays within
+    target*(1+|result|).
     """
     # 32 nodes make the rule exact for the polynomial factor to degree 63;
     # past that the count grows so exactness never silently degrades.
@@ -217,18 +218,19 @@ def _oracle_core(h_mid, h_right, h_left, n: int, target: float,
     edges = np.linspace(-0.5, 0.5, 9)
     t_mid, w_mid = _gauss_panels(list(zip(edges[:-1], edges[1:])), n_nodes)
     totals = TWO_PI * _blas.matvec(legendre_table(n, t_mid),
-                                   w_mid * h_mid(t_mid))
+                                   w_mid * h(1.0 - t_mid, 1.0 + t_mid))
 
     certified = True
-    for sign, h_u in ((+1.0, h_right), (-1.0, h_left)):
+    for sign in (+1.0, -1.0):
         prev = np.zeros(n + 1)
         tails = None
-        for k in range(1, max_levels + 1):
+        for k in range(1, _MAX_LEVELS + 1):
             lo, hi = 2.0 ** -(k + 1), 2.0 ** -k
             u = lo + 0.5 * (hi - lo) * (nodes_x + 1.0)
             wu = 0.5 * (hi - lo) * nodes_w
-            t = sign * (1.0 - u)
-            contrib = TWO_PI * _blas.matvec(legendre_table(n, t), wu * h_u(u))
+            hu = h(u, 2.0 - u) if sign > 0 else h(2.0 - u, u)
+            contrib = TWO_PI * _blas.matvec(legendre_table(n, sign * (1.0 - u)),
+                                            wu * hu)
             totals += contrib
             floor = 1e-16 * (1.0 + float(np.min(np.abs(totals))))
             tails = _tail_vector(prev, contrib, floor)
@@ -242,51 +244,22 @@ def _oracle_core(h_mid, h_right, h_left, n: int, target: float,
         uncertainty = 0.02 * float(np.max(np.abs(tails)))
         if uncertainty > target * (1.0 + float(np.min(np.abs(totals)))):
             certified = False
-    return totals, certified
-
-
-def oracle_moments_vector(h1d, n: int, *, near_one=None, near_minus_one=None,
-                          target: float = _DEFAULT_TARGET) -> np.ndarray:
-    """All moments mu_0..mu_n of a profile in one adaptive quadrature pass.
-
-    h1d(t) must be vectorized and integrable on (-1, 1) with endpoint
-    singularities no worse than u^a (a > -1) or log u.  Passing the profile
-    also as functions of the distance u from each endpoint (near_one,
-    near_minus_one) removes the float64 cancellation floor near +-1 and is
-    required to actually reach the default 1e-12 target for singular
-    profiles; without them the remaining tail is extrapolated and a
-    warning is raised if the target cannot be certified.
-    """
-    if near_one is None or near_minus_one is None:
-        h_right = near_one if near_one is not None else (lambda u: h1d(1.0 - u))
-        h_left = (near_minus_one if near_minus_one is not None
-                  else (lambda u: h1d(-1.0 + u)))
-        max_levels = _MAX_LEVELS_BARE
-    else:
-        h_right, h_left = near_one, near_minus_one
-        max_levels = _MAX_LEVELS_EXACT
-    values, certified = _oracle_core(h1d, h_right, h_left, n, target, max_levels)
     if not certified:
         warnings.warn(
             f"moment oracle: could not certify absolute error "
-            f"{target:g}*(1+|result|) within {max_levels} refinement levels",
+            f"{target:g}*(1+|result|) within {_MAX_LEVELS} refinement levels",
             OracleAccuracyWarning, stacklevel=2)
-    return values
+    return totals
 
 
-def oracle_moment(h1d, l: int, *, near_one=None, near_minus_one=None,
-                  target: float = _DEFAULT_TARGET) -> float:
-    """2pi int h1d(t) P_l(t) dt; see oracle_moments_vector."""
-    vec = oracle_moments_vector(h1d, l, near_one=near_one,
-                                near_minus_one=near_minus_one, target=target)
-    return float(vec[l])
+def oracle_moment(h, l: int, *, target: float = _DEFAULT_TARGET) -> float:
+    """2pi int h P_l(t) dt for a profile h(up, um); see oracle_moments_vector."""
+    return float(oracle_moments_vector(h, l, target=target)[l])
 
 
-def profile_integral(h1d, *, near_one=None, near_minus_one=None,
-                     target: float = _DEFAULT_TARGET) -> float:
-    """2pi int_{-1}^1 h1d(t) dt, the l = 0 moment of an arbitrary profile."""
-    return oracle_moment(h1d, 0, near_one=near_one,
-                         near_minus_one=near_minus_one, target=target)
+def profile_integral(h, *, target: float = _DEFAULT_TARGET) -> float:
+    """2pi int_{-1}^1 h dt, the l = 0 moment of a profile h(up, um)."""
+    return oracle_moment(h, 0, target=target)
 
 
 def moments_one(n: int) -> ModifiedMoments:

@@ -86,7 +86,8 @@ from scipy.linalg.lapack import dlange, sgecon, sgetrf, sgetrs
 
 from . import _blas, harmonics
 from .harmonics import HarmonicBasis
-from .moments import ModifiedMoments, SingularKernel, modified_moments
+from .moments import (ModifiedMoments, SingularKernel, modified_moments,
+                      shortest)
 from .mz import gram_matrix, gram_spectrum
 from .pointsets import QuadratureRule
 from .sphere import EvaluationGrid, as_unit_vectors
@@ -200,11 +201,11 @@ class ContinuousKernel:
 
     def describe(self) -> str:
         if self.family == "constant":
-            return f"const:{self.c:g}"
+            return f"const:{shortest(self.c)}"
         if self.family == "sin_scaled":
-            return f"sin:{self.c:g}"
+            return f"sin:{shortest(self.c)}"
         if self.family == "cos_scaled":
-            return f"cos:{self.c:g}"
+            return f"cos:{shortest(self.c)}"
         return "custom"
 
     def of_distance(self, r):
@@ -409,9 +410,13 @@ def _weighted_kernel_block(nodes: np.ndarray, right: np.ndarray,
 def _kernel_chunks(nodes: np.ndarray, K: ContinuousKernel,
                    targets: np.ndarray):
     """(rows, K(t, x_j)) for each row chunk of _row_chunks, formed in one
-    cache-sized buffer as K.of_dots forms it."""
+    cache-sized buffer as K.of_dots forms it; a constant K yields its c,
+    with no distances formed."""
     scaled_nodes = -2.0 * nodes.T
     for rows in _row_chunks(targets.shape[0], nodes.shape[0]):
+        if K.family == "constant":
+            yield rows, K.c
+            continue
         r = _distance_from_scaled_dots(
             _blas.matmul(targets[rows], scaled_nodes))
         yield rows, K._of_distance_inplace(r)

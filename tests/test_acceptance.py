@@ -181,9 +181,7 @@ def test_criterion_5_closed_forms_match_oracle() -> None:
     for nu in (-0.9, -0.5, -0.1):
         kernel = SingularKernel.algebraic(nu)
         closed = moments_algebraic(nu, 40).values
-        oracle = oracle_moments_vector(
-            kernel.profile, 40, near_one=kernel.profile_near_one,
-            near_minus_one=kernel.profile_near_minus_one)
+        oracle = oracle_moments_vector(kernel.profile, 40)
         rel = np.max(np.abs(closed - oracle) / np.maximum(np.abs(oracle),
                                                           1e-300))
         worst_rel = max(worst_rel, float(rel))
@@ -230,11 +228,11 @@ def brute_force_surface_integrals(kernel: SingularKernel, x: np.ndarray,
         nodes = lo + 0.5 * (hi - lo) * (gx + 1.0)
         wt = 0.5 * (hi - lo) * gw
         if kind == "mid":
-            t, hv = nodes, kernel.profile(nodes)
+            t, hv = nodes, kernel.profile(1.0 - nodes, 1.0 + nodes)
         elif kind > 0:
-            t, hv = 1.0 - nodes, kernel.profile_near_one(nodes)
+            t, hv = 1.0 - nodes, kernel.profile(nodes, 2.0 - nodes)
         else:
-            t, hv = -1.0 + nodes, kernel.profile_near_minus_one(nodes)
+            t, hv = -1.0 + nodes, kernel.profile(2.0 - nodes, nodes)
         s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
         y = (s[:, None, None] * (cos_phi[None, :, None] * e1
                                  + sin_phi[None, :, None] * e2)

@@ -51,6 +51,21 @@ def test_K_descriptor_grammar() -> None:
             parse_K_descriptor(bad)
 
 
+@pytest.mark.parametrize("value", [1.2345678, 0.1, 1e-7, -0.1234567])
+def test_descriptors_round_trip_through_describe(value) -> None:
+    for K in (ContinuousKernel.constant(value),
+              ContinuousKernel.sin_scaled(value),
+              ContinuousKernel.cos_scaled(value)):
+        assert parse_K_descriptor(K.describe()) == K
+    for h in (SingularKernel.algebraic(value),
+              SingularKernel.mixed(-1.0, -abs(value) / 2.0)):
+        assert parse_kernel_descriptor(h.describe()) == h
+    # the pinned short forms stay short
+    assert ContinuousKernel.constant(1.0).describe() == "const:1"
+    assert ContinuousKernel.sin_scaled(10.0).describe() == "sin:10"
+    assert ContinuousKernel.cos_scaled(0.5).describe() == "cos:0.5"
+
+
 def test_f_descriptor_grammar() -> None:
     assert parse_f_descriptor("const:1.5") == 1.5
     assert parse_f_descriptor("const:auto") is None
@@ -204,6 +219,11 @@ def test_moments_out_json(tmp_path, capsys) -> None:
     assert payload["kernel"] == "algebraic:-0.5"
     assert payload["config"]["subcommand"] == "moments"
     assert len(payload["values"]) == 4
+    # the kernel field keeps every digit the flag gave
+    assert cli.main(["moments", "--kernel", "alg:-0.1234567", "--n", "0",
+                     "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads(out.read_text())["kernel"] == "algebraic:-0.1234567"
 
 
 def test_analyze_subcommand(tmp_path, capsys) -> None:

@@ -102,10 +102,7 @@ def test_weight_sums_obey_hyperinterpolant_bound(td40) -> None:
     moments = modified_moments(kernel, n)
     eta = mz_constant(td40, n).eta
 
-    h2 = profile_integral(
-        lambda t: kernel.profile(t) ** 2,
-        near_one=lambda u: kernel.profile_near_one(u) ** 2,
-        near_minus_one=lambda u: kernel.profile_near_minus_one(u) ** 2)
+    h2 = profile_integral(lambda up, um: kernel.profile(up, um) ** 2)
     # closed form of 2pi int (log profile)^2 dt for cross-validation
     assert h2 == pytest.approx(
         math.pi * (4.0 * math.log(2.0) ** 2 - 4.0 * math.log(2.0) + 2.0),
@@ -127,6 +124,25 @@ def test_assembled_matrix_structure_for_plain_rule(td10) -> None:
     expected = np.eye(m) - (FOUR_PI / m) * np.ones((m, m))
     assert np.max(np.abs(M - expected)) <= 1e-12
     assert np.allclose(b, 1.0)
+
+
+def test_constant_K_assembles_without_distances(td10, monkeypatch) -> None:
+    # (n+1)^2 = m: the dense path.  A constant K scales each block by its c
+    # and forms no distance; the M equals that of the same constant given
+    # as a distance function, bit for bit.
+    def spec(K):
+        return ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0, n=10,
+                           rule=td10)
+
+    custom, _ = assemble_system(
+        spec(ContinuousKernel.custom(lambda r: np.full_like(r, 0.7))))
+
+    def no_distances(r):
+        raise AssertionError("a constant K formed distances")
+
+    monkeypatch.setattr(solver, "_distance_from_scaled_dots", no_distances)
+    M, _ = assemble_system(spec(ContinuousKernel.constant(0.7)))
+    assert np.array_equal(M, custom)
 
 
 def test_assemble_rejects_mismatched_moments(td10) -> None:
@@ -583,10 +599,7 @@ def zonal_q_eigenvalues(kernel: SingularKernel) -> np.ndarray:
     """lam_l = 2pi int h(t) q(t) P_l(t) dt, l <= 8: by Funk-Hecke the
     operator with kernel h K, K = q(x . y), maps Y_lk to lam_l Y_lk."""
     return oracle_moments_vector(
-        lambda t: kernel.profile(t) * zonal_q(t), 8,
-        near_one=lambda u: kernel.profile_near_one(u) * zonal_q(1.0 - u),
-        near_minus_one=lambda u: (kernel.profile_near_minus_one(u)
-                                  * zonal_q(-1.0 + u)))
+        lambda up, um: kernel.profile(up, um) * zonal_q(1.0 - up), 8)
 
 
 @pytest.mark.parametrize("rotation", [None, 29], ids=["td20", "rotated"])
@@ -628,10 +641,7 @@ def test_dense_path_reproduces_harmonic_solution(kernel, l, k, rotation,
 def monomial_eigenvalues(kernel: SingularKernel, j: int) -> np.ndarray:
     """2pi int h(t) t^j P_l(t) dt for l <= 20: lam_l of K = (x . y)^j."""
     return oracle_moments_vector(
-        lambda t: kernel.profile(t) * t ** j, 20,
-        near_one=lambda u: kernel.profile_near_one(u) * (1.0 - u) ** j,
-        near_minus_one=lambda u: (kernel.profile_near_minus_one(u)
-                                  * (u - 1.0) ** j))
+        lambda up, um: kernel.profile(up, um) * (1.0 - up) ** j, 20)
 
 
 @given(data=st.data())
