@@ -27,24 +27,15 @@ def _fortran(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.asfortranarray(a), 0
 
 
-def matmul(a: np.ndarray, b: np.ndarray,
-           out: np.ndarray | None = None) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-D float64 a and b, C-ordered.
 
     The product is formed as (a @ b)^T = b^T a^T in Fortran order, which is
-    a @ b in C order.  out, if given, receives the product in place; it
-    must be a C-contiguous float64 array, as f2py would otherwise write a
-    copy and leave out as it was.
+    a @ b in C order.
     """
     bt, trans_b = _fortran(np.asarray(b).T)
     at, trans_a = _fortran(np.asarray(a).T)
-    if out is None:
-        return dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
-    if out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("matmul: out must be a C-contiguous float64 array")
-    dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a, c=out.T,
-          overwrite_c=True)
-    return out
+    return dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

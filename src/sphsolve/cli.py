@@ -85,13 +85,6 @@ class RunConfig:
     out: str | None = _flag(help="output path (CSV plus JSON mirror, or "
                                  "JSON for analyze/moments)")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
-
 
 _FLAGS = {f.name: f.metadata for f in dataclasses.fields(RunConfig)
           if f.name != "subcommand"}
@@ -232,7 +225,7 @@ def emit_results(records: list[ExperimentRecord], config: RunConfig,
     _write(out, "".join(line + "\n" for line in
                         [CSV_HEADER] + [rec.csv_row() for rec in records]))
     _write(out.with_suffix(".json"), _json_text(
-        {"config": config.to_dict(),
+        {"config": dataclasses.asdict(config),
          "records": [dataclasses.asdict(r) for r in records]}))
 
 
@@ -262,7 +255,7 @@ def _cmd_analyze(config: RunConfig) -> int:
                    f"{report.mesh_norm:.17g},{report.degree_bound:.17g}")
             _write(out, ANALYZE_CSV_HEADER + "\n" + row + "\n")
             out = out.with_suffix(".json")
-        _write(out, _json_text({"config": config.to_dict(),
+        _write(out, _json_text({"config": dataclasses.asdict(config),
                                 "rule": {"label": rule.label, "m": rule.m},
                                 "report": dataclasses.asdict(report)}))
     return EXIT_OK
@@ -277,7 +270,7 @@ def _cmd_moments(config: RunConfig) -> int:
         print(f"{l},{v:.17g},{mom.method}")
     if config.out:
         _write(Path(config.out), _json_text(
-            {"config": config.to_dict(), "kernel": kernel.describe(),
+            {"config": dataclasses.asdict(config), "kernel": kernel.describe(),
              "method": mom.method, "values": list(mom.values)}))
     return EXIT_OK
 

@@ -56,12 +56,13 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
-# Oracle defaults: 32-node panels, dyadic refinement toward each endpoint.
-# As profiles take exact endpoint distances, the depth cap is far past the
+# Oracle settings: 32-node panels, dyadic refinement toward each endpoint,
+# and the absolute error _TARGET*(1+|result|) that it certifies.  As
+# profiles take exact endpoint distances, the depth cap is far past the
 # ~1e-16 tail of every supported singularity.
 _PANEL_NODES = 32
 _MAX_LEVELS = 120
-_DEFAULT_TARGET = 1e-12
+_TARGET = 1e-12
 
 
 class OracleAccuracyWarning(UserWarning):
@@ -155,9 +156,9 @@ class ModifiedMoments:
         object.__setattr__(self, "values", v)
 
 
-def _gauss_panels(panels, nodes=_PANEL_NODES):
-    """Scaled Gauss-Legendre nodes/weights for a list of (a, b) intervals."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _gauss_panels(panels, x: np.ndarray, w: np.ndarray):
+    """The Gauss-Legendre rule (x, w) on [-1, 1] scaled to each of a list of
+    (a, b) intervals, as flat nodes/weights."""
     a = np.array([p[0] for p in panels])
     b = np.array([p[1] for p in panels])
     half = 0.5 * (b - a)
@@ -188,8 +189,7 @@ def _tail_vector(prev: np.ndarray, last: np.ndarray,
     return tails
 
 
-def oracle_moments_vector(h, n: int, *,
-                          target: float = _DEFAULT_TARGET) -> np.ndarray:
+def oracle_moments_vector(h, n: int) -> np.ndarray:
     """All moments 2pi int h P_l(t) dt, l = 0..n, in one adaptive pass.
 
     h(up, um) is a vectorized profile of the endpoint distances up = 1 - t
@@ -206,7 +206,7 @@ def oracle_moments_vector(h, n: int, *,
     negligible (or the level cap is hit), then the tail estimate is added
     to the result.  An OracleAccuracyWarning is raised unless the residual
     uncertainty, taken as 2% of the tail estimate, stays within
-    target*(1+|result|).
+    _TARGET*(1+|result|) = 1e-12*(1+|result|).
     """
     # 32 nodes make the rule exact for the polynomial factor to degree 63;
     # past that the count grows so exactness never silently degrades.
@@ -216,7 +216,8 @@ def oracle_moments_vector(h, n: int, *,
     # Central band [-1/2, 1/2] in fixed panels of width 1/8.  The 2pi
     # factor is applied up front so the stopping test runs in result units.
     edges = np.linspace(-0.5, 0.5, 9)
-    t_mid, w_mid = _gauss_panels(list(zip(edges[:-1], edges[1:])), n_nodes)
+    t_mid, w_mid = _gauss_panels(list(zip(edges[:-1], edges[1:])),
+                                 nodes_x, nodes_w)
     totals = TWO_PI * _blas.matvec(legendre_table(n, t_mid),
                                    w_mid * h(1.0 - t_mid, 1.0 + t_mid))
 
@@ -242,24 +243,24 @@ def oracle_moments_vector(h, n: int, *,
             continue
         totals += tails
         uncertainty = 0.02 * float(np.max(np.abs(tails)))
-        if uncertainty > target * (1.0 + float(np.min(np.abs(totals)))):
+        if uncertainty > _TARGET * (1.0 + float(np.min(np.abs(totals)))):
             certified = False
     if not certified:
         warnings.warn(
             f"moment oracle: could not certify absolute error "
-            f"{target:g}*(1+|result|) within {_MAX_LEVELS} refinement levels",
+            f"{_TARGET:g}*(1+|result|) within {_MAX_LEVELS} refinement levels",
             OracleAccuracyWarning, stacklevel=2)
     return totals
 
 
-def oracle_moment(h, l: int, *, target: float = _DEFAULT_TARGET) -> float:
+def oracle_moment(h, l: int) -> float:
     """2pi int h P_l(t) dt for a profile h(up, um); see oracle_moments_vector."""
-    return float(oracle_moments_vector(h, l, target=target)[l])
+    return float(oracle_moments_vector(h, l)[l])
 
 
-def profile_integral(h, *, target: float = _DEFAULT_TARGET) -> float:
+def profile_integral(h) -> float:
     """2pi int_{-1}^1 h dt, the l = 0 moment of a profile h(up, um)."""
-    return oracle_moment(h, 0, target=target)
+    return oracle_moment(h, 0)
 
 
 def moments_one(n: int) -> ModifiedMoments:
@@ -277,8 +278,11 @@ def moments_algebraic(nu: float, n: int) -> ModifiedMoments:
     mu_{l+1} = mu_l (l - nu/2) / (l + nu/2 + 2).
     """
     kernel = SingularKernel.algebraic(nu)
-    mu0 = (2.0 ** (nu + 2.0) * math.pi
-           * math.exp(gammaln((nu + 2.0) / 2.0) - gammaln(nu / 2.0 + 2.0)))
+    # numpy's power overflows to inf where Python's ** raises, so a huge nu
+    # ends in ModifiedMoments' "moments must be finite".
+    with np.errstate(over="ignore"):
+        mu0 = (np.float64(2.0) ** (nu + 2.0) * math.pi
+               * math.exp(gammaln((nu + 2.0) / 2.0) - gammaln(nu / 2.0 + 2.0)))
     values = np.empty(n + 1)
     values[0] = mu0
     for l in range(n):

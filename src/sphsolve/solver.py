@@ -49,9 +49,9 @@ rank r, M = I - c U V with U = Y(X)^T and V = diag(mu) Y(X) diag(w).  When
     M^{-1} = I + c U (I_r - c V U)^{-1} V
 
 reduces the solve to the r x r system (I_r - c V U) z = V f, with
-phi = f + c U z.  The solution keeps only the vector c V phi, and stage 2
-costs O(r) per target: phi(t) = f(t) + Y(t)^T (c V phi).  Every other K
-takes the dense solve.
+phi = f + c U z.  Stage 2 forms the r coefficients c V phi once per call
+and costs O(r) per target: phi(t) = f(t) + Y(t)^T (c V phi).  Every other
+K takes the dense solve.
 
 The dense solve factors M in single precision and refines the solution in
 double, as LAPACK's dsgesv does (Langou et al., SC 2006; Higham, Accuracy
@@ -275,9 +275,8 @@ class DiscreteSolution:
     """Stage-1 nodal values plus everything stage 2 needs.
 
     ``factor`` is the right factor of the weights that stage 1 built,
-    diag(mu) Y(X) diag(w) at the rows of _active_rows, shape (rank, m),
-    for a non-constant K; for a constant K it is only the vector c V phi,
-    length rank.  Stage 2 reads it and evaluates no basis of the nodes.
+    diag(mu) Y(X) diag(w) at the rows of _active_rows, shape (rank, m), on
+    every path.  Stage 2 reads it and evaluates no basis of the nodes.
 
     On the dense path ``condition_estimate`` comes from LAPACK ``sgecon``
     on the float32 factor of M^T, or from ``dgecon`` on the float64 factor
@@ -640,10 +639,9 @@ def solve_stage1(spec: ProblemSpec,
     The basis of the nodes is evaluated once: it gives the Gram matrix for
     eta, then, with row 0 set to ones and only the rows of _active_rows,
     the factor of either path.  The solution keeps the right factor of the
-    weights for stage 2 (for a constant K only c V phi).  Raises
-    NonFiniteInputError before any basis or assembly work when f(x_i) is
-    not finite (or, on the dense path, when K gives a non-finite entry; a
-    non-finite c never gets this far);
+    weights for stage 2.  Raises NonFiniteInputError before any basis or
+    assembly work when f(x_i) is not finite (or, on the dense path, when K
+    gives a non-finite entry; a non-finite c never gets this far);
     SingularSystemError naming the zero pivot when a factorization breaks
     down; attaches IllConditionedWarning when the infinity-norm condition
     estimate of M exceeds 1e12.
@@ -662,9 +660,6 @@ def solve_stage1(spec: ProblemSpec,
     else:  # the right factor once M and its LU are gone, in left's place
         phi, residual, cond = _solve_dense(spec, moments, b, left)
         right = _rule_factor(spec.rule, moments, left, out=left)
-    factor = (spec.K.c * _blas.matvec(right, phi)
-              if spec.K.family == "constant"
-              else right)
     if not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"collocation matrix condition estimate {cond:.3e} exceeds "
@@ -674,15 +669,16 @@ def solve_stage1(spec: ProblemSpec,
                             eta=eta,
                             residual=residual, condition_estimate=cond,
                             path="low-rank" if low_rank else "dense-lu",
-                            factor=factor)
+                            factor=right)
 
 
 def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     """phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j) at one or many t.
 
-    The right factor is the one stage 1 kept on the solution.  For a
-    constant K the sum is Y(t)^T (c V phi), O(r) per target; for a rank-1
-    factor it is K(t, x_j) applied to right * phi, one row chunk at a time.
+    The right factor V is the one stage 1 kept on the solution.  For a
+    constant K the sum is Y(t)^T (c V phi), with c V phi formed once per
+    call, O(r) per target; for a rank-1 factor it is K(t, x_j) applied to
+    V * phi, one row chunk at a time.
 
     The targets are taken in row blocks, and a BLAS product rounds by the
     height of its block, so the last bits of a value depend on how many
@@ -693,9 +689,10 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     rule, K, moments = sol.spec.rule, sol.spec.K, sol.moments
     integral = np.empty(pts.shape[0])
     if K.family == "constant":
-        for rows in _row_chunks(len(pts), sol.factor.size, _BLOCK_ENTRIES):
+        coeffs = K.c * _blas.matvec(sol.factor, sol.nodal_values)
+        for rows in _row_chunks(len(pts), coeffs.size, _BLOCK_ENTRIES):
             integral[rows] = _blas.matvec(_target_factor(moments, pts[rows]).T,
-                                          sol.factor)
+                                          coeffs)
     elif sol.factor.shape[0] == 1:  # W_j(t) = right_j, as Y_00 is 1 here
         weighted = sol.factor[0] * sol.nodal_values
         for rows, k in _kernel_chunks(rule.points, K, pts):

@@ -57,30 +57,6 @@ def test_contiguous_operands_reach_blas_without_a_copy() -> None:
         assert np.array_equal(f.T if trans else f, a)
 
 
-def test_matmul_fills_a_contiguous_out_in_place() -> None:
-    rng = np.random.default_rng(1)
-    a, b = rng.standard_normal((30, 7)), rng.standard_normal((7, 12))
-    out = np.full((30, 12), np.nan)
-    assert _blas.matmul(a, b, out=out) is out
-    assert_close(out, a @ b)
-    rows = np.full((50, 12), np.nan)
-    assert _blas.matmul(a, b, out=rows[10:40]).base is rows
-    assert_close(rows[10:40], a @ b)
-    assert np.isnan(rows[:10]).all() and np.isnan(rows[40:]).all()
-
-
-def test_matmul_rejects_an_out_it_cannot_fill_in_place() -> None:
-    # f2py would hand dgemm a copy of such an out and leave out unwritten
-    rng = np.random.default_rng(2)
-    a, b = rng.standard_normal((5, 11)), rng.standard_normal((11, 9))
-    S = np.full((12, 14), np.nan)
-    for out in (S[3:8, 5:], np.asfortranarray(S[:5, :9]),
-                np.zeros((5, 9), dtype=np.float32)):
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            _blas.matmul(a, b, out=out)
-    assert np.isnan(S).all()
-
-
 @pytest.mark.parametrize("shape", [(37, 23), (1, 23), (37, 1)])
 def test_matvec_matches_numpy_for_every_layout_and_vector_shape(shape) -> None:
     rng = np.random.default_rng(sum(shape))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 
@@ -119,7 +120,7 @@ def test_sweep_descriptor_and_rule_names() -> None:
 def test_run_config_round_trip() -> None:
     config = RunConfig(subcommand="solve", points="equal_area:100",
                        kernel="log", K="const:1", f="const:auto", n=5)
-    again = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    again = RunConfig(**json.loads(json.dumps(dataclasses.asdict(config))))
     assert again == config
 
 
@@ -226,6 +227,15 @@ def test_moments_out_json(tmp_path, capsys) -> None:
     assert json.loads(out.read_text())["kernel"] == "algebraic:-0.1234567"
 
 
+def test_moments_that_overflow_exit_2(capsys) -> None:
+    # 2^(nu+2) in mu_0 overflows float64 for nu past 1022
+    assert cli.main(["moments", "--kernel", "alg:1e300",
+                     "--n", "2"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "moments must be finite" in captured.err
+
+
 def test_analyze_subcommand(tmp_path, capsys) -> None:
     out = tmp_path / "report.csv"
     assert cli.main(["analyze", "--points", "equal_area:400", "--n", "1",
@@ -284,7 +294,7 @@ def test_solve_auto_rhs_constant_solution(tmp_path, capsys) -> None:
     payload = json.loads(out.with_suffix(".json").read_text())
     assert payload["config"]["kernel"] == "log"
     assert payload["records"][0]["m"] == 121
-    assert RunConfig.from_dict(payload["config"]).subcommand == "solve"
+    assert RunConfig(**payload["config"]).subcommand == "solve"
 
 
 def test_solve_explicit_f_constant_K_scales_solution(capsys) -> None:

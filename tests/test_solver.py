@@ -521,7 +521,7 @@ def test_low_rank_matches_dense_lu(case, request, eval_grid) -> None:
     sol = solve_stage1(spec)
     r = (spec.n + 1) ** 2
     assert sol.path == ("low-rank" if r < spec.rule.m else "dense-lu")
-    assert sol.factor.shape == (active_rank(sol.moments),)  # c V phi
+    assert sol.factor.shape == (active_rank(sol.moments), spec.rule.m)
 
     M, b = assemble_system(spec, sol.moments)
     phi = lu_solve(lu_factor(M), b)

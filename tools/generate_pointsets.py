@@ -40,13 +40,6 @@ from sphsolve.harmonics import _basis_matrix as basis_matrix  # noqa: E402
 from sphsolve.mz import mz_constant, quadrature_error_on_harmonics  # noqa: E402
 from sphsolve.pointsets import QuadratureRule, equal_area_points, save_pointset  # noqa: E402
 
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
 FOUR_PI = 4.0 * math.pi
 
 
@@ -78,78 +71,33 @@ def tangent_frames(z: np.ndarray):
 
 # ------------------------------------------------- phase A: zonal functional
 
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _zonal_value_grad(pts, t_deg):
-        """F = sum_{j,j'} K_t(x_j.x_j') and dF/dx_j = 2 sum_b K_t'(x_j.x_b) x_b,
-        with K_t(c) = sum_{l=1..t} (2l+1) P_l(c).  Self-pairs included (their
-        contribution is a constant and a radial gradient, both harmless)."""
-        m = pts.shape[0]
-        val = 0.0
-        grad = np.zeros((m, 3))
-        for j in prange(m):
-            acc_v = 0.0
-            gx = 0.0
-            gy = 0.0
-            gz = 0.0
-            for b in range(m):
-                c = (pts[j, 0] * pts[b, 0] + pts[j, 1] * pts[b, 1]
-                     + pts[j, 2] * pts[b, 2])
-                if c > 1.0:
-                    c = 1.0
-                elif c < -1.0:
-                    c = -1.0
-                pprev = 1.0
-                pcur = c
-                dprev = 0.0
-                dcur = 1.0
-                kv = 3.0 * pcur
-                kd = 3.0 * dcur
-                for l in range(1, t_deg):
-                    pnext = ((2 * l + 1) * c * pcur - l * pprev) / (l + 1)
-                    dnext = dprev + (2 * l + 1) * pcur
-                    kv += (2 * l + 3) * pnext
-                    kd += (2 * l + 3) * dnext
-                    pprev = pcur
-                    pcur = pnext
-                    dprev = dcur
-                    dcur = dnext
-                acc_v += kv
-                gx += kd * pts[b, 0]
-                gy += kd * pts[b, 1]
-                gz += kd * pts[b, 2]
-            val += acc_v
-            grad[j, 0] = 2.0 * gx
-            grad[j, 1] = 2.0 * gy
-            grad[j, 2] = 2.0 * gz
-        return val, grad
-
-else:
-
-    def _zonal_value_grad(pts, t_deg):  # numpy fallback, row-chunked
-        m = pts.shape[0]
-        val = 0.0
-        grad = np.zeros((m, 3))
-        chunk = max(1, (1 << 21) // m)
-        for s in range(0, m, chunk):
-            c = np.clip(pts[s:s + chunk] @ pts.T, -1.0, 1.0)
-            pprev = np.ones_like(c)
-            pcur = c.copy()
-            dprev = np.zeros_like(c)
-            dcur = np.ones_like(c)
-            kv = 3.0 * pcur
-            kd = 3.0 * dcur.copy()
-            for l in range(1, t_deg):
-                pnext = ((2 * l + 1) * c * pcur - l * pprev) / (l + 1)
-                dnext = dprev + (2 * l + 1) * pcur
-                kv += (2 * l + 3) * pnext
-                kd += (2 * l + 3) * dnext
-                pprev, pcur = pcur, pnext
-                dprev, dcur = dcur, dnext
-            val += float(kv.sum())
-            grad[s:s + chunk] = 2.0 * (kd @ pts)
-        return val, grad
+def _zonal_value_grad(pts, t_deg):
+    """F = sum_{j,j'} K_t(x_j.x_j') and dF/dx_j = 2 sum_b K_t'(x_j.x_b) x_b,
+    with K_t(c) = sum_{l=1..t} (2l+1) P_l(c).  Self-pairs included (their
+    contribution is a constant and a radial gradient, both harmless).
+    Rows are taken in chunks so that each block stays near 2^21 entries."""
+    m = pts.shape[0]
+    val = 0.0
+    grad = np.zeros((m, 3))
+    chunk = max(1, (1 << 21) // m)
+    for s in range(0, m, chunk):
+        c = np.clip(pts[s:s + chunk] @ pts.T, -1.0, 1.0)
+        pprev = np.ones_like(c)
+        pcur = c.copy()
+        dprev = np.zeros_like(c)
+        dcur = np.ones_like(c)
+        kv = 3.0 * pcur
+        kd = 3.0 * dcur.copy()
+        for l in range(1, t_deg):
+            pnext = ((2 * l + 1) * c * pcur - l * pprev) / (l + 1)
+            dnext = dprev + (2 * l + 1) * pcur
+            kv += (2 * l + 3) * pnext
+            kd += (2 * l + 3) * dnext
+            pprev, pcur = pcur, pnext
+            dprev, dcur = dcur, dnext
+        val += float(kv.sum())
+        grad[s:s + chunk] = 2.0 * (kd @ pts)
+    return val, grad
 
 
 def _phase_a_objective(z, t_deg, scale):
@@ -268,47 +216,14 @@ def generate_t_design(t_deg: int, seed: int = 0, verbose: bool = True):
 
 # -------------------------------------------------- minimal energy and Fekete
 
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _coulomb_value_grad(pts):
-        m = pts.shape[0]
-        val = 0.0
-        grad = np.zeros((m, 3))
-        for i in prange(m):
-            gx = 0.0
-            gy = 0.0
-            gz = 0.0
-            acc = 0.0
-            for j in range(m):
-                if i == j:
-                    continue
-                dx = pts[i, 0] - pts[j, 0]
-                dy = pts[i, 1] - pts[j, 1]
-                dz = pts[i, 2] - pts[j, 2]
-                r2 = dx * dx + dy * dy + dz * dz
-                r = math.sqrt(r2)
-                acc += 1.0 / r
-                f = -1.0 / (r2 * r)
-                gx += f * dx
-                gy += f * dy
-                gz += f * dz
-            val += 0.5 * acc
-            grad[i, 0] = gx
-            grad[i, 1] = gy
-            grad[i, 2] = gz
-        return val, grad
-
-else:
-
-    def _coulomb_value_grad(pts):
-        diff = pts[:, None, :] - pts[None, :, :]
-        r2 = (diff ** 2).sum(axis=2)
-        np.fill_diagonal(r2, np.inf)
-        r = np.sqrt(r2)
-        val = 0.5 * float((1.0 / r).sum())
-        grad = (-diff / (r2 * r)[:, :, None]).sum(axis=1)
-        return val, grad
+def _coulomb_value_grad(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    r2 = (diff ** 2).sum(axis=2)
+    np.fill_diagonal(r2, np.inf)
+    r = np.sqrt(r2)
+    val = 0.5 * float((1.0 / r).sum())
+    grad = (-diff / (r2 * r)[:, :, None]).sum(axis=1)
+    return val, grad
 
 
 def generate_minimal_energy(m: int, verbose: bool = True) -> np.ndarray:
