@@ -44,6 +44,8 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.shape not in ((a.shape[1],), (a.shape[1], 1)):
         raise ValueError(f"matvec: shapes {a.shape} and {x.shape} "
                          "do not match")
+    if a.size == 0:  # dgemv rejects empty operands; a @ x is zeros
+        return np.zeros(a.shape[:1] + x.shape[1:])
     f, trans = _fortran(a)
     y = dgemv(1.0, f, x.reshape(-1), trans=trans)
     return y if x.ndim == 1 else y[:, None]

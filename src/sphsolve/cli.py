@@ -8,11 +8,13 @@ Subcommands:
 * ``experiment`` one of the four presets, by id, optionally swept over n.
 
 Point descriptors: ``file:PATH`` (a bare path or a bundled file name also
-works), ``equal_area:M``, ``random:M:SEED``.  A config file of ``key=value``
-lines may supply any flag, typed and range-checked as the flag is; explicit
-flags override it.  Results go to a CSV (header
-``experiment,n,m,eta,uniform_error,residual,seconds``) plus a JSON mirror
-carrying the full configuration echo.
+works), ``equal_area:M``, ``random:M:SEED``; the kernel descriptors are read
+by SingularKernel.parse and ContinuousKernel.parse.  A config file of
+``key=value`` lines may supply any flag, checked as the flag is (type,
+range, choices); explicit flags override it.  ``--out PATH`` works alike
+for every subcommand: a ``.json`` path gets only the JSON (configuration
+echo plus results), any other path the results as CSV plus that JSON at
+the same stem with suffix ``.json``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -73,8 +75,8 @@ class RunConfig:
     points: str | None = _flag(
         help="file:PATH | equal_area:M | random:M:SEED | path | bundled name")
     weights: str = _flag("equal", choices=("equal", "file"))
-    kernel: str | None = _flag(help="one | alg:NU | log | mixed:NU1:NU2")
-    K: str | None = _flag(help="const:C | sin:C | cos:C")
+    kernel: str | None = _flag(help=SingularKernel.GRAMMAR)
+    K: str | None = _flag(help=ContinuousKernel.GRAMMAR)
     f: str | None = _flag(help="const:VALUE | const:auto")
     n: int | None = _flag(type=int)
     id: int | None = _flag(type=int)
@@ -82,8 +84,8 @@ class RunConfig:
                                    "m = (floor(1.2 n)+1)^2")
     grid: int = _flag(DEFAULT_GRID_SIZE, type=int)
     seed: int = _flag(DEFAULT_GRID_SEED, type=int)
-    out: str | None = _flag(help="output path (CSV plus JSON mirror, or "
-                                 "JSON for analyze/moments)")
+    out: str | None = _flag(help="output path: CSV plus a .json mirror, or "
+                                 "only the JSON for a .json path")
 
 
 _FLAGS = {f.name: f.metadata for f in dataclasses.fields(RunConfig)
@@ -91,38 +93,6 @@ _FLAGS = {f.name: f.metadata for f in dataclasses.fields(RunConfig)
 
 
 # ------------------------------------------------------------- descriptors
-
-def parse_kernel_descriptor(text: str) -> SingularKernel:
-    parts = text.split(":")
-    try:
-        if parts[0] == "one" and len(parts) == 1:
-            return SingularKernel.one()
-        if parts[0] in ("alg", "algebraic") and len(parts) == 2:
-            return SingularKernel.algebraic(float(parts[1]))
-        if parts[0] == "log" and len(parts) == 1:
-            return SingularKernel.log()
-        if parts[0] == "mixed" and len(parts) == 3:
-            return SingularKernel.mixed(float(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise ValidationError(f"bad --kernel {text!r}: {exc}") from None
-    raise ValidationError(
-        f"bad --kernel {text!r}: expected one | alg:NU | log | mixed:NU1:NU2")
-
-
-def parse_K_descriptor(text: str) -> ContinuousKernel:
-    parts = text.split(":")
-    if len(parts) == 2:
-        maker = {"const": ContinuousKernel.constant,
-                 "sin": ContinuousKernel.sin_scaled,
-                 "cos": ContinuousKernel.cos_scaled}.get(parts[0])
-        if maker is not None:
-            try:
-                return maker(float(parts[1]))
-            except ValueError as exc:
-                raise ValidationError(f"bad --K {text!r}: {exc}") from None
-    raise ValidationError(
-        f"bad --K {text!r}: expected const:C | sin:C | cos:C")
-
 
 def parse_f_descriptor(text: str) -> float | None:
     """Constant right-hand side value, or None meaning const:auto."""
@@ -144,9 +114,6 @@ def resolve_points_descriptor(desc: str, weight_mode: str) -> QuadratureRule:
     Every subcommand resolves its rules before it prints anything, so a
     missing or malformed point file exits 2 with no output.
     """
-    if weight_mode not in ("equal", "file"):
-        raise ValidationError(f"bad --weights {weight_mode!r}: "
-                              f"expected equal | file")
     load_mode = "equal" if weight_mode == "equal" else "from_file"
 
     def from_path(path: Path):
@@ -156,24 +123,14 @@ def resolve_points_descriptor(desc: str, weight_mode: str) -> QuadratureRule:
 
     if desc.startswith("file:"):
         return from_path(Path(desc[5:]))
-    m = re.fullmatch(r"equal_area:(\d+)", desc)
-    if m:
-        if weight_mode != "equal":
-            raise ValidationError("equal_area carries no weight column; "
-                                  "use --weights equal")
-        count = int(m.group(1))
-        if count < 1:
-            raise ValidationError(f"equal_area needs m >= 1, got {count}")
-        return equal_area_points(count)
-    m = re.fullmatch(r"random:(\d+):(\d+)", desc)
-    if m:
-        if weight_mode != "equal":
-            raise ValidationError("random points carry no weight column; "
-                                  "use --weights equal")
-        count, seed = int(m.group(1)), int(m.group(2))
-        if count < 1:
-            raise ValidationError(f"random needs m >= 1, got {count}")
-        return random_rule(count, seed)
+    for pattern, make in ((r"equal_area:(\d+)", equal_area_points),
+                          (r"random:(\d+):(\d+)", random_rule)):
+        m = re.fullmatch(pattern, desc)
+        if m:
+            if weight_mode != "equal":
+                raise ValidationError(f"{desc!r} carries no weight column; "
+                                      f"use --weights equal")
+            return make(*map(int, m.groups()))
     if ":" in desc:
         raise ValidationError(
             f"bad --points {desc!r}: expected file:PATH | equal_area:M | "
@@ -208,25 +165,27 @@ def sweep_rule_name(n: int) -> tuple[str, int]:
 
 # ------------------------------------------------------------------ output
 
-def _write(path: Path, text: str) -> None:
-    """Write text to path, creating its parent directory first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="ascii")
+def _emit(config: RunConfig, header: str, rows: list[str],
+          payload: dict) -> None:
+    """Write config.out, if set: a .json path gets {"config": ..., **payload}
+    alone; any other path gets the CSV header and rows, and that JSON goes
+    to the same stem with suffix .json.  Missing directories are made."""
+    if not config.out:
+        return
+    out = Path(config.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if out.suffix != ".json":
+        out.write_text("".join(line + "\n" for line in [header, *rows]),
+                       encoding="ascii")
+        out = out.with_suffix(".json")
+    out.write_text(json.dumps({"config": dataclasses.asdict(config),
+                               **payload}, indent=2) + "\n", encoding="ascii")
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def emit_results(records: list[ExperimentRecord], config: RunConfig,
-                 out_path) -> None:
-    """CSV at out_path plus a JSON mirror (same stem, .json) with the config."""
-    out = Path(out_path)
-    _write(out, "".join(line + "\n" for line in
-                        [CSV_HEADER] + [rec.csv_row() for rec in records]))
-    _write(out.with_suffix(".json"), _json_text(
-        {"config": dataclasses.asdict(config),
-         "records": [dataclasses.asdict(r) for r in records]}))
+def emit_results(records: list[ExperimentRecord], config: RunConfig) -> None:
+    """The solve/experiment records to config.out, as _emit writes them."""
+    _emit(config, CSV_HEADER, [rec.csv_row() for rec in records],
+          {"records": [dataclasses.asdict(r) for r in records]})
 
 
 # -------------------------------------------------------------- subcommands
@@ -240,6 +199,7 @@ def _require(config: RunConfig, *fields: str) -> None:
 
 
 ANALYZE_CSV_HEADER = "n,eta,lambda_min,lambda_max,exact_to,mesh_norm,degree_bound"
+MOMENTS_CSV_HEADER = "l,mu,method"
 
 
 def _cmd_analyze(config: RunConfig) -> int:
@@ -247,31 +207,24 @@ def _cmd_analyze(config: RunConfig) -> int:
     rule = resolve_points_descriptor(config.points, config.weights)
     report = mz_constant(rule, config.n)
     print(f"{rule.label}: {report.summary()}")
-    if config.out:
-        out = Path(config.out)
-        if out.suffix != ".json":  # the CSV row, then its JSON mirror
-            row = (f"{report.n},{report.eta:.17g},{report.lambda_min:.17g},"
-                   f"{report.lambda_max:.17g},{report.exact_to},"
-                   f"{report.mesh_norm:.17g},{report.degree_bound:.17g}")
-            _write(out, ANALYZE_CSV_HEADER + "\n" + row + "\n")
-            out = out.with_suffix(".json")
-        _write(out, _json_text({"config": dataclasses.asdict(config),
-                                "rule": {"label": rule.label, "m": rule.m},
-                                "report": dataclasses.asdict(report)}))
+    row = (f"{report.n},{report.eta:.17g},{report.lambda_min:.17g},"
+           f"{report.lambda_max:.17g},{report.exact_to},"
+           f"{report.mesh_norm:.17g},{report.degree_bound:.17g}")
+    _emit(config, ANALYZE_CSV_HEADER, [row],
+          {"rule": {"label": rule.label, "m": rule.m},
+           "report": dataclasses.asdict(report)})
     return EXIT_OK
 
 
 def _cmd_moments(config: RunConfig) -> int:
     _require(config, "kernel", "n")
-    kernel = parse_kernel_descriptor(config.kernel)
+    kernel = SingularKernel.parse(config.kernel)
     mom = modified_moments(kernel, config.n)
-    print("l,mu,method")
-    for l, v in enumerate(mom.values):
-        print(f"{l},{v:.17g},{mom.method}")
-    if config.out:
-        _write(Path(config.out), _json_text(
-            {"config": dataclasses.asdict(config), "kernel": kernel.describe(),
-             "method": mom.method, "values": list(mom.values)}))
+    rows = [f"{l},{v:.17g},{mom.method}" for l, v in enumerate(mom.values)]
+    print("\n".join([MOMENTS_CSV_HEADER, *rows]))
+    _emit(config, MOMENTS_CSV_HEADER, rows,
+          {"kernel": kernel.describe(), "method": mom.method,
+           "values": list(mom.values)})
     return EXIT_OK
 
 
@@ -285,8 +238,8 @@ def _check_finite(record: ExperimentRecord) -> ExperimentRecord:
 
 def _cmd_solve(config: RunConfig) -> int:
     _require(config, "kernel", "K", "f", "n", "points")
-    kernel = parse_kernel_descriptor(config.kernel)
-    K = parse_K_descriptor(config.K)
+    kernel = SingularKernel.parse(config.kernel)
+    K = ContinuousKernel.parse(config.K)
     f_const = parse_f_descriptor(config.f)
     if f_const is None and K.family != "constant":
         raise ValidationError(
@@ -310,8 +263,7 @@ def _cmd_solve(config: RunConfig) -> int:
     record = _check_finite(run_spec(spec, exact, grid))
     print(CSV_HEADER)
     print(record.csv_row())
-    if config.out:
-        emit_results([record], config, config.out)
+    emit_results([record], config)
     return EXIT_OK
 
 
@@ -352,8 +304,7 @@ def _cmd_experiment(config: RunConfig) -> int:
         record = _check_finite(run_experiment(config.id, n, rule, grid=grid))
         records.append(record)
         print(record.csv_row())
-    if config.out:
-        emit_results(records, config, config.out)
+    emit_results(records, config)
     return EXIT_OK
 
 
@@ -377,8 +328,8 @@ _SUBCOMMANDS = {
 # ------------------------------------------------------------ parsing/merge
 
 def read_config_file(path) -> dict:
-    """key=value lines, # comments; keys are the flag names, and an
-    integer flag's value must be an integer."""
+    """key=value lines, # comments; keys are the flag names, an integer
+    flag's value must be an integer, and a flag with choices takes one."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
@@ -403,6 +354,11 @@ def read_config_file(path) -> dict:
                 raise ValidationError(
                     f"{path}:{lineno}: {key} needs an integer, "
                     f"got {value!r}") from None
+            choices = _FLAGS[key].get("choices", (merged[key],))
+            if merged[key] not in choices:
+                raise ValidationError(
+                    f"{path}:{lineno}: {key} must be one of "
+                    f"{' | '.join(choices)}, got {value!r}")
     return merged
 
 
@@ -423,14 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(argv=None) -> RunConfig:
-    """The config file's values overridden by explicit flags; n and grid
-    are range-checked here, once, whichever of the two gave them."""
+    """The config file's values overridden by explicit flags; n, grid and
+    seed are range-checked here, once, whichever of the two gave them."""
     args = _build_parser().parse_args(argv)
     values = read_config_file(args.config) if args.config else {}
     for flag in _SUBCOMMANDS[args.subcommand][2]:
         if getattr(args, flag) is not None:
             values[flag] = getattr(args, flag)
-    for flag, low in (("n", 0), ("grid", 1)):
+    for flag, low in (("n", 0), ("grid", 1), ("seed", 0)):
         if values.get(flag, low) < low:
             raise ValidationError(f"--{flag} must be >= {low}, "
                                   f"got {values[flag]}")

@@ -29,7 +29,7 @@ class HyperCoefficients:
     rule_label: str
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=np.float64)
+        c = np.array(self.coeffs, dtype=np.float64)
         if c.shape != ((self.n + 1) ** 2,):
             raise ValueError(
                 f"expected {(self.n + 1) ** 2} coefficients, got {c.shape}")

@@ -74,6 +74,17 @@ def shortest(x: float) -> str:
     return repr(float(x)).removesuffix(".0")
 
 
+def descriptor_floats(text: str, params, count, grammar: str) -> list:
+    """The parameters of descriptor text as floats, if there are count of
+    them; else a ValueError naming text and its grammar."""
+    try:
+        if len(params) == count:
+            return [float(p) for p in params]
+    except ValueError:
+        pass
+    raise ValueError(f"bad descriptor {text!r}: expected {grammar}")
+
+
 @dataclass(frozen=True)
 class SingularKernel:
     """One of the four weight families, with validated parameters."""
@@ -81,6 +92,10 @@ class SingularKernel:
     family: str
     nu: float = 0.0
     nu2: float = 0.0
+
+    GRAMMAR = "one | alg:NU | log | mixed:NU1:NU2"
+    # family -> parameter count, read by describe() and by parse()
+    _ARITY = {"one": 0, "algebraic": 1, "log": 0, "mixed": 2}
 
     def __post_init__(self):
         if self.family == "one":
@@ -117,11 +132,16 @@ class SingularKernel:
         return cls("mixed", nu=float(nu1), nu2=float(nu2))
 
     def describe(self) -> str:
-        if self.family == "algebraic":
-            return f"algebraic:{shortest(self.nu)}"
-        if self.family == "mixed":
-            return f"mixed:{shortest(self.nu)}:{shortest(self.nu2)}"
-        return self.family
+        params = (self.nu, self.nu2)[:self._ARITY[self.family]]
+        return ":".join([self.family, *map(shortest, params)])
+
+    @classmethod
+    def parse(cls, text: str) -> "SingularKernel":
+        """The kernel that describe() names; alg:NU also reads."""
+        family, *params = text.split(":")
+        family = "algebraic" if family == "alg" else family
+        return cls(family, *descriptor_floats(
+            text, params, cls._ARITY.get(family), cls.GRAMMAR))
 
     def profile(self, up, um):
         """h as a function of up = 1 - t and um = 1 + t, t = x.y, using
@@ -147,7 +167,7 @@ class ModifiedMoments:
     method: str  # closed_form | oracle
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.n + 1,):
             raise ValueError(f"expected {self.n + 1} moments, got shape {v.shape}")
         if not np.all(np.isfinite(v)):

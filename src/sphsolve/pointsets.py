@@ -53,8 +53,10 @@ class QuadratureRule:
     label: str
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        # Copies, so that neither the caller's arrays are frozen nor a later
+        # edit of them reaches the validated rule.
+        pts = np.array(self.points, dtype=np.float64, order="C")
+        w = np.array(self.weights, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must be (m, 3), got {pts.shape}")
         if w.shape != (pts.shape[0],):
@@ -222,7 +224,7 @@ def equal_area_points(m: int) -> QuadratureRule:
 def random_rule(m: int, seed: int) -> QuadratureRule:
     """m uniform random points with equal weights 4pi/m."""
     grid = uniform_random_points(m, seed)
-    return QuadratureRule(points=grid.points.copy(),
+    return QuadratureRule(points=grid.points,
                           weights=np.full(m, FOUR_PI / m),
                           label=f"random:{m}:{seed}")
 

@@ -86,8 +86,8 @@ from scipy.linalg.lapack import dlange, sgecon, sgetrf, sgetrs
 
 from . import _blas, harmonics
 from .harmonics import HarmonicBasis
-from .moments import (ModifiedMoments, SingularKernel, modified_moments,
-                      shortest)
+from .moments import (ModifiedMoments, SingularKernel, descriptor_floats,
+                      modified_moments, shortest)
 from .mz import gram_matrix, gram_spectrum
 from .pointsets import QuadratureRule
 from .sphere import EvaluationGrid, as_unit_vectors
@@ -174,6 +174,10 @@ class ContinuousKernel:
     fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None,
                                                           compare=False)
 
+    GRAMMAR = "const:C | sin:C | cos:C"
+    # family -> tag, read by describe() and by parse()
+    _TAGS = {"constant": "const", "sin_scaled": "sin", "cos_scaled": "cos"}
+
     def __post_init__(self):
         if self.family not in ("constant", "sin_scaled", "cos_scaled", "custom"):
             raise ValueError(f"unknown continuous kernel {self.family!r}")
@@ -200,13 +204,18 @@ class ContinuousKernel:
         return cls("custom", fn=fn)
 
     def describe(self) -> str:
-        if self.family == "constant":
-            return f"const:{shortest(self.c)}"
-        if self.family == "sin_scaled":
-            return f"sin:{shortest(self.c)}"
-        if self.family == "cos_scaled":
-            return f"cos:{shortest(self.c)}"
-        return "custom"
+        if self.family == "custom":
+            return "custom"
+        return f"{self._TAGS[self.family]}:{shortest(self.c)}"
+
+    @classmethod
+    def parse(cls, text: str) -> "ContinuousKernel":
+        """The built-in kernel that describe() names."""
+        tag, *params = text.split(":")
+        family = next((f for f, t in cls._TAGS.items() if t == tag), None)
+        (c,) = descriptor_floats(text, params, 1 if family else None,
+                                 cls.GRAMMAR)
+        return cls(family, c=c)
 
     def of_distance(self, r):
         return self._of_distance_inplace(np.array(r, dtype=np.float64))

@@ -19,37 +19,43 @@ from sphsolve.cli import (
     EXIT_VALIDATION,
     RunConfig,
     ValidationError,
-    parse_K_descriptor,
     parse_f_descriptor,
-    parse_kernel_descriptor,
     parse_sweep_descriptor,
     read_config_file,
     resolve_points_descriptor,
     sweep_rule_name,
 )
-from sphsolve import ContinuousKernel, SingularKernel, uniform_random_points
+from sphsolve import (ContinuousKernel, NonFiniteInputError, SingularKernel,
+                      uniform_random_points)
 
 
 # ------------------------------------------------------------- descriptors
 
 def test_kernel_descriptor_grammar() -> None:
-    assert parse_kernel_descriptor("one") == SingularKernel.one()
-    assert parse_kernel_descriptor("alg:-0.5") == SingularKernel.algebraic(-0.5)
-    assert parse_kernel_descriptor("algebraic:-0.5") == SingularKernel.algebraic(-0.5)
-    assert parse_kernel_descriptor("log") == SingularKernel.log()
-    assert parse_kernel_descriptor("mixed:-0.5:-0.25") == SingularKernel.mixed(-0.5, -0.25)
-    for bad in ("one:1", "alg", "alg:x", "mixed:-0.5", "alg:-1", "poly:2"):
-        with pytest.raises(ValidationError):
-            parse_kernel_descriptor(bad)
+    parse = SingularKernel.parse
+    assert parse("one") == SingularKernel.one()
+    assert parse("alg:-0.5") == SingularKernel.algebraic(-0.5)
+    assert parse("algebraic:-0.5") == SingularKernel.algebraic(-0.5)
+    assert parse("log") == SingularKernel.log()
+    assert parse("mixed:-0.5:-0.25") == SingularKernel.mixed(-0.5, -0.25)
+    for bad in ("one:1", "alg", "alg:x", "mixed:-0.5", "poly:2"):
+        with pytest.raises(ValueError, match=f"'{bad}'.*mixed:NU1:NU2"):
+            parse(bad)
+    # the constructor's own check passes through
+    with pytest.raises(ValueError, match="exponent must be > -1"):
+        parse("alg:-1")
 
 
 def test_K_descriptor_grammar() -> None:
-    assert parse_K_descriptor("const:2.5") == ContinuousKernel.constant(2.5)
-    assert parse_K_descriptor("sin:10") == ContinuousKernel.sin_scaled(10.0)
-    assert parse_K_descriptor("cos:10") == ContinuousKernel.cos_scaled(10.0)
-    for bad in ("const", "sin:x", "tan:1", "sin:1:2"):
-        with pytest.raises(ValidationError):
-            parse_K_descriptor(bad)
+    parse = ContinuousKernel.parse
+    assert parse("const:2.5") == ContinuousKernel.constant(2.5)
+    assert parse("sin:10") == ContinuousKernel.sin_scaled(10.0)
+    assert parse("cos:10") == ContinuousKernel.cos_scaled(10.0)
+    for bad in ("const", "sin:x", "tan:1", "sin:1:2", "custom"):
+        with pytest.raises(ValueError, match=f"'{bad}'.*cos:C"):
+            parse(bad)
+    with pytest.raises(NonFiniteInputError, match="not finite"):
+        parse("sin:inf")
 
 
 @pytest.mark.parametrize("value", [1.2345678, 0.1, 1e-7, -0.1234567])
@@ -57,10 +63,11 @@ def test_descriptors_round_trip_through_describe(value) -> None:
     for K in (ContinuousKernel.constant(value),
               ContinuousKernel.sin_scaled(value),
               ContinuousKernel.cos_scaled(value)):
-        assert parse_K_descriptor(K.describe()) == K
-    for h in (SingularKernel.algebraic(value),
+        assert ContinuousKernel.parse(K.describe()) == K
+    for h in (SingularKernel.one(), SingularKernel.log(),
+              SingularKernel.algebraic(value),
               SingularKernel.mixed(-1.0, -abs(value) / 2.0)):
-        assert parse_kernel_descriptor(h.describe()) == h
+        assert SingularKernel.parse(h.describe()) == h
     # the pinned short forms stay short
     assert ContinuousKernel.constant(1.0).describe() == "const:1"
     assert ContinuousKernel.sin_scaled(10.0).describe() == "sin:10"
@@ -97,12 +104,12 @@ def test_points_descriptor_validation(tmp_path) -> None:
         resolve_points_descriptor("equal_area:10", "file")
     with pytest.raises(ValidationError, match="weight"):
         resolve_points_descriptor("random:10:1", "file")
-    with pytest.raises(ValidationError, match="--weights"):
-        resolve_points_descriptor("equal_area:10", "auto")
     with pytest.raises(ValidationError, match="bad --points"):
         resolve_points_descriptor("lattice:10", "equal")
-    with pytest.raises(ValidationError, match=">= 1"):
-        resolve_points_descriptor("equal_area:0", "equal")
+    # the rule constructors reject m = 0 themselves
+    for empty in ("equal_area:0", "random:0:1"):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            resolve_points_descriptor(empty, "equal")
 
 
 def test_sweep_descriptor_and_rule_names() -> None:
@@ -140,6 +147,11 @@ def test_config_file_parsing(tmp_path) -> None:
     with pytest.raises(ValidationError, match="integer"):
         read_config_file(cfg)
 
+    cfg.write_text("kernel = log\nweights = auto\n")
+    with pytest.raises(ValidationError,
+                       match=r"run\.cfg:2: weights must be one of equal \| file"):
+        read_config_file(cfg)
+
     cfg.write_text("just a line\n")
     with pytest.raises(ValidationError, match="key=value"):
         read_config_file(cfg)
@@ -162,7 +174,8 @@ def test_config_file_supplies_and_flags_override(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize("entry, message", [("n = -1", "--n must be >= 0"),
-                                            ("grid = 0", "--grid must be >= 1")])
+                                            ("grid = 0", "--grid must be >= 1"),
+                                            ("seed = -1", "--seed must be >= 0")])
 def test_config_file_values_are_range_checked(entry, message, tmp_path,
                                               capsys) -> None:
     # the same bounds as for the flags, before any output is written
@@ -225,6 +238,17 @@ def test_moments_out_json(tmp_path, capsys) -> None:
                      "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     assert json.loads(out.read_text())["kernel"] == "algebraic:-0.1234567"
+
+
+def test_moments_out_csv_with_json_mirror(tmp_path, capsys) -> None:
+    # the one --out rule: a non-.json path gets stdout's CSV plus a mirror
+    out = tmp_path / "m.csv"
+    assert cli.main(["moments", "--kernel", "log", "--n", "4",
+                     "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == capsys.readouterr().out
+    assert out.read_text().splitlines()[0] == "l,mu,method"
+    payload = json.loads(out.with_suffix(".json").read_text())
+    assert payload["kernel"] == "log" and len(payload["values"]) == 5
 
 
 def test_moments_that_overflow_exit_2(capsys) -> None:
@@ -424,9 +448,9 @@ def test_csv_determinism_excluding_timing(tmp_path, capsys) -> None:
 
 
 def test_emit_results_header_only(tmp_path) -> None:
-    config = RunConfig(subcommand="experiment", id=1)
     out = tmp_path / "empty.csv"
-    cli.emit_results([], config, out)
+    config = RunConfig(subcommand="experiment", id=1, out=str(out))
+    cli.emit_results([], config)
     assert out.read_text() == CSV_HEADER + "\n"
     payload = json.loads(out.with_suffix(".json").read_text())
     assert payload["records"] == []

@@ -91,3 +91,12 @@ def test_coefficient_container_validation() -> None:
     from sphsolve.hyperinterp import HyperCoefficients
     with pytest.raises(ValueError, match="coefficients"):
         HyperCoefficients(n=2, coeffs=np.zeros(4), rule_label="x")
+    coeffs = np.zeros(9)
+    c = HyperCoefficients(n=2, coeffs=coeffs, rule_label="x")
+    coeffs[0] = 1.0  # the caller's array stays writable and apart
+    assert c.coeffs[0] == 0.0 and not c.coeffs.flags.writeable
+
+
+def test_evaluate_at_no_points(td10) -> None:
+    c = hyper_coefficients(td10, 5, np.ones(td10.m))
+    assert hyper_evaluate(c, np.empty((0, 3))).shape == (0,)

@@ -186,3 +186,7 @@ def test_moments_container_validation() -> None:
         ModifiedMoments(kernel, 2, np.zeros(5), "closed_form")
     with pytest.raises(ValueError, match="finite"):
         ModifiedMoments(kernel, 1, np.array([1.0, np.nan]), "oracle")
+    values = np.array([FOUR_PI, 0.0])
+    mom = ModifiedMoments(kernel, 1, values, "closed_form")
+    values[0] = np.nan  # the caller's array stays writable and apart
+    assert mom.values[0] == FOUR_PI and not mom.values.flags.writeable

@@ -42,6 +42,21 @@ def test_rule_is_immutable(octahedron) -> None:
         octahedron.weights[0] = 0.0
 
 
+def test_rule_copies_the_callers_arrays() -> None:
+    # the caller's arrays stay writable, and editing them, even to a point
+    # off the sphere, does not reach the validated rule
+    base = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0]])
+    weights = np.ones(4)
+    rule = QuadratureRule(points=base[:3], weights=weights[:3], label="view")
+    base[0] = (5.0, 0.0, 0.0)
+    weights[0] = -1.0
+    assert np.array_equal(rule.points[0], [0.0, 0.0, 1.0])
+    assert rule.weights[0] == 1.0
+    assert rule.points.flags.c_contiguous
+    assert not rule.points.flags.writeable
+
+
 def test_equal_area_rings_partition_counts() -> None:
     for m in (1, 2, 3, 10, 400, 441):
         rings = equal_area_rings(m)

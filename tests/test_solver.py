@@ -187,6 +187,16 @@ def test_stage2_reproduces_nodal_values(td20) -> None:
     assert np.max(np.abs(at_nodes - sol.nodal_values)) <= 1e-10
 
 
+@pytest.mark.parametrize("kernel, K", [
+    (SingularKernel.log(), ContinuousKernel.constant(0.5)),       # constant K
+    (SingularKernel.one(), ContinuousKernel.sin_scaled(2.0)),     # rank 1
+    (SingularKernel.log(), ContinuousKernel.cos_scaled(2.0))],    # general
+    ids=["constant", "rank-1", "general"])
+def test_stage2_at_no_targets(kernel, K, td10) -> None:
+    sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=1.0, n=4, rule=td10))
+    assert evaluate_stage2(sol, np.empty((0, 3))).shape == (0,)
+
+
 def test_uniform_error_against_self_and_callable(td10, eval_grid) -> None:
     spec = ProblemSpec(kernel=SingularKernel.one(),
                        K=ContinuousKernel.constant(1.0),
