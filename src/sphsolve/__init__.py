@@ -13,15 +13,11 @@ basis matrices.
 from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE,
                           EXPERIMENT_IDS, ExperimentRecord, experiment_f,
                           experiment_kernels, recompute_f, run_experiment)
-from .harmonics import (HarmonicBasis, HarmonicIndex, addition_kernel,
-                        eval_basis_matrix, eval_harmonic, flat_index,
-                        flat_to_index, legendre_P, legendre_table)
-from .hyperinterp import (HyperCoefficients, hyper_coefficients,
-                          hyper_evaluate, hyper_l2_norm)
+from .harmonics import HarmonicBasis, eval_basis_matrix, legendre_table
 from .moments import (ModifiedMoments, OracleAccuracyWarning, SingularKernel,
                       modified_moments, moments_algebraic, moments_log,
-                      moments_mixed, moments_one, oracle_moment,
-                      oracle_moments_vector, profile_integral)
+                      moments_mixed, moments_one, oracle_moments_vector,
+                      profile_integral)
 from .mz import MZReport, gram_matrix, mz_constant, quadrature_error_on_harmonics
 from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
@@ -29,32 +25,25 @@ from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
 from .solver import (ContinuousKernel, DiscreteSolution, IllConditionedWarning,
                      NonFiniteInputError, ProblemSpec, SingularSystemError,
                      assemble_system, evaluate_stage2, solve_stage1,
-                     uniform_error, weight_matrix, weight_row)
-from .sphere import (EvaluationGrid, euclidean_distance, geodesic_distance,
-                     mesh_norm, sphere_point, uniform_random_points)
+                     uniform_error, weight_matrix)
+from .sphere import EvaluationGrid, mesh_norm, uniform_random_points
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvaluationGrid", "euclidean_distance", "geodesic_distance", "mesh_norm",
-    "sphere_point", "uniform_random_points",
-    "HarmonicBasis", "HarmonicIndex", "addition_kernel", "eval_basis_matrix",
-    "eval_harmonic", "flat_index", "flat_to_index", "legendre_P",
-    "legendre_table",
+    "EvaluationGrid", "mesh_norm", "uniform_random_points",
+    "HarmonicBasis", "eval_basis_matrix", "legendre_table",
     "PointFileError", "QuadratureRule", "bundled_pointset_path",
     "bundled_pointsets", "equal_area_points", "load_pointset", "random_rule",
     "save_pointset",
     "MZReport", "gram_matrix", "mz_constant", "quadrature_error_on_harmonics",
     "ModifiedMoments", "OracleAccuracyWarning", "SingularKernel",
     "modified_moments", "moments_algebraic", "moments_log", "moments_mixed",
-    "moments_one", "oracle_moment", "oracle_moments_vector",
-    "profile_integral",
-    "HyperCoefficients", "hyper_coefficients", "hyper_evaluate",
-    "hyper_l2_norm",
+    "moments_one", "oracle_moments_vector", "profile_integral",
     "ContinuousKernel", "DiscreteSolution", "IllConditionedWarning",
     "NonFiniteInputError", "ProblemSpec", "SingularSystemError",
     "assemble_system", "evaluate_stage2", "solve_stage1", "uniform_error",
-    "weight_matrix", "weight_row",
+    "weight_matrix",
     "DEFAULT_GRID_SEED", "DEFAULT_GRID_SIZE", "EXPERIMENT_IDS",
     "ExperimentRecord", "experiment_f", "experiment_kernels", "recompute_f",
     "run_experiment",

@@ -178,8 +178,11 @@ def _emit(config: RunConfig, header: str, rows: list[str],
         out.write_text("".join(line + "\n" for line in [header, *rows]),
                        encoding="ascii")
         out = out.with_suffix(".json")
-    out.write_text(json.dumps({"config": dataclasses.asdict(config),
-                               **payload}, indent=2) + "\n", encoding="ascii")
+    document = {"config": dataclasses.asdict(config), **payload}
+    # NaN and Infinity are not JSON: the round trip writes null for them
+    document = json.loads(json.dumps(document), parse_constant=lambda _: None)
+    out.write_text(json.dumps(document, indent=2, allow_nan=False) + "\n",
+                   encoding="ascii")
 
 
 def emit_results(records: list[ExperimentRecord], config: RunConfig) -> None:

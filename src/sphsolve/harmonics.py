@@ -4,7 +4,7 @@ The basis {Y_{l,k}} is orthonormal with respect to the raw surface measure
 (total mass 4pi), so Parseval identities downstream carry no extra
 constants.  Convention, frozen for file-level reproducibility:
 
-  flat order: (0,1),(1,1),(1,2),(1,3),(2,1),...  with, inside degree l,
+  flat order: (0,1),(1,1),(1,2),(1,3),(2,1),... (row l*l + k - 1); in degree l,
   k = 1..l       -> sin(m phi) components, m = l..1,
   k = l+1        -> the zonal m = 0 harmonic,
   k = l+2..2l+1  -> cos(m phi) components, m = 1..l.
@@ -23,34 +23,12 @@ import numpy as np
 from .sphere import as_unit_vectors
 
 __all__ = [
-    "HarmonicIndex",
     "HarmonicBasis",
-    "legendre_P",
     "legendre_table",
-    "flat_index",
-    "flat_to_index",
-    "eval_harmonic",
     "eval_basis_matrix",
-    "addition_kernel",
 ]
 
 _DOMAIN_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Degree l >= 0 and order k in [1, 2l+1]."""
-
-    l: int
-    k: int
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError(f"degree must be >= 0, got {self.l}")
-        if not 1 <= self.k <= 2 * self.l + 1:
-            raise ValueError(
-                f"order k must lie in [1, {2 * self.l + 1}] for degree "
-                f"{self.l}, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -66,24 +44,6 @@ class HarmonicBasis:
     def __len__(self) -> int:
         return (self.n + 1) ** 2
 
-    def indices(self) -> list[HarmonicIndex]:
-        return [HarmonicIndex(l, k)
-                for l in range(self.n + 1)
-                for k in range(1, 2 * l + 2)]
-
-
-def flat_index(idx: HarmonicIndex) -> int:
-    """Position of (l, k) in the flat ordering: l^2 + (k - 1)."""
-    return idx.l * idx.l + (idx.k - 1)
-
-
-def flat_to_index(i: int) -> HarmonicIndex:
-    """Inverse of flat_index."""
-    if i < 0:
-        raise ValueError(f"flat index must be >= 0, got {i}")
-    l = math.isqrt(i)
-    return HarmonicIndex(l, i - l * l + 1)
-
 
 def _check_t(t):
     t = np.asarray(t, dtype=np.float64)
@@ -91,16 +51,6 @@ def _check_t(t):
         bad = float(t.flat[int(np.argmax(np.abs(t)))])
         raise ValueError(f"Legendre argument out of [-1, 1]: {bad!r}")
     return np.clip(t, -1.0, 1.0)
-
-
-def legendre_P(l: int, t):
-    """P_l(t) by the three-term recurrence; accepts scalars or arrays."""
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    t = _check_t(t)
-    scalar = t.ndim == 0
-    p = legendre_table(l, np.atleast_1d(t))[l]
-    return float(p[0]) if scalar else p
 
 
 def legendre_table(n: int, t) -> np.ndarray:
@@ -191,15 +141,3 @@ def eval_basis_matrix(basis: HarmonicBasis, points) -> np.ndarray:
     """Matrix of Y_i(x_j), (n+1)^2 rows by m columns, flat row order."""
     pts = as_unit_vectors(points)
     return _basis_matrix(basis.n, pts)
-
-
-def eval_harmonic(idx: HarmonicIndex, x) -> float:
-    """Value of one real orthonormal spherical harmonic at one point."""
-    col = eval_basis_matrix(HarmonicBasis(idx.l), np.asarray(x)[None, :])
-    return float(col[flat_index(idx), 0])
-
-
-def addition_kernel(l: int, x, y) -> float:
-    """Sum_k Y_{l,k}(x) Y_{l,k}(y) collapsed to ((2l+1)/(4pi)) P_l(x.y)."""
-    d = float(np.clip(np.dot(np.asarray(x), np.asarray(y)), -1.0, 1.0))
-    return (2 * l + 1) / (4.0 * math.pi) * legendre_P(l, d)

@@ -48,7 +48,6 @@ __all__ = [
     "moments_log",
     "moments_mixed",
     "modified_moments",
-    "oracle_moment",
     "oracle_moments_vector",
     "profile_integral",
 ]
@@ -101,7 +100,8 @@ class SingularKernel:
         if self.family == "one":
             pass
         elif self.family == "algebraic":
-            # nu <= -1 would put h outside L^1 of the sphere.
+            # h is in L^1 of the sphere for every nu > -2, but in L^2 only
+            # for nu > -1, and ||h||_2 bounds sum_j |W_j(x)|.
             if not self.nu > -1.0:
                 raise ValueError(f"algebraic exponent must be > -1, got {self.nu}")
         elif self.family == "log":
@@ -273,14 +273,9 @@ def oracle_moments_vector(h, n: int) -> np.ndarray:
     return totals
 
 
-def oracle_moment(h, l: int) -> float:
-    """2pi int h P_l(t) dt for a profile h(up, um); see oracle_moments_vector."""
-    return float(oracle_moments_vector(h, l)[l])
-
-
 def profile_integral(h) -> float:
     """2pi int_{-1}^1 h dt, the l = 0 moment of a profile h(up, um)."""
-    return oracle_moment(h, 0)
+    return float(oracle_moments_vector(h, 0)[0])
 
 
 def moments_one(n: int) -> ModifiedMoments:
@@ -295,7 +290,8 @@ def moments_algebraic(nu: float, n: int) -> ModifiedMoments:
 
     mu_0 = 2^(nu+2) pi Gamma((nu+2)/2) / Gamma(nu/2 + 2), and the rising
     factorial / Gamma shifts give the stable downward ratio
-    mu_{l+1} = mu_l (l - nu/2) / (l + nu/2 + 2).
+    mu_{l+1} = mu_l (l - nu/2) / (l + nu/2 + 2).  It holds for nu > -2,
+    where h is in L^1; nu > -1 keeps ||h||_2, which bounds sum_j |W_j(x)|.
     """
     kernel = SingularKernel.algebraic(nu)
     # numpy's power overflows to inf where Python's ** raises, so a huge nu

@@ -99,7 +99,6 @@ __all__ = [
     "SingularSystemError",
     "NonFiniteInputError",
     "IllConditionedWarning",
-    "weight_row",
     "weight_matrix",
     "assemble_system",
     "solve_stage1",
@@ -274,9 +273,13 @@ class ProblemSpec:
             raise ValueError(f"degree must be >= 0, got {self.n}")
 
     def f_values(self, points: np.ndarray) -> np.ndarray:
-        if callable(self.f):
-            return np.asarray(self.f(points), dtype=np.float64)
-        return np.full(points.shape[0], float(self.f))
+        if not callable(self.f):
+            return np.full(points.shape[0], float(self.f))
+        values = np.asarray(self.f(points), dtype=np.float64)
+        if values.shape != (points.shape[0],):
+            raise ValueError(f"f must return shape ({points.shape[0]},), "
+                             f"got {values.shape}")
+        return values
 
 
 @dataclass(frozen=True)
@@ -317,11 +320,6 @@ def weight_matrix(rule: QuadratureRule, moments: ModifiedMoments,
     left = _target_factor(moments, as_unit_vectors(targets))
     return _blas.matmul(left.T, _rule_factor(
         rule, moments, _target_factor(moments, rule.points)))
-
-
-def weight_row(rule: QuadratureRule, moments: ModifiedMoments, x) -> np.ndarray:
-    """W_j(x) at a single target, length m."""
-    return weight_matrix(rule, moments, np.asarray(x)[None, :])[0]
 
 
 def _active_rows(moments: ModifiedMoments):
@@ -644,16 +642,16 @@ def solve_stage1(spec: ProblemSpec,
 
     A constant K with (n+1)^2 < m takes the low-rank path (Woodbury on the
     r x r reduced system); every other problem is assembled and solved by
-    _solve_dense, a float32 LU refined in float64.
-    The basis of the nodes is evaluated once: it gives the Gram matrix for
-    eta, then, with row 0 set to ones and only the rows of _active_rows,
-    the factor of either path.  The solution keeps the right factor of the
-    weights for stage 2.  Raises NonFiniteInputError before any basis or
-    assembly work when f(x_i) is not finite (or, on the dense path, when K
-    gives a non-finite entry; a non-finite c never gets this far);
-    SingularSystemError naming the zero pivot when a factorization breaks
-    down; attaches IllConditionedWarning when the infinity-norm condition
-    estimate of M exceeds 1e12.
+    _solve_dense, a float32 LU refined in float64.  The basis of the nodes
+    is evaluated once: it gives the Gram matrix for eta, then, with row 0
+    set to ones and only the rows of _active_rows, the factor of either
+    path.  The solution keeps the right factor of the weights for stage 2.
+    Before any basis or assembly work, raises ValueError when a callable f
+    does not return shape (m,), and NonFiniteInputError when f(x_i) is not
+    finite (or, on the dense path, when K gives a non-finite entry; a
+    non-finite c never gets this far); SingularSystemError naming the zero
+    pivot when a factorization breaks down; attaches IllConditionedWarning
+    when the infinity-norm condition estimate of M exceeds 1e12.
     """
     if moments is None:
         moments = modified_moments(spec.kernel, spec.n)

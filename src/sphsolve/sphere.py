@@ -1,4 +1,4 @@
-"""Geometry of the unit sphere: points, distances, sampling, mesh norm.
+"""Geometry of the unit sphere: points, sampling, mesh norm.
 
 Points are unit vectors stored as float64 numpy arrays, shape (3,) for a
 single point or (m, 3) for a batch.  All functions are pure.
@@ -6,37 +6,19 @@ single point or (m, 3) for a batch.  All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "UNIT_NORM_TOL",
     "EvaluationGrid",
-    "sphere_point",
     "as_unit_vectors",
-    "euclidean_distance",
-    "geodesic_distance",
     "uniform_random_points",
     "mesh_norm",
 ]
 
 UNIT_NORM_TOL = 1e-12
-
-
-def sphere_point(coords) -> np.ndarray:
-    """Validate and normalize a single point on the sphere.
-
-    Accepts any 3-vector whose norm is within 1e-12 of 1 and returns it
-    normalized exactly.  Rejects everything else.
-    """
-    v = np.asarray(coords, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    r = float(np.linalg.norm(v))
-    if abs(r - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"not a unit vector: |coords| = {r!r}")
-    return v / r
 
 
 def as_unit_vectors(points) -> np.ndarray:
@@ -70,27 +52,6 @@ class EvaluationGrid:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def _clamped_dot(x, y):
-    d = np.sum(np.asarray(x, dtype=np.float64) * np.asarray(y, dtype=np.float64),
-               axis=-1)
-    return np.clip(d, -1.0, 1.0)
-
-
-def euclidean_distance(x, y):
-    """|x - y| = sqrt(2 (1 - x.y)) for unit vectors, broadcast over batches.
-
-    The radicand is clamped at 0 so round-off near coincident points can
-    never produce a NaN.
-    """
-    d = _clamped_dot(x, y)
-    return np.sqrt(np.maximum(2.0 * (1.0 - d), 0.0))
-
-
-def geodesic_distance(x, y):
-    """Great-circle distance arccos(x.y) in radians, in [0, pi]."""
-    return np.arccos(_clamped_dot(x, y))
 
 
 def uniform_random_points(m: int, seed: int) -> EvaluationGrid:

@@ -88,7 +88,7 @@ def test_eigvalsh_matches_numpy(size) -> None:
     assert_close(_blas.eigvalsh(a), np.linalg.eigvalsh(a))
 
 
-GUARDED_MODULES = ("solver.py", "mz.py", "moments.py", "hyperinterp.py")
+GUARDED_MODULES = ("solver.py", "mz.py", "moments.py")
 NUMPY_PRODUCTS = ("np.matmul", "np.dot", "np.linalg.eigvalsh")
 
 

@@ -330,13 +330,24 @@ def test_solve_explicit_f_constant_K_scales_solution(capsys) -> None:
     assert float(lines[1].split(",")[4]) <= 1e-10
 
 
-def test_solve_oscillatory_K_reports_nan_error(capsys) -> None:
+def reject_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_solve_oscillatory_K_reports_nan_error(tmp_path, capsys) -> None:
     # no known exact solution: uniform_error column is nan, exit still 0
+    out = tmp_path / "run.csv"
     assert cli.main(["solve", "--kernel", "one", "--K", "sin:10",
                      "--f", "const:1", "--n", "3",
-                     "--points", "equal_area:64", "--grid", "200"]) == EXIT_OK
+                     "--points", "equal_area:64", "--grid", "200",
+                     "--out", str(out)]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert math.isnan(float(lines[1].split(",")[4]))
+    assert math.isnan(float(out.read_text().splitlines()[1].split(",")[4]))
+    # the mirror is strict JSON: the nan of the CSV is null there
+    mirror = json.loads(out.with_suffix(".json").read_text(),
+                        parse_constant=reject_constant)
+    assert mirror["records"][0]["uniform_error"] is None
 
 
 def test_solve_auto_rhs_requires_constant_K(capsys) -> None:

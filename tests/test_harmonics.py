@@ -11,107 +11,95 @@ from hypothesis import strategies as st
 
 from sphsolve import (
     HarmonicBasis,
-    HarmonicIndex,
-    addition_kernel,
     eval_basis_matrix,
-    eval_harmonic,
-    flat_index,
-    flat_to_index,
-    legendre_P,
     legendre_table,
     uniform_random_points,
 )
 
 
+def addition_sum(l: int, x, y) -> float:
+    """sum_k Y_{l,k}(x) Y_{l,k}(y), the rows of degree l from the basis."""
+    Y = eval_basis_matrix(HarmonicBasis(l), np.array([x, y]))[l * l:]
+    return float(np.dot(Y[:, 0], Y[:, 1]))
+
+
 def test_legendre_fixed_values() -> None:
-    assert legendre_P(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
-    assert legendre_P(10, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert legendre_P(0, -0.3) == 1.0
-    assert legendre_P(1, -0.3) == pytest.approx(-0.3, abs=1e-15)
+    P = legendre_table(10, np.array([0.5, 1.0, -0.3]))
+    assert P[2, 0] == pytest.approx(-0.125, abs=1e-15)
+    assert P[10, 1] == pytest.approx(1.0, abs=1e-14)
+    assert P[0, 2] == 1.0
+    assert P[1, 2] == pytest.approx(-0.3, abs=1e-15)
 
 
 @given(st.integers(0, 200), st.floats(-1.0, 1.0))
 @settings(max_examples=300, deadline=None)
 def test_legendre_bounded_on_interval(l: int, t: float) -> None:
     # |P_l| <= 1 on [-1, 1]; the recurrence must not blow up through l=200
-    assert abs(legendre_P(l, t)) <= 1.0 + 1e-12
+    assert np.max(np.abs(legendre_table(l, t))) <= 1.0 + 1e-12
 
 
 def test_legendre_endpoint_parity() -> None:
-    for l in range(0, 30):
-        assert legendre_P(l, 1.0) == pytest.approx(1.0, abs=1e-13)
-        assert legendre_P(l, -1.0) == pytest.approx((-1.0) ** l, abs=1e-13)
+    P = legendre_table(29, np.array([1.0, -1.0]))
+    parity = (-1.0) ** np.arange(30)
+    assert np.allclose(P[:, 0], 1.0, rtol=0.0, atol=1e-13)
+    assert np.allclose(P[:, 1], parity, rtol=0.0, atol=1e-13)
 
 
 def test_legendre_table_matches_scalar_calls() -> None:
     t = np.linspace(-1.0, 1.0, 17)
     table = legendre_table(12, t)
     assert table.shape == (13, 17)
+    for i in (0, 5, 8, 16):
+        assert np.array_equal(table[:, i], legendre_table(12, t[i]))
+    # against numpy's Legendre series, an independent evaluation
     for l in (0, 3, 7, 12):
-        assert np.allclose(table[l], legendre_P(l, t), atol=1e-14)
+        assert np.allclose(table[l], np.polynomial.legendre.legval(
+            t, np.eye(13)[l]), rtol=0.0, atol=1e-14)
 
 
 def test_legendre_rejects_out_of_domain() -> None:
     with pytest.raises(ValueError, match="out of"):
-        legendre_P(3, 1.5)
-    with pytest.raises(ValueError):
-        legendre_P(-1, 0.0)
-
-
-def test_flat_index_round_trip() -> None:
-    i = 0
-    for l in range(0, 15):
-        for k in range(1, 2 * l + 2):
-            idx = HarmonicIndex(l, k)
-            assert flat_index(idx) == i
-            assert flat_to_index(i) == idx
-            i += 1
-
-
-def test_harmonic_index_validation() -> None:
-    with pytest.raises(ValueError):
-        HarmonicIndex(2, 0)
-    with pytest.raises(ValueError):
-        HarmonicIndex(2, 6)  # 2l+1 = 5
-    with pytest.raises(ValueError):
-        HarmonicIndex(-1, 1)
+        legendre_table(3, 1.5)
+    with pytest.raises(ValueError, match="out of"):
+        legendre_table(3, np.array([0.0, -1.0 - 1e-9]))
 
 
 def test_constant_harmonic_value() -> None:
     # Y_{0,1} = 1/sqrt(4 pi) everywhere
     c = 1.0 / math.sqrt(4.0 * math.pi)
-    for x in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]):
-        assert eval_harmonic(HarmonicIndex(0, 1), x) == pytest.approx(
-            0.28209479177, abs=1e-11)
-        assert eval_harmonic(HarmonicIndex(0, 1), x) == pytest.approx(c, abs=1e-15)
+    Y0 = eval_basis_matrix(HarmonicBasis(0), [[0.0, 0.0, 1.0],
+                                               [1.0, 0.0, 0.0]])
+    assert Y0.shape == (1, 2)
+    for value in Y0[0]:
+        assert value == pytest.approx(0.28209479177, abs=1e-11)
+        assert value == pytest.approx(c, abs=1e-15)
 
 
 def test_zonal_harmonic_at_pole() -> None:
-    # the k = l+1 member is zonal; at the pole it equals sqrt((2l+1)/4pi)
-    assert eval_harmonic(HarmonicIndex(1, 2), [0.0, 0.0, 1.0]) == pytest.approx(
-        0.48860251190, abs=1e-11)
-    for l in range(0, 8):
-        val = eval_harmonic(HarmonicIndex(l, l + 1), [0.0, 0.0, 1.0])
-        assert val == pytest.approx(math.sqrt((2 * l + 1) / (4.0 * math.pi)),
-                                    abs=1e-12)
-    # every non-zonal harmonic vanishes at the pole
+    # (l, k) sits in row l*l + k - 1; the k = l+1 member is zonal, and at
+    # the pole it equals sqrt((2l+1)/4pi)
     pole = np.array([[0.0, 0.0, 1.0]])
-    Y = eval_basis_matrix(HarmonicBasis(6), pole)[:, 0]
-    for l in range(0, 7):
+    Y = eval_basis_matrix(HarmonicBasis(7), pole)[:, 0]
+    assert Y[1 * 1 + 2 - 1] == pytest.approx(0.48860251190, abs=1e-11)
+    for l in range(0, 8):
+        assert Y[l * l + l] == pytest.approx(
+            math.sqrt((2 * l + 1) / (4.0 * math.pi)), abs=1e-12)
+    # every non-zonal harmonic vanishes at the pole
+    for l in range(0, 8):
         for k in range(1, 2 * l + 2):
             if k != l + 1:
-                assert abs(Y[flat_index(HarmonicIndex(l, k))]) <= 1e-13
+                assert abs(Y[l * l + k - 1]) <= 1e-13
 
 
 def test_addition_kernel_fixed_values() -> None:
     x = np.array([0.0, 0.0, 1.0])
-    assert addition_kernel(3, x, x) == pytest.approx(
+    assert addition_sum(3, x, x) == pytest.approx(
         7.0 / (4.0 * math.pi), abs=1e-12)
-    assert addition_kernel(3, x, x) == pytest.approx(0.55704230082, abs=1e-11)
+    assert addition_sum(3, x, x) == pytest.approx(0.55704230082, abs=1e-11)
     # dot = 0.5: (5/4pi) P_2(0.5) = -0.125 * 5/(4 pi)
     y = np.array([0.5, math.sqrt(0.75), 0.0])
     x2 = np.array([1.0, 0.0, 0.0])
-    assert addition_kernel(2, x2, y) == pytest.approx(-0.04973591971, abs=1e-11)
+    assert addition_sum(2, x2, y) == pytest.approx(-0.04973591971, abs=1e-11)
 
 
 def test_addition_theorem_against_explicit_sum() -> None:
@@ -121,13 +109,13 @@ def test_addition_theorem_against_explicit_sum() -> None:
     n = 30
     Yx = eval_basis_matrix(HarmonicBasis(n), xs)
     Yy = eval_basis_matrix(HarmonicBasis(n), ys)
+    P = legendre_table(n, np.clip(np.sum(xs * ys, axis=1), -1.0, 1.0))
     worst = 0.0
     for l in range(0, n + 1):
         rows = slice(l * l, (l + 1) * (l + 1))
         direct = np.sum(Yx[rows] * Yy[rows], axis=0)
-        for i in range(200):
-            collapsed = addition_kernel(l, xs[i], ys[i])
-            worst = max(worst, abs(direct[i] - collapsed))
+        collapsed = (2 * l + 1) / (4.0 * math.pi) * P[l]
+        worst = max(worst, float(np.max(np.abs(direct - collapsed))))
     assert worst <= 1e-11
 
 
@@ -137,8 +125,8 @@ def test_basis_matrix_shape_and_single_point_consistency() -> None:
     Y = eval_basis_matrix(basis, grid.points)
     assert Y.shape == (25, 5)
     assert len(basis) == 25
-    assert len(basis.indices()) == 25
-    for idx in (HarmonicIndex(3, 1), HarmonicIndex(4, 9), HarmonicIndex(2, 3)):
+    for l, k in ((3, 1), (4, 9), (2, 3)):
         for j in range(5):
-            assert Y[flat_index(idx), j] == pytest.approx(
-                eval_harmonic(idx, grid.points[j]), abs=1e-13)
+            single = eval_basis_matrix(HarmonicBasis(l), grid.points[j])
+            assert Y[l * l + k - 1, j] == pytest.approx(
+                single[l * l + k - 1, 0], abs=1e-13)

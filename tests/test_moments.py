@@ -23,8 +23,8 @@ from sphsolve import (
     moments_log,
     moments_mixed,
     moments_one,
-    oracle_moment,
     oracle_moments_vector,
+    profile_integral,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -167,7 +167,7 @@ def test_oracle_warns_when_it_cannot_certify() -> None:
     # up^-0.999 sheds only a factor 2^-0.001 per dyadic level toward +1, so
     # no tail contracts enough to extrapolate within the level cap
     with pytest.warns(OracleAccuracyWarning):
-        oracle_moment(lambda up, um: up ** -0.999, 0)
+        profile_integral(lambda up, um: up ** -0.999)
 
 
 def test_oracle_exact_endpoint_profiles_certify_silently() -> None:
@@ -175,7 +175,7 @@ def test_oracle_exact_endpoint_profiles_certify_silently() -> None:
     import warnings as _warnings
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", OracleAccuracyWarning)
-        value = oracle_moment(kernel.profile, 0)
+        value = profile_integral(kernel.profile)
     assert value == pytest.approx(moments_algebraic(-0.9, 0).values[0],
                                   rel=1e-13)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,7 +22,6 @@ from scipy.special import lpmv
 from sphsolve import (
     ContinuousKernel,
     HarmonicBasis,
-    HarmonicIndex,
     IllConditionedWarning,
     ModifiedMoments,
     NonFiniteInputError,
@@ -35,7 +35,6 @@ from sphsolve import (
     evaluate_stage2,
     experiment_f,
     experiment_kernels,
-    flat_index,
     legendre_table,
     modified_moments,
     mz_constant,
@@ -47,7 +46,6 @@ from sphsolve import (
     uniform_error,
     uniform_random_points,
     weight_matrix,
-    weight_row,
 )
 from sphsolve import _blas, _kernels, solver
 
@@ -92,7 +90,8 @@ def test_weight_matrix_collapses_to_weights_without_singularity(td20) -> None:
     assert np.max(np.abs(W - td20.weights[None, :])) <= 1e-12
 
     x = targets[3]
-    assert np.allclose(weight_row(td20, moments, x), W[3], atol=1e-15)
+    assert np.allclose(weight_matrix(td20, moments, x[None, :])[0], W[3],
+                       atol=1e-15)
 
 
 def test_weight_sums_obey_hyperinterpolant_bound(td40) -> None:
@@ -549,7 +548,7 @@ def test_low_rank_matches_dense_lu(case, request, eval_grid) -> None:
 
 def harmonic_values(l: int, k: int, points: np.ndarray) -> np.ndarray:
     Y = eval_basis_matrix(HarmonicBasis(l), points)
-    return Y[flat_index(HarmonicIndex(l, k))]
+    return Y[l * l + k - 1]
 
 
 @pytest.mark.parametrize("kernel", [SingularKernel.log(),
@@ -861,6 +860,43 @@ def test_non_finite_f_is_named_before_assembly(K, td10, monkeypatch) -> None:
         with pytest.raises(NonFiniteInputError, match="constant K"):
             ContinuousKernel.constant(c)
     assert issubclass(NonFiniteInputError, ValueError)
+
+
+@pytest.mark.parametrize("K", [ContinuousKernel.constant(1.0),
+                               ContinuousKernel.cos_scaled(10.0)],
+                         ids=["low-rank", "dense"])
+@pytest.mark.parametrize("f, got", [
+    (lambda points: np.ones((points.shape[0], 1)), "(121, 1)"),
+    (lambda points: 0.5, "()"),
+], ids=["column", "scalar"])
+def test_f_of_the_wrong_shape_is_named_before_assembly(K, f, got, td10,
+                                                       monkeypatch) -> None:
+    def never(*args, **kwargs):
+        raise AssertionError("assembled or factored a problem with a bad f")
+
+    monkeypatch.setattr(solver, "_weighted_kernel_block", never)
+    monkeypatch.setattr(solver, "_rule_factor", never)
+    monkeypatch.setattr(solver, "lu_factor", never)
+    spec = ProblemSpec(kernel=SingularKernel.log(), K=K, f=f, n=5, rule=td10)
+    with pytest.raises(ValueError, match=re.escape(
+            f"f must return shape (121,), got {got}")):
+        solve_stage1(spec)
+
+
+@pytest.mark.parametrize("K", [ContinuousKernel.constant(1.0),
+                               ContinuousKernel.cos_scaled(10.0)],
+                         ids=["low-rank", "dense"])
+def test_f_of_the_wrong_shape_is_named_in_stage2(K, td10) -> None:
+    # right at the nodes, wrong elsewhere: stage 2 names the shape it got
+    def f(points: np.ndarray):
+        return np.ones(121) if points.shape[0] == 121 else np.ones((7, 1))
+
+    sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K, f=f,
+                                   n=5, rule=td10))
+    assert sol.path == ("low-rank" if K.family == "constant" else "dense-lu")
+    with pytest.raises(ValueError, match=re.escape(
+            "f must return shape (7,), got (7, 1)")):
+        evaluate_stage2(sol, uniform_random_points(7, seed=3).points)
 
 
 @pytest.mark.parametrize("make_K", [ContinuousKernel.sin_scaled,

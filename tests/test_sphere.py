@@ -1,4 +1,4 @@
-"""Geometry primitives: distances, sampling, mesh norm."""
+"""Geometry primitives: sampling, mesh norm, the chord distance."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphsolve import (
@@ -17,45 +17,20 @@ from sphsolve import (
     bundled_pointset_path,
     bundled_pointsets,
     equal_area_points,
-    euclidean_distance,
-    geodesic_distance,
     load_pointset,
     mesh_norm,
     random_rule,
+    solver,
     sphere,
-    sphere_point,
     uniform_random_points,
 )
 from sphsolve.sphere import as_unit_vectors
-
-
-def test_sphere_point_accepts_and_normalizes() -> None:
-    x = sphere_point([1.0, 0.0, 0.0])
-    assert np.allclose(x, [1.0, 0.0, 0.0])
-    # a vector off unit length by more than 1e-12 is rejected
-    with pytest.raises(ValueError, match="not a unit vector"):
-        sphere_point([1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="3-vector"):
-        sphere_point([1.0, 0.0])
 
 
 def test_as_unit_vectors_reports_offending_row() -> None:
     pts = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.5]])
     with pytest.raises(ValueError, match="row 1"):
         as_unit_vectors(pts)
-
-
-def test_euclidean_distance_orthogonal_pair() -> None:
-    x = sphere_point([1.0, 0.0, 0.0])
-    y = sphere_point([0.0, 1.0, 0.0])
-    assert euclidean_distance(x, y) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-
-
-def test_euclidean_distance_extremes() -> None:
-    x = sphere_point([0.0, 0.0, 1.0])
-    assert euclidean_distance(x, x) == 0.0
-    assert euclidean_distance(x, -x) == pytest.approx(2.0, abs=1e-15)
-    assert geodesic_distance(x, -x) == pytest.approx(math.pi, abs=1e-15)
 
 
 @st.composite
@@ -69,13 +44,17 @@ def unit_vectors(draw):
 
 
 @given(unit_vectors(), unit_vectors())
+@example(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
+@example(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
 @settings(max_examples=200, deadline=None)
 def test_chord_angle_relation(x, y) -> None:
-    # |x - y| = 2 sin(theta/2) for the great-circle angle theta
-    theta = geodesic_distance(x, y)
+    # |x - y| = 2 sin(theta/2) for the great-circle angle theta, with the
+    # distance formed as assembly and stage 2 form it, from -2 x.y
+    dot = float(np.sum(x * y))
+    theta = math.acos(min(max(dot, -1.0), 1.0))
     assert 0.0 <= theta <= math.pi
-    assert euclidean_distance(x, y) == pytest.approx(
-        2.0 * math.sin(theta / 2.0), abs=1e-12)
+    r = solver._distance_from_scaled_dots(np.array([-2.0 * dot]))
+    assert r[0] == pytest.approx(2.0 * math.sin(theta / 2.0), abs=1e-12)
 
 
 def test_uniform_random_is_reproducible() -> None:
