@@ -16,6 +16,7 @@ upward recurrences on the fully normalized functions, stable to l ~ 200.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,16 @@ __all__ = [
 _DOMAIN_SLACK = 1e-12
 
 
+def _check_degree(n) -> None:
+    """ValueError unless n is an integer (numpy's included) and >= 0."""
+    try:
+        valid = operator.index(n) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"degree must be an integer >= 0, got {n!r}")
+
+
 @dataclass(frozen=True)
 class HarmonicBasis:
     """All harmonics of degree <= n in the frozen flat order."""
@@ -38,8 +49,7 @@ class HarmonicBasis:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"max degree must be >= 0, got {self.n}")
+        _check_degree(self.n)
 
     def __len__(self) -> int:
         return (self.n + 1) ** 2
@@ -58,6 +68,7 @@ def legendre_table(n: int, t) -> np.ndarray:
 
     (l+1) P_{l+1} = (2l+1) t P_l - l P_{l-1}, P_0 = 1, P_1 = t.
     """
+    _check_degree(n)
     t = _check_t(t)
     out = np.empty((n + 1,) + t.shape, dtype=np.float64)
     out[0] = 1.0

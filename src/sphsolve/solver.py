@@ -269,8 +269,7 @@ class ProblemSpec:
     rule: QuadratureRule
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"degree must be >= 0, got {self.n}")
+        harmonics._check_degree(self.n)
 
     def f_values(self, points: np.ndarray) -> np.ndarray:
         if not callable(self.f):
@@ -459,11 +458,6 @@ def _kernel_matrix_by_halves(nodes: np.ndarray, left: np.ndarray,
     return out
 
 
-def _check_moments(spec: ProblemSpec, moments: ModifiedMoments) -> None:
-    if moments.n != spec.n or moments.kernel != spec.kernel:
-        raise ValueError("moments do not match the problem kernel/degree")
-
-
 def _nodal_rhs(spec: ProblemSpec) -> np.ndarray:
     """f(x_i), once every f(x_i) is known to be finite."""
     b = spec.f_values(spec.rule.points)
@@ -488,7 +482,8 @@ def assemble_system(spec: ProblemSpec,
     """
     if moments is None:
         moments = modified_moments(spec.kernel, spec.n)
-    _check_moments(spec, moments)
+    if moments.n != spec.n or moments.kernel != spec.kernel:
+        raise ValueError("moments do not match the problem kernel/degree")
     b = _nodal_rhs(spec)
     if left is None:
         left = _target_factor(moments, spec.rule.points)
@@ -636,26 +631,25 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
     return phi, residual, cond, V
 
 
-def solve_stage1(spec: ProblemSpec,
-                 moments: ModifiedMoments | None = None) -> DiscreteSolution:
+def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     """Solve the collocation system; record eta and diagnostics.
 
-    A constant K with (n+1)^2 < m takes the low-rank path (Woodbury on the
-    r x r reduced system); every other problem is assembled and solved by
-    _solve_dense, a float32 LU refined in float64.  The basis of the nodes
-    is evaluated once: it gives the Gram matrix for eta, then, with row 0
-    set to ones and only the rows of _active_rows, the factor of either
-    path.  The solution keeps the right factor of the weights for stage 2.
-    Before any basis or assembly work, raises ValueError when a callable f
-    does not return shape (m,), and NonFiniteInputError when f(x_i) is not
-    finite (or, on the dense path, when K gives a non-finite entry; a
-    non-finite c never gets this far); SingularSystemError naming the zero
-    pivot when a factorization breaks down; attaches IllConditionedWarning
-    when the infinity-norm condition estimate of M exceeds 1e12.
+    The modified moments of spec.kernel to degree spec.n are computed here
+    and kept on the solution.  A constant K with (n+1)^2 < m takes the
+    low-rank path (Woodbury on the r x r reduced system); every other
+    problem is assembled and solved by _solve_dense, a float32 LU refined in
+    float64.  The basis of the nodes is evaluated once: it gives the Gram
+    matrix for eta, then, with row 0 set to ones and only the rows of
+    _active_rows, the factor of either path.  The solution keeps the right
+    factor of the weights for stage 2.  Before any basis or assembly work,
+    raises ValueError when a callable f does not return shape (m,), and
+    NonFiniteInputError when f(x_i) is not finite (or, on the dense path,
+    when K gives a non-finite entry; a non-finite c never gets this far);
+    SingularSystemError naming the zero pivot when a factorization breaks
+    down; attaches IllConditionedWarning when the infinity-norm condition
+    estimate of M exceeds 1e12.
     """
-    if moments is None:
-        moments = modified_moments(spec.kernel, spec.n)
-    _check_moments(spec, moments)
+    moments = modified_moments(spec.kernel, spec.n)
     b = _nodal_rhs(spec)
     Y = harmonics.eval_basis_matrix(HarmonicBasis(spec.n), spec.rule.points)
     eta = gram_spectrum(gram_matrix(spec.rule, spec.n, basis=Y))[0]

@@ -62,6 +62,12 @@ def test_legendre_rejects_out_of_domain() -> None:
         legendre_table(3, 1.5)
     with pytest.raises(ValueError, match="out of"):
         legendre_table(3, np.array([0.0, -1.0 - 1e-9]))
+    for n in (-1, -3, 2.5, 3.0):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            legendre_table(n, 0.0)
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        HarmonicBasis(2.5)
+    assert legendre_table(np.int64(2), 0.5)[2] == -0.125
 
 
 def test_constant_harmonic_value() -> None:

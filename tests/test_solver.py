@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -284,10 +285,11 @@ def test_near_singular_system_warns(td10) -> None:
 
 
 def test_problem_spec_validation(td10) -> None:
-    with pytest.raises(ValueError):
-        ProblemSpec(kernel=SingularKernel.one(),
-                    K=ContinuousKernel.constant(1.0),
-                    f=1.0, n=-1, rule=td10)
+    for n in (-1, 2.5):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            ProblemSpec(kernel=SingularKernel.one(),
+                        K=ContinuousKernel.constant(1.0),
+                        f=1.0, n=n, rule=td10)
     spec = ProblemSpec(kernel=SingularKernel.one(),
                        K=ContinuousKernel.constant(1.0),
                        f=2.5, n=0, rule=td10)
@@ -383,9 +385,14 @@ def weighted_kernel(rule, moments, K, targets) -> np.ndarray:
     return weight_matrix(rule, moments, targets) * K.of_dots(dots)
 
 
-@pytest.mark.parametrize("n", [0, 1, 10, 20])
-@pytest.mark.parametrize("K_name", sorted(EQUIVALENCE_KERNELS))
-@pytest.mark.parametrize("rule_name", ["td20", "random500"])
+WEIGHTED_KERNEL_CASES = [
+    *itertools.product(["td20", "random500"], sorted(EQUIVALENCE_KERNELS),
+                       [0, 1, 10, 20]),
+    ("random500", "sin", 40),  # the degree of the bundled t = 40 design
+]
+
+
+@pytest.mark.parametrize("rule_name, K_name, n", WEIGHTED_KERNEL_CASES)
 def test_weighted_kernel_matches_legendre_sum(rule_name, K_name, n,
                                               request) -> None:
     # the GEMM of basis matrices against the direct Legendre zonal sum
@@ -573,7 +580,7 @@ def test_low_rank_reproduces_harmonic_solution(kernel, l, td20,
 
         sol = solve_stage1(ProblemSpec(kernel=kernel,
                                        K=ContinuousKernel.constant(c),
-                                       f=f, n=n, rule=td20), moments)
+                                       f=f, n=n, rule=td20))
         assert sol.path == "low-rank"
         exact = harmonic_values(l, k, td20.points)
         assert np.max(np.abs(sol.nodal_values - exact)) <= 1e-13
@@ -1147,9 +1154,8 @@ def test_solve_evaluates_node_basis_once(K, td10, monkeypatch) -> None:
     # one node basis per solve: the Gram matrix for eta and the factor of
     # either path share it
     seen = count_basis_calls(monkeypatch, td10.points)
-    moments = modified_moments(SingularKernel.log(), 5)
     sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0,
-                                   n=5, rule=td10), moments)
+                                   n=5, rule=td10))
     assert sol.path == ("low-rank" if K.family == "constant" else "dense-lu")
     assert seen == [True]
 
