@@ -57,7 +57,7 @@ class HarmonicBasis:
 
 def _check_t(t):
     t = np.asarray(t, dtype=np.float64)
-    if np.any(np.abs(t) > 1.0 + _DOMAIN_SLACK):
+    if not np.all(np.abs(t) <= 1.0 + _DOMAIN_SLACK):  # NaN fails too
         bad = float(t.flat[int(np.argmax(np.abs(t)))])
         raise ValueError(f"Legendre argument out of [-1, 1]: {bad!r}")
     return np.clip(t, -1.0, 1.0)

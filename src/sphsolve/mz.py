@@ -122,8 +122,9 @@ def mz_constant(rule: QuadratureRule, n: int,
     leading (n+1)^2 rows are the degree-n basis of the Gram matrix, and all
     of its rows give the exactness degree.  The default probe for the mesh
     norm has min(100 m, 100000) points, seeded for reproducibility;
-    sphere.mesh_norm finds each probe point's nearest node exactly with a
-    k-d tree.
+    sphere.mesh_norm queries a k-d tree only at the probe points that a
+    lat-long cell bound cannot rule out, and returns bit for bit the value
+    of a query at every probe point.
     """
     Y = eval_basis_matrix(HarmonicBasis(2 * n + 1), rule.points)
     eta, lam_min, lam_max = gram_spectrum(

@@ -65,11 +65,12 @@ class QuadratureRule:
         if pts.shape[0] == 0:
             raise ValueError("a quadrature rule needs at least one point")
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            j = int(np.argmax(np.abs(norms - 1.0)))
+        # each check is "not (valid)", so that a NaN fails it
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
+            j = int(np.argmax(np.abs(norms - 1.0)))  # a NaN row comes first
             raise ValueError(f"point {j} is not on the unit sphere: |x| = {norms[j]!r}")
-        if np.any(w <= 0.0):
-            j = int(np.argmax(w <= 0.0))
+        if not np.all(w > 0.0):
+            j = int(np.argmin(w > 0.0))
             raise ValueError(f"weight {j} is not positive: {w[j]!r}")
         total = float(np.sum(w))
         if total > DEFAULT_WEIGHT_BOUND:

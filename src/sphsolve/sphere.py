@@ -6,6 +6,7 @@ single point or (m, 3) for a batch.  All functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ def as_unit_vectors(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (m, 3) points, got shape {pts.shape}")
     norms = np.linalg.norm(pts, axis=1)
-    bad = np.abs(norms - 1.0) > UNIT_NORM_TOL
+    bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # a NaN row is bad too
     if np.any(bad):
         j = int(np.argmax(bad))
         raise ValueError(f"row {j} is not a unit vector: |x| = {norms[j]!r}")
@@ -72,6 +73,48 @@ def uniform_random_points(m: int, seed: int) -> EvaluationGrid:
     return EvaluationGrid(points=v / norms[:, None], seed=seed)
 
 
+# Every _SAMPLE_STRIDE-th probe point is measured exactly for the lower bound.
+_SAMPLE_STRIDE = 64
+# Nodes nearest each cell centre that bound a probe point's chord from above.
+_CELL_NODES = 4
+# Absolute slack of the filter: above the few-ulp round-off of 2 - 2 p.y, and
+# absolute so that a nanoradian hole (L^2 ~ 1e-18) keeps its maximiser.
+_FILTER_SLACK = 1e-12
+# Probe rows bounded per block: the temporaries stay in cache, the peak low.
+_CHUNK = 8192
+
+
+def _cell_centres(bands: int, sectors: int) -> np.ndarray:
+    """Centres of the cells, row band * sectors + sector."""
+    z = -1.0 + (np.arange(bands) + 0.5) * (2.0 / bands)
+    phi = -math.pi + (np.arange(sectors) + 0.5) * (2.0 * math.pi / sectors)
+    r = np.sqrt(1.0 - z * z)
+    return np.column_stack([np.outer(r, np.cos(phi)).ravel(),
+                            np.outer(r, np.sin(phi)).ravel(),
+                            np.repeat(z, sectors)])
+
+
+def _squared_chord_bound(grid: np.ndarray, tables: np.ndarray,
+                         bands: int, sectors: int) -> np.ndarray:
+    """Upper bound on each row's squared chord to its nearest node.
+
+    2 - 2 max p . y over the nodes y that tables holds for the row's cell:
+    a uniform band in z times a uniform sector in phi.  Any cell in range
+    keeps the bound valid; the clips catch z = 1 and phi = pi.
+    """
+    x, y, z = np.ascontiguousarray(grid.T)
+    band = ((z + 1.0) * (0.5 * bands)).astype(np.intp)
+    sector = ((np.arctan2(y, x) + math.pi)
+              * (sectors / (2.0 * math.pi))).astype(np.intp)
+    cell = (np.clip(band, 0, bands - 1) * sectors
+            + np.clip(sector, 0, sectors - 1))
+    best_dot = np.full(grid.shape[0], -np.inf)
+    for tx, ty, tz in tables:
+        np.maximum(best_dot, x * tx[cell] + y * ty[cell] + z * tz[cell],
+                   out=best_dot)
+    return 2.0 - 2.0 * best_dot
+
+
 def mesh_norm(points, probe: EvaluationGrid) -> float:
     """Geodesic radius of the largest hole of a point set, probed densely.
 
@@ -80,13 +123,33 @@ def mesh_norm(points, probe: EvaluationGrid) -> float:
     from below as the probe refines; a probe of >= 100x the set size is
     recommended.
 
-    The nearest point is found exactly by a k-d tree on the m set points,
-    in O((P + m) log m) for P probe points.  For unit vectors the chord
-    |p - x| is monotone in the geodesic distance, so the probe point p with
-    the largest tree distance holds the largest hole, with its nearest
-    point x.  That one pair is measured as atan2(|p x x|, p . x), which
-    keeps full relative accuracy at every angle; arccos of a dot cannot
-    tell a hole below about 2e-8 rad from none.
+    For unit vectors the chord |p - x| is monotone in the geodesic
+    distance, so the probe point p whose nearest point x is farthest holds
+    the largest hole.  A k-d tree on the m set points finds nearest points
+    exactly, but only probe points that can hold the maximum go through it:
+
+    * a probe point's squared chord to its nearest point is at most
+      2 - 2 max p . y over the 4 points y nearest the centre of its cell,
+      in an equal-area lat-long grid of about 2 min(m, P/32) cells for P
+      probe points; one tree query finds the 4 points of every cell;
+    * the tree's chords at every 64th probe point give a lower bound L on
+      the largest chord;
+    * the tree is queried at the probe points whose bound is at least
+      L^2 - 1e-12, with its search pruned at L: that returns inf, or a
+      chord of at least L, only at points that can hold the maximum;
+    * those points, typically a few dozen, are queried in full, and the
+      first argmax among them is taken.
+
+    The result is bit-identical to querying every probe point.  Every
+    maximiser passes both filters: its chord is at least L; the bound
+    errs by a few ulp of 2 only (the slack is absolute, as L^2 can be far
+    below 1e-12); and a pruned search returns the tree's chord to some
+    point or inf, never less than the full search's chord.  The tree's
+    answer for a point does not depend on the batch it comes in, so the
+    first argmax and its nearest point are the full query's.  That one
+    pair is measured as atan2(|p x x|, p . x), which keeps full relative
+    accuracy at every angle; arccos of a dot cannot tell a hole below
+    about 2e-8 rad from none.
     """
     from scipy.spatial import cKDTree  # ~0.07 s, paid on the first call only
 
@@ -94,7 +157,26 @@ def mesh_norm(points, probe: EvaluationGrid) -> float:
     if pts.shape[0] == 0:
         raise ValueError("mesh_norm of an empty point set is undefined")
     grid = probe.points
-    chord, nearest = cKDTree(pts).query(grid, k=1, workers=-1)
+    tree = cKDTree(pts)
+    # cells square at the equator: 2 / bands = 2 pi / sectors
+    cells = max(1, 2 * min(pts.shape[0], grid.shape[0] // 32))
+    bands = max(1, round(math.sqrt(cells / math.pi)))
+    sectors = max(1, round(cells / bands))
+    k = min(_CELL_NODES, pts.shape[0])
+    _, cell_nodes = tree.query(_cell_centres(bands, sectors),
+                               k=list(range(1, k + 1)))
+    # tables[j, a] holds coordinate a of the j-th node of every cell
+    tables = np.ascontiguousarray(pts[cell_nodes].transpose(1, 2, 0))
+    lower = float(np.max(tree.query(grid[::_SAMPLE_STRIDE])[0]))
+    threshold = lower * lower - _FILTER_SLACK
+    candidates = np.concatenate([
+        start + np.flatnonzero(_squared_chord_bound(
+            grid[start:start + _CHUNK], tables, bands, sectors) >= threshold)
+        for start in range(0, grid.shape[0], _CHUNK)])
+    # below L a pruned search gives the exact chord, else inf or >= L
+    pruned, _ = tree.query(grid[candidates], distance_upper_bound=lower)
+    candidates = candidates[~(pruned < lower)]
+    chord, nearest = tree.query(grid[candidates])
     i = int(np.argmax(chord))
-    p, x = grid[i], pts[nearest[i]]
+    p, x = grid[candidates[i]], pts[nearest[i]]
     return float(np.arctan2(np.linalg.norm(np.cross(p, x)), p @ x))

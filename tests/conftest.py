@@ -79,6 +79,26 @@ def brute_force_mesh_norm(points, probe: EvaluationGrid,
     return worst
 
 
+def full_query_mesh_norm(points, probe: EvaluationGrid) -> float:
+    """mesh_norm with one k-d-tree query at every probe point.
+
+    The first argmax of the tree chords and its nearest point, measured by
+    atan2: the value the filtered sphere.mesh_norm must equal bit for bit.
+    """
+    from scipy.spatial import cKDTree
+
+    pts, grid = as_unit_vectors(points), probe.points
+    chord, nearest = cKDTree(pts).query(grid, k=1, workers=-1)
+    i = int(np.argmax(chord))
+    p, x = grid[i], pts[nearest[i]]
+    return float(np.arctan2(np.linalg.norm(np.cross(p, x)), p @ x))
+
+
 @pytest.fixture(scope="session")
 def brute_mesh_norm():
     return brute_force_mesh_norm
+
+
+@pytest.fixture(scope="session")
+def full_query():
+    return full_query_mesh_norm

@@ -62,6 +62,8 @@ def test_legendre_rejects_out_of_domain() -> None:
         legendre_table(3, 1.5)
     with pytest.raises(ValueError, match="out of"):
         legendre_table(3, np.array([0.0, -1.0 - 1e-9]))
+    with pytest.raises(ValueError, match="out of"):
+        legendre_table(3, np.array([0.5, np.nan]))
     for n in (-1, -3, 2.5, 3.0):
         with pytest.raises(ValueError, match="degree must be an integer"):
             legendre_table(n, 0.0)

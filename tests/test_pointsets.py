@@ -33,6 +33,11 @@ def test_quadrature_rule_validation() -> None:
     with pytest.raises(ValueError):
         QuadratureRule(points=pts[:, :2], weights=np.array([1.0, 1.0]),
                        label="shape")
+    with pytest.raises(ValueError, match="point 0"):
+        QuadratureRule(points=[[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                       weights=[1.0, 1.0], label="nan point")
+    with pytest.raises(ValueError, match="weight 0"):
+        QuadratureRule(points=pts, weights=[np.nan, 1.0], label="nan weight")
 
 
 def test_rule_is_immutable(octahedron) -> None:

@@ -82,6 +82,10 @@ def test_evaluation_grid_rejects_empty_and_non_unit() -> None:
         EvaluationGrid(points=np.zeros((0, 3)), seed=0)
     with pytest.raises(ValueError):
         EvaluationGrid(points=np.array([[2.0, 0.0, 0.0]]), seed=0)
+    # a NaN fails every comparison, so it must fail the unit-norm check too
+    with pytest.raises(ValueError, match="row 0"):
+        EvaluationGrid(points=np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                       seed=0)
 
 
 def test_mesh_norm_octahedron(octahedron, probe_grid) -> None:
@@ -114,9 +118,11 @@ def test_mesh_norm_matches_brute_force_on_bundled_sets(
                                brute_mesh_norm(rule.points, probe_grid))
 
 
-@pytest.mark.parametrize(
-    "rule", [random_rule(m, seed=m + 17) for m in (1, 2, 500, 4000)]
-    + [equal_area_points(400)], ids=lambda rule: rule.label)
+GENERATED_RULES = ([random_rule(m, seed=m + 17) for m in (1, 2, 500, 4000)]
+                   + [equal_area_points(400)])
+
+
+@pytest.mark.parametrize("rule", GENERATED_RULES, ids=lambda rule: rule.label)
 def test_mesh_norm_matches_brute_force_on_generated_rules(
         rule, probe_grid, brute_mesh_norm) -> None:
     assert_matches_brute_force(mesh_norm(rule.points, probe_grid),
@@ -151,6 +157,19 @@ def test_mesh_norm_antipodal_pair_is_a_right_angle() -> None:
     assert mesh_norm(poles, probe) == math.pi / 2.0
 
 
+def nanoradian_turn(points: np.ndarray,
+                    axis=(0.3, -0.5, 0.8)) -> np.ndarray:
+    """The points turned by 1e-9 rad about axis."""
+    axis = np.asarray(axis) / np.linalg.norm(axis)
+    cross = np.array([[0.0, -axis[2], axis[1]],
+                      [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+    angle = 1e-9
+    rotation = (np.eye(3) + math.sin(angle) * cross
+                + (1.0 - math.cos(angle)) * cross @ cross)
+    return points @ rotation.T
+
+
 def test_mesh_norm_resolves_a_nanoradian_hole() -> None:
     # the td20 nodes probed by themselves turned by 1e-9 rad about one
     # axis: each probe point lies 1e-9 sin(angle to the axis) from its
@@ -159,16 +178,68 @@ def test_mesh_norm_resolves_a_nanoradian_hole() -> None:
     from conftest import design_rule
 
     points = design_rule(20).points
-    axis = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
-    cross = np.array([[0.0, -axis[2], axis[1]],
-                      [axis[2], 0.0, -axis[0]],
-                      [-axis[1], axis[0], 0.0]])
-    angle = 1e-9
-    rotation = (np.eye(3) + math.sin(angle) * cross
-                + (1.0 - math.cos(angle)) * cross @ cross)
-    probe = EvaluationGrid(points=points @ rotation.T, seed=0)
+    probe = EvaluationGrid(points=nanoradian_turn(points), seed=0)
     h = mesh_norm(points, probe)
     assert 0.9e-9 <= h <= 1e-9 * (1.0 + 1e-6)
+
+
+def polar_cap(m: int, radius: float, seed: int) -> np.ndarray:
+    """m random points within radius rad of the north pole."""
+    rng = np.random.default_rng(seed)
+    theta = radius * np.sqrt(rng.random(m))
+    phi = rng.uniform(-math.pi, math.pi, m)
+    return np.column_stack([np.sin(theta) * np.cos(phi),
+                            np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+# Both poles, and points on the phi = +-pi seam (x < 0, y = +-0): the ends
+# of the lat-long cell ranges.
+POLES_AND_SEAM = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                           [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],
+                           [-0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]])
+
+
+def td(t: int) -> np.ndarray:
+    from conftest import design_rule
+
+    return design_rule(t).points
+
+
+# case -> (probe -> (points, probe)), the probe given being the 100k grid
+EXACTNESS_CASES = {
+    **{name: lambda probe, name=name: (
+        load_pointset(bundled_pointset_path(name)).points, probe)
+       for name in bundled_pointsets()},
+    **{rule.label: lambda probe, rule=rule: (rule.points, probe)
+       for rule in GENERATED_RULES},
+    "polar-cap": lambda probe: (polar_cap(300, 0.1, seed=1), probe),
+    "poles-and-seam": lambda probe: (POLES_AND_SEAM, EvaluationGrid(
+        points=np.vstack([POLES_AND_SEAM, probe.points]), seed=0)),
+    # shorter than the sampling stride: one point gives the lower bound
+    "3-point-probe": lambda probe: (td(10), uniform_random_points(3, seed=5)),
+    # every chord is 0, so the lower bound is 0 and every point passes
+    "probe-is-the-nodes": lambda probe: (
+        td(20), EvaluationGrid(points=td(20), seed=0)),
+    "nanoradian": lambda probe: (td(20), EvaluationGrid(
+        points=nanoradian_turn(td(20)), seed=0)),
+    # the td10 nodes turned by 1e-9 rad about 40 axes: each probe point's
+    # node is among its cell's, so its bound rounds to 0 while L^2 ~ 1e-18,
+    # and only an absolute slack keeps the maximiser
+    "nanoradian-40-axes": lambda probe: (td(10), EvaluationGrid(
+        points=np.vstack([nanoradian_turn(td(10), axis) for axis in
+                          np.random.default_rng(0).standard_normal((40, 3))]),
+        seed=0)),
+    # 16 nodes per cell: the cell bound passes about 40% of the probe
+    "m20000-P20k": lambda probe: (random_rule(20_000, seed=11).points,
+                                  uniform_random_points(20_000, seed=12)),
+}
+
+
+@pytest.mark.parametrize("case", EXACTNESS_CASES)
+def test_mesh_norm_equals_full_query(case, probe_grid, full_query) -> None:
+    # the filtered mesh norm is the full k-d-tree query's value, bit for bit
+    points, probe = EXACTNESS_CASES[case](probe_grid)
+    assert mesh_norm(points, probe) == full_query(points, probe)
 
 
 def test_import_leaves_spatial_unloaded() -> None:
