@@ -49,9 +49,12 @@ rank r, M = I - c U V with U = Y(X)^T and V = diag(mu) Y(X) diag(w).  When
     M^{-1} = I + c U (I_r - c V U)^{-1} V
 
 reduces the solve to the r x r system (I_r - c V U) z = V f, with
-phi = f + c U z.  Stage 2 forms the r coefficients c V phi once per call
-and costs O(r) per target: phi(t) = f(t) + Y(t)^T (c V phi).  Every other
-K takes the dense solve.
+phi = f + c U z.  V U is read from the Gram matrix Y(X) diag(w) Y(X)^T
+that gave eta, with row and column 0, where U holds ones, from the
+weighted row sums U^T w: the r x m factors meet in no second GEMM.  Stage
+2 forms the r coefficients c V phi once per call and costs O(r) per
+target: phi(t) = f(t) + Y(t)^T (c V phi).  Every other K takes the dense
+solve.
 
 The dense solve factors M in single precision and refines the solution in
 double, as LAPACK's dsgesv does (Langou et al., SC 2006; Higham, Accuracy
@@ -498,7 +501,7 @@ def _factor(A: np.ndarray, name: str):
     """LU of A; SingularSystemError when a pivot is exactly zero.
 
     A is not scanned for non-finite entries: _solve_dense names any in its
-    norm pass, and the low-rank S is finite once c and the factors are.
+    norm pass, and _solve_low_rank checks its r x r S before factoring it.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
@@ -587,13 +590,21 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
 
 
 def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
-                    b: np.ndarray, U_T: np.ndarray):
+                    b: np.ndarray, U_T: np.ndarray, G: np.ndarray):
     """(phi, residual, condition estimate, V) for K = c without forming M.
 
     M = I - c U V with U = _target_factor(moments, X)^T (m x r), passed in
     as U_T, and V = _rule_factor (r x m).  Woodbury gives M^-1 = I + c U S^-1
     V with the r x r matrix S = I_r - c V U, so phi = f + c U z with
-    S z = V f.  One step of iterative refinement follows: phi = f + c U z
+    S z = V f.  V U = diag(mu) U^T diag(w) U is read from G, the degree-n
+    Gram matrix Y(X) diag(w) Y(X)^T that gave eta, at the rows of
+    _active_rows: no second GEMM of the r x m factors is formed.  U^T is
+    Y(X) with row 0 set to ones, so row and column 0 of U^T diag(w) U are
+    the weighted row sums s = U^T w instead.  They come from s, not from
+    G's row 0 rescaled by sqrt(4pi), so that the degree-0 entry is
+    sum_j w_j and an S singular in exact arithmetic keeps its zero pivot.
+    NonFiniteInputError names c when S is not finite.
+    One step of iterative refinement follows: phi = f + c U z
     shifts every nodal value by the same rounding error of z, which stage 2
     would multiply by |c mu_0|.  The residual is that of the full system,
     applied in O(m r).  The condition estimate is the infinity-norm one of M
@@ -603,9 +614,17 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
     from scipy.sparse.linalg import LinearOperator, onenormest
 
     c, m = spec.K.c, spec.rule.m
-    V, U = _rule_factor(spec.rule, moments, U_T), U_T.T
-    S = np.eye(V.shape[0]) - c * _blas.matmul(V, U)
+    _, rows, mu = _active_rows(moments)
+    s = _blas.matvec(U_T, spec.rule.weights)
+    VU = G[rows][:, rows] * mu[:, None]
+    VU[0], VU[:, 0] = mu[0] * s, mu * s
+    S = np.eye(s.size) - c * VU
+    if not np.isfinite(S).all():
+        raise NonFiniteInputError(
+            f"constant K c = {c} makes the reduced system I - c V U "
+            "non-finite")
     lu_piv = _factor(S, "reduced system I - c V U")
+    V, U = _rule_factor(spec.rule, moments, U_T), U_T.T
 
     def solve(y):  # M^-1 y
         return y + c * _blas.matvec(
@@ -640,11 +659,14 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     problem is assembled and solved by _solve_dense, a float32 LU refined in
     float64.  The basis of the nodes is evaluated once: it gives the Gram
     matrix for eta, then, with row 0 set to ones and only the rows of
-    _active_rows, the factor of either path.  The solution keeps the right
-    factor of the weights for stage 2.  Before any basis or assembly work,
-    raises ValueError when a callable f does not return shape (m,), and
-    NonFiniteInputError when f(x_i) is not finite (or, on the dense path,
-    when K gives a non-finite entry; a non-finite c never gets this far);
+    _active_rows, the factor of either path; the low-rank path also reads
+    its reduced system from that Gram matrix, which the dense path drops
+    before it assembles M.  The solution keeps the right factor of the
+    weights for stage 2.  Before any basis or assembly work, raises
+    ValueError when a callable f does not return shape (m,), and
+    NonFiniteInputError when f(x_i) is not finite (or, later, when K gives
+    a non-finite entry of M or of the reduced system; a non-finite c never
+    gets this far);
     SingularSystemError naming the zero pivot when a factorization breaks
     down; attaches IllConditionedWarning when the infinity-norm condition
     estimate of M exceeds 1e12.
@@ -652,13 +674,16 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     moments = modified_moments(spec.kernel, spec.n)
     b = _nodal_rhs(spec)
     Y = harmonics.eval_basis_matrix(HarmonicBasis(spec.n), spec.rule.points)
-    eta = gram_spectrum(gram_matrix(spec.rule, spec.n, basis=Y))[0]
+    G = gram_matrix(spec.rule, spec.n, basis=Y)
+    eta = gram_spectrum(G)[0]
     left = _target_factor(moments, spec.rule.points, Y)
     del Y  # freed here unless left is all of it
     low_rank = spec.K.family == "constant" and (spec.n + 1) ** 2 < spec.rule.m
     if low_rank:
-        phi, residual, cond, right = _solve_low_rank(spec, moments, b, left)
+        phi, residual, cond, right = _solve_low_rank(spec, moments, b, left,
+                                                     G)
     else:  # the right factor once M and its LU are gone, in left's place
+        del G  # not kept beside M and its float32 copy
         phi, residual, cond = _solve_dense(spec, moments, b, left)
         right = _rule_factor(spec.rule, moments, left, out=left)
     if not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:

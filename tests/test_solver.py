@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,6 +50,7 @@ from sphsolve import (
     weight_matrix,
 )
 from sphsolve import _blas, _kernels, solver
+from sphsolve.mz import gram_matrix
 
 from conftest import design_rule
 
@@ -553,6 +555,66 @@ def test_low_rank_matches_dense_lu(case, request, eval_grid) -> None:
         np.max(np.abs(expected)))
 
 
+@pytest.mark.parametrize("case, rank", [
+    ("log-random2000-n10", 121),  # every row: a slice of the Gram matrix
+    ("mixed-random500-n10", 66),  # even degrees: an index array
+    ("one-random500-n10", 1),  # row 0 alone
+])
+def test_reduced_system_is_read_from_the_gram_matrix(case, rank, request,
+                                                     monkeypatch) -> None:
+    # the r x r matrix handed to the LU is I - c V U with V U formed from
+    # the factors themselves, and the solve runs one GEMM: the Gram matrix
+    spec = low_rank_spec(case, request)
+    factored, gemms = [], []
+    factor, matmul = solver._factor, _blas.matmul
+
+    def capture(A, name):
+        factored.append(A.copy())
+        return factor(A, name)
+
+    def count(a, b):
+        gemms.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(solver, "_factor", capture)
+    monkeypatch.setattr(_blas, "matmul", count)
+    sol = solve_stage1(spec)
+    monkeypatch.undo()
+    assert sol.path == "low-rank" and len(factored) == 1
+    r = (spec.n + 1) ** 2
+    assert gemms == [((r, spec.rule.m), (spec.rule.m, r))]
+
+    V = sol.factor
+    U = solver._target_factor(sol.moments, spec.rule.points).T
+    assert V.shape == (rank, spec.rule.m) and U.shape == (spec.rule.m, rank)
+    expected = np.eye(rank) - spec.K.c * (V @ U)
+    (S,) = factored
+    assert np.max(np.abs(S - expected)) <= 1e-13 * float(np.max(np.abs(S)))
+
+
+def test_dense_path_drops_the_gram_matrix_before_assembly(td10,
+                                                          monkeypatch) -> None:
+    # only the low-rank path reads the Gram matrix; the dense one must not
+    # keep it alive beside M and M's float32 copy
+    grams, solve_dense = [], solver._solve_dense
+
+    def gram(*args, **kwargs):
+        G = gram_matrix(*args, **kwargs)
+        grams.append(weakref.ref(G))
+        return G
+
+    def dense(*args):
+        assert grams and grams[0]() is None, "the Gram matrix is still alive"
+        return solve_dense(*args)
+
+    monkeypatch.setattr(solver, "gram_matrix", gram)
+    monkeypatch.setattr(solver, "_solve_dense", dense)
+    spec = ProblemSpec(kernel=SingularKernel.log(),
+                       K=ContinuousKernel.cos_scaled(2.0), f=1.0, n=5,
+                       rule=td10)
+    assert solve_stage1(spec).path == "dense-lu"
+
+
 def harmonic_values(l: int, k: int, points: np.ndarray) -> np.ndarray:
     Y = eval_basis_matrix(HarmonicBasis(l), points)
     return Y[l * l + k - 1]
@@ -949,6 +1011,30 @@ def test_non_finite_kernel_names_its_first_row(value) -> None:
     spec = ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0, n=3,
                        rule=rule)
     with pytest.raises(NonFiniteInputError, match="in row 17 of"):
+        solve_stage1(spec)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("n, path, message", [
+    (2, "low-rank", re.escape("c = 1.7e+308 makes the reduced system")),
+    (10, "dense-lu", "K is not finite in row 0 of the collocation matrix"),
+], ids=["low-rank", "dense"])
+def test_overflowing_constant_kernel_is_named_on_both_paths(
+        n, path, message, monkeypatch) -> None:
+    # a finite c so large that c times the weights overflows: the r x r
+    # system at (n+1)^2 < m, M itself otherwise; neither is ever factored
+    rule = random_rule(50, seed=1)
+    assert ((n + 1) ** 2 < rule.m) == (path == "low-rank")
+
+    def never(*args, **kwargs):
+        raise AssertionError("factored a non-finite matrix")
+
+    monkeypatch.setattr(solver, "_factor", never)
+    monkeypatch.setattr(solver, "sgetrf", never)
+    spec = ProblemSpec(kernel=SingularKernel.log(),
+                       K=ContinuousKernel.constant(1.7e308), f=1.0, n=n,
+                       rule=rule)
+    with pytest.raises(NonFiniteInputError, match=message):
         solve_stage1(spec)
 
 
