@@ -8,18 +8,20 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.blas import dgemm, get_blas_funcs
 
 __all__ = ["matmul", "matvec", "eigvalsh"]
 
 
-def _fortran(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(f, trans) with f Fortran-ordered and f, or f.T if trans, equal to a.
+def _fortran(a: np.ndarray,
+             dtype=np.float64) -> tuple[np.ndarray, int]:
+    """(f, trans) with f Fortran-ordered and f, or f.T if trans, equal to a
+    in dtype.
 
     A C-ordered a goes through as its transposed view; only an operand
-    that is neither C- nor F-contiguous is copied.
+    that is neither C- nor F-contiguous, or not of dtype, is copied.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a, dtype=dtype)
     if a.flags.f_contiguous:
         return a, 0
     if a.flags.c_contiguous:
@@ -39,16 +41,21 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for a 2-D float64 a and x of shape (k,) or (k, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape not in ((a.shape[1],), (a.shape[1], 1)):
+    """a @ x for a 2-D a and x of shape (k,), in a's precision.
+
+    A float32 a runs sgemv, with x cast to float32 and a float32 result;
+    any other a runs dgemv in float64.
+    """
+    a = np.asarray(a)
+    dtype = np.float32 if a.dtype == np.float32 else np.float64
+    x = np.asarray(x, dtype=dtype)
+    if x.shape != (a.shape[1],):
         raise ValueError(f"matvec: shapes {a.shape} and {x.shape} "
                          "do not match")
-    if a.size == 0:  # dgemv rejects empty operands; a @ x is zeros
-        return np.zeros(a.shape[:1] + x.shape[1:])
-    f, trans = _fortran(a)
-    y = dgemv(1.0, f, x.reshape(-1), trans=trans)
-    return y if x.ndim == 1 else y[:, None]
+    if a.size == 0:  # gemv rejects empty operands; a @ x is zeros
+        return np.zeros(a.shape[0], dtype)
+    f, trans = _fortran(a, dtype)
+    return get_blas_funcs("gemv", dtype=dtype)(1.0, f, x, trans=trans)
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:

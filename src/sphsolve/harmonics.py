@@ -142,9 +142,10 @@ def _basis_matrix(n, points):
             base = l * l
             if m == 0:
                 out[base + l] = val
-            else:
-                out[base + (l - m)] = sqrt2 * val * sm
-                out[base + (l + m)] = sqrt2 * val * cm
+            else:  # sqrt2 * val once, each product written in place
+                v2 = sqrt2 * val
+                np.multiply(v2, sm, out=out[base + (l - m)])
+                np.multiply(v2, cm, out=out[base + (l + m)])
     return out
 
 

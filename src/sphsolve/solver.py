@@ -51,10 +51,13 @@ rank r, M = I - c U V with U = Y(X)^T and V = diag(mu) Y(X) diag(w).  When
 reduces the solve to the r x r system (I_r - c V U) z = V f, with
 phi = f + c U z.  V U is read from the Gram matrix Y(X) diag(w) Y(X)^T
 that gave eta, with row and column 0, where U holds ones, from the
-weighted row sums U^T w: the r x m factors meet in no second GEMM.  Stage
-2 forms the r coefficients c V phi once per call and costs O(r) per
-target: phi(t) = f(t) + Y(t)^T (c V phi).  Every other K takes the dense
-solve.
+weighted row sums U^T w: the r x m factors meet in no second GEMM.  The
+solve reads U alone, applying V y as mu (U^T (w y)), and V is written
+over U once the solve is done.  The infinity-norm condition estimate of M
+is the 1-norm estimator of LAPACK gecon (the dlacn2 iteration) applied to
+M^T and M^-T, on operators that read a float32 copy of U.  Stage 2 forms
+the r coefficients c V phi once per call and costs O(r) per target:
+phi(t) = f(t) + Y(t)^T (c V phi).  Every other K takes the dense solve.
 
 The dense solve factors M in single precision and refines the solution in
 double, as LAPACK's dsgesv does (Langou et al., SC 2006; Higham, Accuracy
@@ -132,6 +135,9 @@ _HALF_ROWS = 128
 _REFINE_STEPS = 30
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+# Steps of the 1-norm estimator: ITMAX of LAPACK dlacn2.
+_NORM1_STEPS = 5
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -524,6 +530,45 @@ def _condition(gecon, lu: np.ndarray, anorm: float, norm: str) -> float:
     return math.inf if rcond == 0.0 or info < 0 else 1.0 / float(rcond)
 
 
+def _norm1_estimate(apply: Callable[[np.ndarray], np.ndarray],
+                    apply_t: Callable[[np.ndarray], np.ndarray],
+                    m: int) -> float:
+    """A lower estimate of ||A||_1 for the m x m operator A, m >= 2, from
+    apply(x) = A x and apply_t(x) = A^T x.
+
+    The iteration of LAPACK dlacn2, which gecon runs (Hager, SIAM J. Sci.
+    Stat. Comput. 5, 1984; Higham, ACM TOMS 14, 1988).  From x = ones / m,
+    it takes the signs of A x, and A^T of them names the column j most
+    likely to carry the norm; A e_j gives the next estimate.  It stops when
+    the signs repeat, the estimate stops growing, j repeats, or after
+    _NORM1_STEPS steps.  Last, the alternating vector
+    x_i = (-1)^i (1 + i / (m - 1)), whose 1-norm is 3m / 2, catches what
+    the columns missed.  Each value is ||A x||_1 / ||x||_1 for some x, so
+    the estimate never exceeds the norm (in exact arithmetic).
+    """
+    y = apply(np.full(m, 1.0 / m))
+    est = float(np.abs(y).sum())
+    signs = np.where(y >= 0.0, 1.0, -1.0)
+    z = apply_t(signs)
+    j = int(np.argmax(np.abs(z)))
+    for _ in range(_NORM1_STEPS - 1):
+        e_j = np.zeros(m)
+        e_j[j] = 1.0
+        y = apply(e_j)
+        previous, est = est, float(np.abs(y).sum())
+        new_signs = np.where(y >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or est <= previous:
+            break
+        signs = new_signs
+        z = apply_t(signs)
+        last, j = j, int(np.argmax(np.abs(z)))
+        if z[last] == abs(z[j]):
+            break
+    alternating = 1.0 + np.arange(m) / (m - 1.0)
+    alternating[1::2] *= -1.0
+    return max(est, 2.0 * float(np.abs(apply(alternating)).sum()) / (3 * m))
+
+
 def _solve_mixed(M: np.ndarray, b: np.ndarray, anorm: float):
     """(phi, residual, condition estimate) from a float32 LU of M refined
     in float64, as LAPACK dsgesv does, or None where dsgesv falls back.
@@ -564,6 +609,20 @@ def _solve_mixed(M: np.ndarray, b: np.ndarray, anorm: float):
     return None
 
 
+def _first_non_finite_row(M: np.ndarray) -> int:
+    """The first row of M whose sum of |entries| is not finite, else 0.
+
+    Row blocks of _BLOCK_ENTRIES entries bound the temporary; an overflow
+    of the sums is the answer sought, not a warning.
+    """
+    with np.errstate(over="ignore"):
+        for rows in _row_chunks(M.shape[0], M.shape[1], _BLOCK_ENTRIES):
+            bad = np.flatnonzero(~np.isfinite(np.abs(M[rows]).sum(axis=1)))
+            if bad.size:
+                return rows.start + int(bad[0])
+    return 0
+
+
 def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
                  left: np.ndarray):
     """(phi, residual, condition estimate) of the assembled M.
@@ -577,9 +636,9 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
     M, _ = assemble_system(spec, moments, left)
     anorm = float(dlange("1", M.T))  # ||M||_inf: M.T is M in Fortran order
     if not math.isfinite(anorm):
-        i = int(np.argmin([math.isfinite(np.abs(row).sum()) for row in M]))
         raise NonFiniteInputError(
-            f"K is not finite in row {i} of the collocation matrix")
+            f"K is not finite in row {_first_non_finite_row(M)} of the "
+            "collocation matrix")
     solved = _solve_mixed(M, b, anorm)
     if solved is not None:
         return solved
@@ -591,7 +650,7 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
 
 def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
                     b: np.ndarray, U_T: np.ndarray, G: np.ndarray):
-    """(phi, residual, condition estimate, V) for K = c without forming M.
+    """(phi, residual, condition estimate) for K = c without forming M.
 
     M = I - c U V with U = _target_factor(moments, X)^T (m x r), passed in
     as U_T, and V = _rule_factor (r x m).  Woodbury gives M^-1 = I + c U S^-1
@@ -604,18 +663,20 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
     G's row 0 rescaled by sqrt(4pi), so that the degree-0 entry is
     sum_j w_j and an S singular in exact arithmetic keeps its zero pivot.
     NonFiniteInputError names c when S is not finite.
+    V is not formed here: V y is mu (U^T (w y)) and V^T z is w (U (mu z)),
+    GEMVs over U_T alone, and solve_stage1 writes V over U_T afterwards.
     One step of iterative refinement follows: phi = f + c U z
     shifts every nodal value by the same rounding error of z, which stage 2
     would multiply by |c mu_0|.  The residual is that of the full system,
     applied in O(m r).  The condition estimate is the infinity-norm one of M
-    itself, ||M^T||_1 ||M^-T||_1 by Hager's estimator (onenormest with
-    t=1, as in LAPACK gecon) on operators.
+    itself, ||M^T||_1 ||M^-T||_1, each norm by _norm1_estimate, the
+    iteration of LAPACK gecon, on operators that read a float32 copy of U_T:
+    an estimate needs no more than float32's 7 digits, and each GEMV then
+    streams half the bytes.
     """
-    from scipy.sparse.linalg import LinearOperator, onenormest
-
-    c, m = spec.K.c, spec.rule.m
+    c, w, m = spec.K.c, spec.rule.weights, spec.rule.m
     _, rows, mu = _active_rows(moments)
-    s = _blas.matvec(U_T, spec.rule.weights)
+    s = _blas.matvec(U_T, w)
     VU = G[rows][:, rows] * mu[:, None]
     VU[0], VU[:, 0] = mu[0] * s, mu * s
     S = np.eye(s.size) - c * VU
@@ -624,30 +685,34 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
             f"constant K c = {c} makes the reduced system I - c V U "
             "non-finite")
     lu_piv = _factor(S, "reduced system I - c V U")
-    V, U = _rule_factor(spec.rule, moments, U_T), U_T.T
 
-    def solve(y):  # M^-1 y
-        return y + c * _blas.matvec(
-            U, lu_solve(lu_piv, _blas.matvec(V, y), check_finite=False))
+    def apply_M(Ut):  # y -> M y, reading U^T from Ut
+        return lambda y: y - c * _blas.matvec(
+            Ut.T, mu * _blas.matvec(Ut, w * y))
 
-    def residual_of(x):  # M x - f
-        return x - c * _blas.matvec(U, _blas.matvec(V, x)) - b
+    def apply_M_inv(Ut):  # y -> M^-1 y, reading U^T from Ut
+        return lambda y: y + c * _blas.matvec(Ut.T, lu_solve(
+            lu_piv, mu * _blas.matvec(Ut, w * y), check_finite=False))
 
+    solve, M = apply_M_inv(U_T), apply_M(U_T)
     phi = solve(b)
-    phi -= solve(residual_of(phi))
-    residual = float(np.max(np.abs(residual_of(phi))))
+    phi -= solve(M(phi) - b)
+    residual = float(np.max(np.abs(M(phi) - b)))
 
-    M_T = LinearOperator(
-        (m, m), dtype=np.float64,
-        matvec=lambda x: x - c * _blas.matvec(V.T, _blas.matvec(U.T, x)),
-        rmatvec=lambda x: x - c * _blas.matvec(U, _blas.matvec(V, x)))
-    M_inv_T = LinearOperator(
-        (m, m), dtype=np.float64,
-        matvec=lambda x: x + c * _blas.matvec(V.T, lu_solve(
-            lu_piv, _blas.matvec(U.T, x), trans=1, check_finite=False)),
-        rmatvec=solve)
-    cond = float(onenormest(M_T, t=1)) * float(onenormest(M_inv_T, t=1))
-    return phi, residual, cond, V
+    U_T32 = U_T.astype(np.float32)
+
+    def M_T(x):
+        return x - c * w * _blas.matvec(U_T32.T,
+                                        mu * _blas.matvec(U_T32, x))
+
+    def M_inv_T(x):
+        z = lu_solve(lu_piv, _blas.matvec(U_T32, x), trans=1,
+                     check_finite=False)
+        return x + c * w * _blas.matvec(U_T32.T, mu * z)
+
+    cond = (_norm1_estimate(M_T, apply_M(U_T32), m)
+            * _norm1_estimate(M_inv_T, apply_M_inv(U_T32), m))
+    return phi, residual, cond
 
 
 def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
@@ -662,7 +727,8 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     _active_rows, the factor of either path; the low-rank path also reads
     its reduced system from that Gram matrix, which the dense path drops
     before it assembles M.  The solution keeps the right factor of the
-    weights for stage 2.  Before any basis or assembly work, raises
+    weights for stage 2, written over the node factor once either solve is
+    done with it.  Before any basis or assembly work, raises
     ValueError when a callable f does not return shape (m,), and
     NonFiniteInputError when f(x_i) is not finite (or, later, when K gives
     a non-finite entry of M or of the reduced system; a non-finite c never
@@ -680,12 +746,12 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     del Y  # freed here unless left is all of it
     low_rank = spec.K.family == "constant" and (spec.n + 1) ** 2 < spec.rule.m
     if low_rank:
-        phi, residual, cond, right = _solve_low_rank(spec, moments, b, left,
-                                                     G)
-    else:  # the right factor once M and its LU are gone, in left's place
+        phi, residual, cond = _solve_low_rank(spec, moments, b, left, G)
+    else:
         del G  # not kept beside M and its float32 copy
         phi, residual, cond = _solve_dense(spec, moments, b, left)
-        right = _rule_factor(spec.rule, moments, left, out=left)
+    # the right factor once the solve is done with left, in left's place
+    right = _rule_factor(spec.rule, moments, left, out=left)
     if not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"collocation matrix condition estimate {cond:.3e} exceeds "

@@ -68,9 +68,23 @@ def test_matvec_matches_numpy_for_every_layout_and_vector_shape(shape) -> None:
     expected = a @ x
     for a_layout in layouts(a).values():
         assert_close(_blas.matvec(a_layout, x), expected)
-        # scipy's onenormest hands LinearOperator.matvec an (m, 1) column
-        assert_close(_blas.matvec(a_layout, x[:, None]), expected[:, None])
         assert_close(_blas.matvec(a_layout, np.repeat(x, 2)[::2]), expected)
+
+
+@pytest.mark.parametrize("shape", [(37, 23), (1, 23), (37, 1), (0, 5)])
+def test_matvec_of_a_float32_matrix_runs_in_float32(shape) -> None:
+    # sgemv, as the low-rank condition estimate reads its factor: x is
+    # cast to float32 and the result is float32
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape).astype(np.float32)
+    x = rng.standard_normal(shape[1])
+    expected = a.astype(np.float64) @ x.astype(np.float32)
+    scale = float(np.abs(a).sum(axis=1).max(initial=1.0))
+    for layout in (a, np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
+        got = _blas.matvec(layout, x)
+        assert got.dtype == np.float32 and got.shape == expected.shape
+        assert np.max(np.abs(got - expected), initial=0.0) <= (
+            4 * np.finfo(np.float32).eps * scale)
 
 
 def test_matvec_rejects_a_vector_of_the_wrong_length() -> None:
