@@ -53,22 +53,22 @@ phi = f + c U z.  V U is read from the Gram matrix Y(X) diag(w) Y(X)^T
 that gave eta, with row and column 0, where U holds ones, from the
 weighted row sums U^T w: the r x m factors meet in no second GEMM.  The
 solve reads U alone, applying V y as mu (U^T (w y)), and V is written
-over U once the solve is done.  The infinity-norm condition estimate of M
-is the 1-norm estimator of LAPACK gecon (the dlacn2 iteration) applied to
-M^T and M^-T, on operators that read a float32 copy of U.  Stage 2 forms
-the r coefficients c V phi once per call and costs O(r) per target:
-phi(t) = f(t) + Y(t)^T (c V phi).  Every other K takes the dense solve.
+over U once the solve is done.  Stage 2 forms the r coefficients c V phi
+once per call and costs O(r) per target: phi(t) = f(t) + Y(t)^T (c V phi).
+Every other K takes the dense solve.
 
-The dense solve factors M in single precision and refines the solution in
-double, as LAPACK's dsgesv does (Langou et al., SC 2006; Higham, Accuracy
-and Stability of Numerical Algorithms, ch. 12): a float32 LU costs half a
-float64 one, and on a matrix as well conditioned as the collocation
-matrices (condition estimates of a few hundred on the t-designs) two or
-three corrections reach the float64 answer, the residual passing dsgesv's
-test max|b - M x| <= max|x| ||M||_inf eps sqrt(m).  It falls back to the
-float64 LU when ||M||_inf overflows float32, when the float32 LU meets a
-zero pivot, or when 30 corrections do not pass the test, so a singular or
-ill-conditioned M is named as it always was.
+Every stage-1 solve is refined in double by one loop, as LAPACK's dsgesv
+refines (Langou et al., SC 2006; Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 12): corrections x += solve(b - M x) until
+max|b - M x| <= max|x| ||M||_inf eps sqrt(m).  The dense solve factors M
+in single precision: a float32 LU costs half a float64 one, and on
+matrices as well conditioned as the collocation matrices (condition
+estimates of a few hundred on the t-designs) two or three corrections
+reach the float64 answer.  It falls back to the float64 LU, refined in
+turn, when ||M||_inf overflows float32, the float32 LU meets a zero pivot,
+or its solve does not pass.  Every condition estimate is ||M||_inf times
+one estimator, _norm1_estimate (the dlacn2 iteration), of ||M^-T||_1
+through the factor that solved.
 
 Every dense product here, and the Gram eigensolve, runs through
 sphsolve._blas on scipy's BLAS and LAPACK, never through numpy's @.  The
@@ -84,11 +84,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-from scipy.linalg.lapack import dlange, sgecon, sgetrf, sgetrs
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dlange, sgetrf, sgetrs
 
 from . import _blas, harmonics
 from .harmonics import HarmonicBasis
@@ -130,8 +131,7 @@ _CHUNK_ENTRIES = 1 << 16
 # diagonal block in full, which costs m * _HALF_ROWS / 2 entries in all.
 _HALF_ROWS = 128
 
-# Corrections of the mixed-precision solve before it falls back to a
-# float64 LU: ITERMAX of LAPACK dsgesv.
+# Most corrections of one refined solve: ITERMAX of LAPACK dsgesv.
 _REFINE_STEPS = 30
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -298,11 +298,8 @@ class DiscreteSolution:
     diag(mu) Y(X) diag(w) at the rows of _active_rows, shape (rank, m), on
     every path.  Stage 2 reads it and evaluates no basis of the nodes.
 
-    On the dense path ``condition_estimate`` comes from LAPACK ``sgecon``
-    on the float32 factor of M^T, or from ``dgecon`` on the float64 factor
-    of M where the solve fell back to it.  Neither is repeatable in its last
-    bits from run to run on the same input; a bit-identity check of a
-    solution must leave that field out.
+    ``condition_estimate`` is the infinity-norm one of M on every path:
+    ||M||_inf times _norm1_estimate of M^-T on the factor that solved.
     """
 
     nodal_values: np.ndarray
@@ -523,31 +520,27 @@ def _factor(A: np.ndarray, name: str):
     return lu, piv
 
 
-def _condition(gecon, lu: np.ndarray, anorm: float, norm: str) -> float:
-    """1 / rcond from LAPACK gecon on the LU factor lu; inf when it is
-    singular."""
-    rcond, info = gecon(lu, anorm, norm=norm)
-    return math.inf if rcond == 0.0 or info < 0 else 1.0 / float(rcond)
-
-
 def _norm1_estimate(apply: Callable[[np.ndarray], np.ndarray],
                     apply_t: Callable[[np.ndarray], np.ndarray],
                     m: int) -> float:
-    """A lower estimate of ||A||_1 for the m x m operator A, m >= 2, from
+    """A lower estimate of ||A||_1 for the m x m operator A, m >= 1, from
     apply(x) = A x and apply_t(x) = A^T x.
 
-    The iteration of LAPACK dlacn2, which gecon runs (Hager, SIAM J. Sci.
-    Stat. Comput. 5, 1984; Higham, ACM TOMS 14, 1988).  From x = ones / m,
+    The iteration of LAPACK dlacn2 (Hager, SIAM J. Sci. Stat. Comput. 5,
+    1984; Higham, ACM TOMS 14, 1988).  From x = ones / m,
     it takes the signs of A x, and A^T of them names the column j most
     likely to carry the norm; A e_j gives the next estimate.  It stops when
     the signs repeat, the estimate stops growing, j repeats, or after
     _NORM1_STEPS steps.  Last, the alternating vector
     x_i = (-1)^i (1 + i / (m - 1)), whose 1-norm is 3m / 2, catches what
     the columns missed.  Each value is ||A x||_1 / ||x||_1 for some x, so
-    the estimate never exceeds the norm (in exact arithmetic).
+    the estimate never exceeds the norm (in exact arithmetic).  At m = 1
+    the first value is the norm.
     """
     y = apply(np.full(m, 1.0 / m))
     est = float(np.abs(y).sum())
+    if m == 1:
+        return est
     signs = np.where(y >= 0.0, 1.0, -1.0)
     z = apply_t(signs)
     j = int(np.argmax(np.abs(z)))
@@ -569,44 +562,44 @@ def _norm1_estimate(apply: Callable[[np.ndarray], np.ndarray],
     return max(est, 2.0 * float(np.abs(apply(alternating)).sum()) / (3 * m))
 
 
-def _solve_mixed(M: np.ndarray, b: np.ndarray, anorm: float):
-    """(phi, residual, condition estimate) from a float32 LU of M refined
-    in float64, as LAPACK dsgesv does, or None where dsgesv falls back.
+def _refined_solve(apply: Callable[[np.ndarray], np.ndarray],
+                   solve: Callable[[np.ndarray], np.ndarray],
+                   b: np.ndarray, anorm: float):
+    """(x, residual, passed): solve(b) refined in float64 as LAPACK dsgesv
+    refines it.
 
-    M is C-ordered, so its float32 copy's transpose is M^T in Fortran
-    order: sgetrf factors it in place, and trans=1 solves with M.  Each
-    correction solves with the residual scaled to a largest entry of 1, so
-    that its cast to float32 cannot overflow, nor flush a small residual
-    to zero.  The solve has converged when
-    max|b - M x| <= max|x| ||M||_inf eps sqrt(m), the test of dsgesv, and
-    that last residual is the one reported.  None when ||M||_inf overflows
-    float32, sgetrf meets a zero pivot, or the test fails after
-    _REFINE_STEPS corrections.
+    apply(x) = M x, solve(r) is about M^-1 r, and anorm = ||M||_inf.  From
+    x = solve(b), at least one and at most _REFINE_STEPS corrections
+    x += solve(b - M x) run, until max|b - M x| <= max|x| anorm eps sqrt(m),
+    the test of dsgesv; passed says whether it held, and residual is that
+    last max|b - M x|.  A non-finite residual is not corrected.
     """
-    if anorm > _FLOAT32_MAX:
-        return None
-    lu, piv, info = sgetrf(M.astype(np.float32).T, overwrite_a=True)
-    if info != 0:
-        return None
-
-    def correction(r):  # M^-1 r from the float32 factor
-        scale = float(np.max(np.abs(r)))
-        if scale == 0.0:
-            return np.zeros_like(r)
-        x = sgetrs(lu, piv, (r / scale).astype(np.float32), trans=1)[0]
-        return scale * x.astype(np.float64)
-
-    tol = anorm * np.finfo(np.float64).eps * math.sqrt(M.shape[0])
-    x = correction(b)
-    for _ in range(_REFINE_STEPS + 1):
-        r = b - _blas.matvec(M, x)
-        residual = float(np.max(np.abs(r)))
-        if residual <= float(np.max(np.abs(x))) * tol:
-            return x, residual, _condition(sgecon, lu, anorm, "O")
+    tol = anorm * np.finfo(np.float64).eps * math.sqrt(b.size)
+    x = solve(b)
+    r = b - apply(x)
+    residual = float(np.max(np.abs(r)))
+    for _ in range(_REFINE_STEPS):
         if not math.isfinite(residual):
             break
-        x += correction(r)
-    return None
+        x += solve(r)
+        r = b - apply(x)
+        residual = float(np.max(np.abs(r)))
+        if residual <= float(np.max(np.abs(x))) * tol:
+            return x, residual, True
+    return x, residual, False
+
+
+def _float32_solve(lu: np.ndarray, piv: np.ndarray, trans: int,
+                   r: np.ndarray) -> np.ndarray:
+    """r solved in float32 with the sgetrf factor lu of M^T: M^-1 r for
+    trans=1, M^-T r for trans=0.  r is scaled to a largest entry of 1, so
+    that its cast to float32 cannot overflow, nor flush a small r to zero.
+    """
+    scale = float(np.max(np.abs(r)))
+    if scale == 0.0:
+        return np.zeros_like(r)
+    x = sgetrs(lu, piv, (r / scale).astype(np.float32), trans=trans)[0]
+    return scale * x.astype(np.float64)
 
 
 def _first_non_finite_row(M: np.ndarray) -> int:
@@ -627,25 +620,33 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
                  left: np.ndarray):
     """(phi, residual, condition estimate) of the assembled M.
 
-    The solve is _solve_mixed's: a float32 LU refined in float64.  Where it
-    falls back, M is factored in float64 as it always was, by _factor, which
-    names a zero pivot with SingularSystemError.  The condition estimate is
-    the infinity-norm one of M, from sgecon on the float32 factor of M^T or
-    from dgecon on the float64 factor of M.
+    M is C-ordered, so its float32 copy's transpose is M^T in Fortran
+    order, which sgetrf factors in place.  Where that LU cannot be formed
+    or its refined solve does not pass, _factor factors M in float64 and
+    names a zero pivot with SingularSystemError.
     """
-    M, _ = assemble_system(spec, moments, left)
+    with np.errstate(over="ignore"):  # an overflow is named just below
+        M, _ = assemble_system(spec, moments, left)
     anorm = float(dlange("1", M.T))  # ||M||_inf: M.T is M in Fortran order
     if not math.isfinite(anorm):
         raise NonFiniteInputError(
             f"K is not finite in row {_first_non_finite_row(M)} of the "
             "collocation matrix")
-    solved = _solve_mixed(M, b, anorm)
-    if solved is not None:
-        return solved
-    lu, piv = _factor(M, "collocation matrix")
-    cond = _condition(get_lapack_funcs("gecon", (lu,)), lu, anorm, "I")
-    phi = lu_solve((lu, piv), b, check_finite=False)
-    return phi, float(np.max(np.abs(_blas.matvec(M, phi) - b))), cond
+    apply, passed = partial(_blas.matvec, M), False
+    if anorm <= _FLOAT32_MAX:  # else the float32 copy overflows
+        lu, piv, info = sgetrf(M.astype(np.float32).T, overwrite_a=True)
+        if info == 0:  # no zero pivot
+            solves = [partial(_float32_solve, lu, piv, t) for t in (1, 0)]
+            phi, residual, passed = _refined_solve(apply, solves[0], b, anorm)
+        del lu, piv
+    if not passed:
+        solves = None  # the float32 LU is not kept beside the float64 one
+        lu_piv = _factor(M, "collocation matrix")
+        solves = [partial(lu_solve, lu_piv, trans=t, check_finite=False)
+                  for t in (0, 1)]
+        phi, residual, _ = _refined_solve(apply, solves[0], b, anorm)
+    return phi, residual, anorm * _norm1_estimate(solves[1], solves[0],
+                                                  M.shape[0])
 
 
 def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
@@ -665,21 +666,21 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
     NonFiniteInputError names c when S is not finite.
     V is not formed here: V y is mu (U^T (w y)) and V^T z is w (U (mu z)),
     GEMVs over U_T alone, and solve_stage1 writes V over U_T afterwards.
-    One step of iterative refinement follows: phi = f + c U z
-    shifts every nodal value by the same rounding error of z, which stage 2
-    would multiply by |c mu_0|.  The residual is that of the full system,
-    applied in O(m r).  The condition estimate is the infinity-norm one of M
-    itself, ||M^T||_1 ||M^-T||_1, each norm by _norm1_estimate, the
-    iteration of LAPACK gecon, on operators that read a float32 copy of U_T:
-    an estimate needs no more than float32's 7 digits, and each GEMV then
-    streams half the bytes.
+    _refined_solve refines the solve against M, applied in O(m r): phi =
+    f + c U z shifts every nodal value by the same rounding error of z,
+    which stage 2 would multiply by |c mu_0|.  The condition estimate is
+    ||M^T||_1 ||M^-T||_1, each by _norm1_estimate on operators that read a
+    float32 copy of U_T (an estimate needs no more than float32's 7 digits,
+    and each GEMV streams half the bytes); the first is the refinement's
+    ||M||_inf.
     """
     c, w, m = spec.K.c, spec.rule.weights, spec.rule.m
     _, rows, mu = _active_rows(moments)
     s = _blas.matvec(U_T, w)
     VU = G[rows][:, rows] * mu[:, None]
     VU[0], VU[:, 0] = mu[0] * s, mu * s
-    S = np.eye(s.size) - c * VU
+    with np.errstate(over="ignore"):  # an overflow is named just below
+        S = np.eye(s.size) - c * VU
     if not np.isfinite(S).all():
         raise NonFiniteInputError(
             f"constant K c = {c} makes the reduced system I - c V U "
@@ -694,11 +695,6 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
         return lambda y: y + c * _blas.matvec(Ut.T, lu_solve(
             lu_piv, mu * _blas.matvec(Ut, w * y), check_finite=False))
 
-    solve, M = apply_M_inv(U_T), apply_M(U_T)
-    phi = solve(b)
-    phi -= solve(M(phi) - b)
-    residual = float(np.max(np.abs(M(phi) - b)))
-
     U_T32 = U_T.astype(np.float32)
 
     def M_T(x):
@@ -710,9 +706,11 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
                      check_finite=False)
         return x + c * w * _blas.matvec(U_T32.T, mu * z)
 
-    cond = (_norm1_estimate(M_T, apply_M(U_T32), m)
-            * _norm1_estimate(M_inv_T, apply_M_inv(U_T32), m))
-    return phi, residual, cond
+    anorm = _norm1_estimate(M_T, apply_M(U_T32), m)  # ||M||_inf
+    phi, residual, _ = _refined_solve(apply_M(U_T), apply_M_inv(U_T), b,
+                                      anorm)
+    return phi, residual, anorm * _norm1_estimate(M_inv_T,
+                                                  apply_M_inv(U_T32), m)
 
 
 def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
@@ -721,14 +719,15 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     The modified moments of spec.kernel to degree spec.n are computed here
     and kept on the solution.  A constant K with (n+1)^2 < m takes the
     low-rank path (Woodbury on the r x r reduced system); every other
-    problem is assembled and solved by _solve_dense, a float32 LU refined in
-    float64.  The basis of the nodes is evaluated once: it gives the Gram
-    matrix for eta, then, with row 0 set to ones and only the rows of
-    _active_rows, the factor of either path; the low-rank path also reads
-    its reduced system from that Gram matrix, which the dense path drops
-    before it assembles M.  The solution keeps the right factor of the
-    weights for stage 2, written over the node factor once either solve is
-    done with it.  Before any basis or assembly work, raises
+    problem is assembled and solved by _solve_dense, a float32 LU or a
+    float64 one.  _refined_solve refines every solve; _norm1_estimate gives
+    every condition estimate.  The basis of the nodes is evaluated once: it
+    gives the Gram matrix for eta, then, with row 0 set to ones and only
+    the rows of _active_rows, the factor of either path; the low-rank path
+    also reads its reduced system from that Gram matrix, which the dense
+    path drops before it assembles M.  The solution keeps the right factor
+    of the weights for stage 2, written over the node factor once either
+    solve is done with it.  Before any basis or assembly work, raises
     ValueError when a callable f does not return shape (m,), and
     NonFiniteInputError when f(x_i) is not finite (or, later, when K gives
     a non-finite entry of M or of the reduced system; a non-finite c never
