@@ -26,11 +26,11 @@ AVX-512 tan: numpy leaves float64 sin and cos to scalar libm.
 
 A solve evaluates the basis of its m nodes once: the same matrix gives the
 Gram matrix for eta, then, with row 0 set to ones, the factor Y(X)^T of
-the collocation matrix on either path.  Assembly uses that
-M_ij = delta_ij - S_ij w_j, where S_ij = W_j(x_i) K(x_i, x_j) / w_j is
-symmetric: it forms only the row blocks' columns from the block's first
-row on, and writes them and their mirror images scaled by -w.  Stage 2
-evaluates the natural interpolant anywhere,
+the collocation matrix on either path.  Assembly is stage 2's block
+builder with the nodes as targets: M_ij = delta_ij - W_j(x_i) K(x_i, x_j)
+is one GEMM of the node factors and one K pass over all m^2 entries, with
+no halves and no mirror, so M - I is not exactly symmetric even for
+equal weights.  Stage 2 evaluates the natural interpolant anywhere,
 
     phi(t) = f(t) + sum_j W_j(t) K(t, x_j) phi(x_j),
 
@@ -126,10 +126,6 @@ _BLOCK_ENTRIES = 1 << 21
 # Entries per row chunk of the K pass over a block; the chunk's distances
 # (512 KB) stay in cache between the passes that form them.
 _CHUNK_ENTRIES = 1 << 16
-
-# Rows per block of assembly by halves: each block also forms its square
-# diagonal block in full, which costs m * _HALF_ROWS / 2 entries in all.
-_HALF_ROWS = 128
 
 # Most corrections of one refined solve: ITERMAX of LAPACK dsgesv.
 _REFINE_STEPS = 30
@@ -299,7 +295,10 @@ class DiscreteSolution:
     every path.  Stage 2 reads it and evaluates no basis of the nodes.
 
     ``condition_estimate`` is the infinity-norm one of M on every path:
-    ||M||_inf times _norm1_estimate of M^-T on the factor that solved.
+    ||M||_inf times _norm1_estimate of M^-T on the factor that solved.  It
+    is a lower estimate and can fall well short: on td10 with weights
+    w (1 + z/2), preset 4 at n = 5 gives 783.2 against kappa_inf = 8129.8,
+    10x low, so IllConditionedWarning can come late.
     """
 
     nodal_values: np.ndarray
@@ -410,7 +409,9 @@ def _weighted_kernel_block(nodes: np.ndarray, right: np.ndarray,
     left is _target_factor(moments, targets), and right has one column
     per node: _rule_factor(rule, moments) gives W_j(x) K(x, x_j).  K runs
     over row chunks, each formed in one cache-sized buffer as K.of_dots
-    forms it.
+    forms it.  Both callers build their K values here: evaluate_stage2
+    on each row block of targets, and assemble_system on all m nodes as
+    targets, with right scaled by -1.
     """
     B = _blas.matmul(left.T, right)
     for rows, k in _kernel_chunks(nodes, K, targets):
@@ -433,37 +434,6 @@ def _kernel_chunks(nodes: np.ndarray, K: ContinuousKernel,
         yield rows, K._of_distance_inplace(r)
 
 
-def _kernel_matrix_by_halves(nodes: np.ndarray, left: np.ndarray,
-                             right: np.ndarray, K: ContinuousKernel,
-                             scale: np.ndarray) -> np.ndarray:
-    """S diag(scale) for the symmetric S = (left^T right) K(x_i, x_j) at
-    the nodes, by halves.
-
-    left and right are the same basis up to row scaling, so S is symmetric
-    in exact arithmetic.  Each row block of _HALF_ROWS rows forms (GEMM
-    and K pass) only its columns from the block's first row on, in a
-    temporary; the strict lower triangle of its diagonal block is copied
-    from its mirror image, so S is exactly symmetric.  The block, and its
-    transpose for the column block below it, go into the result already
-    scaled.  The factors are taken in Fortran order, so that their column
-    blocks reach BLAS without a copy.
-    """
-    m = nodes.shape[0]
-    out = np.empty((m, m))
-    left, right = np.asfortranarray(left), np.asfortranarray(right)
-    for start in range(0, m, _HALF_ROWS):
-        stop = min(start + _HALF_ROWS, m)
-        upper = _weighted_kernel_block(nodes[start:], right[:, start:], K,
-                                       nodes[start:stop], left[:, start:stop])
-        square = upper[:, :stop - start]
-        below = np.tril_indices(stop - start, -1)
-        square[below] = square.T[below]
-        np.multiply(upper, scale[start:], out=out[start:stop, start:])
-        np.multiply(upper[:, stop - start:].T, scale[start:stop],
-                    out=out[stop:, start:stop])
-    return out
-
-
 def _nodal_rhs(spec: ProblemSpec) -> np.ndarray:
     """f(x_i), once every f(x_i) is known to be finite."""
     b = spec.f_values(spec.rule.points)
@@ -481,21 +451,25 @@ def assemble_system(spec: ProblemSpec,
                     left: np.ndarray | None = None):
     """Collocation matrix M_ij = delta_ij - W_j(x_i) K(x_i, x_j) and rhs f(x_i).
 
-    M = I - S diag(w) with the symmetric S of _kernel_matrix_by_halves,
-    which scales each block by -w as it writes it.  left, if given, is
-    _target_factor(moments, rule.points), as solve_stage1 takes it from
-    its node basis; otherwise it is evaluated here.
+    -W_j(x_i) K(x_i, x_j) is stage 2's weighted-kernel block with the
+    nodes as targets: one _weighted_kernel_block call on the right factor
+    scaled by -1, then 1 added on the diagonal.  All m^2 entries are
+    formed, so M - I is symmetric only up to rounding, even for equal
+    weights.  left, if given, is _target_factor(moments, rule.points), as
+    solve_stage1 takes it from its node basis; otherwise it is evaluated
+    here.
     """
     if moments is None:
         moments = modified_moments(spec.kernel, spec.n)
     if moments.n != spec.n or moments.kernel != spec.kernel:
         raise ValueError("moments do not match the problem kernel/degree")
     b = _nodal_rhs(spec)
+    nodes = spec.rule.points
     if left is None:
-        left = _target_factor(moments, spec.rule.points)
-    mu = _active_rows(moments)[2]
-    M = _kernel_matrix_by_halves(spec.rule.points, left, left * mu[:, None],
-                                 spec.K, -spec.rule.weights)
+        left = _target_factor(moments, nodes)
+    right = _rule_factor(spec.rule, moments, left)
+    right *= -1.0
+    M = _weighted_kernel_block(nodes, right, spec.K, nodes, left)
     np.fill_diagonal(M, M.diagonal() + 1.0)
     return M, b
 
@@ -503,21 +477,17 @@ def assemble_system(spec: ProblemSpec,
 def _factor(A: np.ndarray, name: str):
     """LU of A; SingularSystemError when a pivot is exactly zero.
 
-    A is not scanned for non-finite entries: _solve_dense names any in its
+    lu_factor warns LinAlgWarning, a RuntimeWarning, naming the first
+    exactly zero pivot; it is raised here as SingularSystemError.  A is
+    not scanned for non-finite entries: _solve_dense names any in its
     norm pass, and _solve_low_rank checks its r x r S before factoring it.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
         try:
-            lu, piv = lu_factor(A, check_finite=False)
+            return lu_factor(A, check_finite=False)
         except (RuntimeWarning, np.linalg.LinAlgError) as exc:
             raise SingularSystemError(f"{name} is singular: {exc}") from None
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() == 0.0:
-        raise SingularSystemError(
-            f"{name} is singular to working precision: "
-            f"pivot {int(pivots.argmin())} of {A.shape[0]} is zero")
-    return lu, piv
 
 
 def _norm1_estimate(apply: Callable[[np.ndarray], np.ndarray],
@@ -790,9 +760,10 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
             integral[rows] = _blas.matvec(k, weighted)
     else:
         for rows in _row_chunks(len(pts), rule.m, _BLOCK_ENTRIES):
-            B = _weighted_kernel_block(rule.points, sol.factor, K, pts[rows],
-                                       _target_factor(moments, pts[rows]))
-            integral[rows] = _blas.matvec(B, sol.nodal_values)
+            # no name keeps a block alive while the next one is built
+            integral[rows] = _blas.matvec(_weighted_kernel_block(
+                rule.points, sol.factor, K, pts[rows],
+                _target_factor(moments, pts[rows])), sol.nodal_values)
     return sol.spec.f_values(pts) + integral
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -443,6 +444,28 @@ def test_stage2_blocks_match_one_product(td20) -> None:
     got = evaluate_stage2(sol, targets)
     assert np.max(np.abs(got - expected)) <= 1e-13 * max(
         1.0, float(np.max(np.abs(expected))))
+
+
+def test_stage2_holds_one_row_block_at_a_time(td20) -> None:
+    # three row blocks of the general branch: each block and its target
+    # basis are freed before the next are built, so the traced peak of one
+    # call stays near one block plus one basis, not two of each
+    kernel, K = experiment_kernels(2)  # every moment kept: rank (n+1)^2
+    sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=experiment_f(2),
+                                   n=10, rule=td20))
+    step = solver._BLOCK_ENTRIES // td20.m
+    targets = uniform_random_points(3 * step - 7, seed=44).points
+    assert len(solver._row_chunks(len(targets), td20.m,
+                                  solver._BLOCK_ENTRIES)) == 3
+    evaluate_stage2(sol, targets[:10])  # any first-call allocations
+    tracemalloc.start()
+    try:
+        evaluate_stage2(sol, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_block = 8 * step * (td20.m + sol.factor.shape[0])
+    assert peak < 1.5 * one_block
 
 
 _KERNEL_CODES = {"constant": _kernels.K_CONST, "sin_scaled": _kernels.K_SIN,
@@ -911,6 +934,7 @@ def count_double_lu(monkeypatch) -> list[tuple[int, ...]]:
 
 @pytest.mark.parametrize("exp_id", [1, 2, 4])
 @pytest.mark.parametrize("rule_name, n", [("td10", 5), ("td20", 10),
+                                          ("td10-tilted", 5),
                                           ("td20-tilted", 10)])
 def test_mixed_precision_dense_solve(exp_id, rule_name, n, request,
                                      monkeypatch) -> None:
@@ -918,9 +942,15 @@ def test_mixed_precision_dense_solve(exp_id, rule_name, n, request,
     # assembled M, with no fallback; its residual passes the test of
     # LAPACK dsgesv, and its condition estimate is within 2x below the
     # exact infinity-norm one, and above it by float32 rounding at most.
-    # Equal weights make M symmetric; the tilted weights w (1 + z/2), still
-    # summing to 4pi, make it not, so that a solve or an estimate with M^T
-    # in place of M would show.
+    # Equal weights make M symmetric up to rounding; the tilted weights
+    # w (1 + z/2), still summing to 4pi, make it not, so that a solve or an
+    # estimate with M^T in place of M would show.
+    if (rule_name, exp_id) == ("td10-tilted", 4):
+        # estimates 783.2 against np.linalg.cond(M, inf) = 8129.8
+        request.applymarker(pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="FOUND in CHANGES.md: the dense condition estimate can "
+                   "fall 10x short of kappa_inf"))
     rule = named_rule(rule_name.split("-")[0], request)
     if rule_name.endswith("tilted"):
         tilt = 1.0 + rule.points[:, 2] / 2
@@ -1368,22 +1398,18 @@ def test_assembly_from_the_solve_basis_is_bit_identical(td20) -> None:
 
 @pytest.mark.parametrize("K_name", ["sin", "cos", "custom"])
 @pytest.mark.parametrize("rule_name", ["td20", "random500"])
-def test_assembly_by_halves_is_symmetric(rule_name, K_name, request) -> None:
-    # assembly forms the upper row blocks of S = W K / w and mirrors them.
-    # Both rules have equal weights, so dividing I - M by w undoes the
-    # same rounding on either side of the diagonal: the result is exactly
-    # symmetric.  It also matches the full row-block matrix W K, with all
-    # moments kept (log) and with the odd degrees dropped (even mixed h).
+def test_assembly_matches_identity_minus_weighted_kernel(rule_name, K_name,
+                                                         request) -> None:
+    # M = I - W K against weight_matrix and one K.of_dots over all nodes,
+    # with all moments kept (log) and with the odd degrees dropped (even
+    # mixed h)
     rule = (request.getfixturevalue("td20") if rule_name == "td20"
             else random_rule(500, seed=41))
-    assert rule.m % solver._HALF_ROWS and rule.m > 2 * solver._HALF_ROWS
     K = EQUIVALENCE_KERNELS[K_name]
     identity = np.eye(rule.m)
     for kernel in (SingularKernel.log(), SingularKernel.mixed(-0.5, -0.5)):
         spec = ProblemSpec(kernel=kernel, K=K, f=1.0, n=10, rule=rule)
         M, _ = assemble_system(spec)
-        S = (identity - M) / rule.weights
-        assert np.array_equal(S, S.T)
         full = weighted_kernel(rule, modified_moments(kernel, spec.n), K,
                                rule.points)
         scale = float(np.max(np.abs(full)))
