@@ -124,23 +124,21 @@ def load_pointset(path, weight_mode: str = "equal",
                     f"{path}:{lineno}: point norm {r!r} deviates from 1 "
                     f"by more than {INGEST_NORM_TOL}")
             rows.append((vals[0] / r, vals[1] / r, vals[2] / r))
-            if len(fields) == 4:
+            if weight_mode == "from_file":
+                if len(fields) != 4:
+                    raise PointFileError(
+                        f"{path}:{lineno}: weight_mode=from_file but the row "
+                        f"has no weight column")
+                if vals[3] <= 0.0:
+                    raise PointFileError(
+                        f"{path}:{lineno}: weight {vals[3]!r} is not positive")
                 file_weights.append(vals[3])
-            elif weight_mode == "from_file":
-                raise PointFileError(
-                    f"{path}:{lineno}: weight_mode=from_file but the row "
-                    f"has no weight column")
     if not rows:
         raise PointFileError(f"{path}: no points found")
     pts = np.array(rows, dtype=np.float64)
     m = pts.shape[0]
-    if weight_mode == "from_file":
-        w = np.array(file_weights, dtype=np.float64)
-        if np.any(w <= 0.0):
-            bad = int(np.argmax(w <= 0.0))
-            raise PointFileError(f"{path}: weight on point {bad} is not positive")
-    else:
-        w = np.full(m, FOUR_PI / m)
+    w = (np.array(file_weights, dtype=np.float64)
+         if weight_mode == "from_file" else np.full(m, FOUR_PI / m))
     return QuadratureRule(points=pts, weights=w,
                           label=label if label is not None else path.name)
 

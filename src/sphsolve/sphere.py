@@ -74,45 +74,68 @@ def uniform_random_points(m: int, seed: int) -> EvaluationGrid:
 
 
 # Every _SAMPLE_STRIDE-th probe point is measured exactly for the lower bound.
-_SAMPLE_STRIDE = 64
+_SAMPLE_STRIDE = 256
 # Nodes nearest each cell centre that bound a probe point's chord from above.
 _CELL_NODES = 4
-# Absolute slack of the filter: above the few-ulp round-off of 2 - 2 p.y, and
-# absolute so that a nanoradian hole (L^2 ~ 1e-18) keeps its maximiser.
+# Absolute slack of the filter on L^2: half of it is far above the few-ulp
+# round-off of p.y, and absolute so that a nanoradian hole (L^2 ~ 1e-18)
+# keeps its maximiser.
 _FILTER_SLACK = 1e-12
-# Probe rows bounded per block: the temporaries stay in cache, the peak low.
-_CHUNK = 8192
+# Probe rows filtered per block: the temporaries stay in cache, the peak low.
+_CHUNK = 16384
 
 
 def _cell_centres(bands: int, sectors: int) -> np.ndarray:
-    """Centres of the cells, row band * sectors + sector."""
-    z = -1.0 + (np.arange(bands) + 0.5) * (2.0 / bands)
-    phi = -math.pi + (np.arange(sectors) + 0.5) * (2.0 * math.pi / sectors)
+    """Centres of the cells, row band * (sectors + 1) + sector.
+
+    The table is padded: band `bands` repeats the last band and sector
+    `sectors` the last sector, so that z = 1 and phi = pi index a cell.
+    """
+    band = np.minimum(np.arange(bands + 1), bands - 1)
+    sector = np.minimum(np.arange(sectors + 1), sectors - 1)
+    z = -1.0 + (band + 0.5) * (2.0 / bands)
+    phi = -math.pi + (sector + 0.5) * (2.0 * math.pi / sectors)
     r = np.sqrt(1.0 - z * z)
     return np.column_stack([np.outer(r, np.cos(phi)).ravel(),
                             np.outer(r, np.sin(phi)).ravel(),
-                            np.repeat(z, sectors)])
+                            np.repeat(z, sectors + 1)])
 
 
-def _squared_chord_bound(grid: np.ndarray, tables: np.ndarray,
-                         bands: int, sectors: int) -> np.ndarray:
-    """Upper bound on each row's squared chord to its nearest node.
+def _node_dots(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+               node: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Dot of each row (x, y, z) with the node that node holds for the
+    row's cell (node[a] is coordinate a of it), formed in place."""
+    dot = node[0][cell]
+    dot *= x
+    term = node[1][cell]
+    term *= y
+    dot += term
+    np.take(node[2], cell, out=term)
+    term *= z
+    dot += term
+    return dot
 
-    2 - 2 max p . y over the nodes y that tables holds for the row's cell:
-    a uniform band in z times a uniform sector in phi.  Any cell in range
-    keeps the bound valid; the clips catch z = 1 and phi = pi.
+
+def _far_rows(grid: np.ndarray, tables: np.ndarray, bands: int,
+              sectors: int, max_dot: float) -> np.ndarray:
+    """Rows whose dots with the nodes tables holds for their cell are all
+    at most max_dot.
+
+    A row's cell is a uniform band in z times a uniform sector in phi, of
+    the padded table of _cell_centres.  The first node of each cell, the
+    one nearest its centre, tests every row; the others test only the rows
+    that pass it.
     """
     x, y, z = np.ascontiguousarray(grid.T)
-    band = ((z + 1.0) * (0.5 * bands)).astype(np.intp)
-    sector = ((np.arctan2(y, x) + math.pi)
-              * (sectors / (2.0 * math.pi))).astype(np.intp)
-    cell = (np.clip(band, 0, bands - 1) * sectors
-            + np.clip(sector, 0, sectors - 1))
-    best_dot = np.full(grid.shape[0], -np.inf)
-    for tx, ty, tz in tables:
-        np.maximum(best_dot, x * tx[cell] + y * ty[cell] + z * tz[cell],
-                   out=best_dot)
-    return 2.0 - 2.0 * best_dot
+    cell = ((z + 1.0) * (0.5 * bands)).astype(np.intp) * (sectors + 1)
+    cell += ((np.arctan2(y, x) + math.pi)
+             * (sectors / (2.0 * math.pi))).astype(np.intp)
+    rows = np.flatnonzero(_node_dots(x, y, z, tables[0], cell) <= max_dot)
+    x, y, z, cell = x[rows], y[rows], z[rows], cell[rows]
+    best_dot = np.full(rows.shape[0], -np.inf)
+    for node in tables[1:]:
+        np.maximum(best_dot, _node_dots(x, y, z, node, cell), out=best_dot)
+    return rows[best_dot <= max_dot]
 
 
 def mesh_norm(points, probe: EvaluationGrid) -> float:
@@ -129,20 +152,30 @@ def mesh_norm(points, probe: EvaluationGrid) -> float:
     exactly, but only probe points that can hold the maximum go through it:
 
     * a probe point's squared chord to its nearest point is at most
-      2 - 2 max p . y over the 4 points y nearest the centre of its cell,
-      in an equal-area lat-long grid of about 2 min(m, P/32) cells for P
-      probe points; one tree query finds the 4 points of every cell;
-    * the tree's chords at every 64th probe point give a lower bound L on
+      2 - 2 p . y for every point y of the set.  The y tried are the 4
+      points nearest the centre of the probe point's cell, in an
+      equal-area lat-long grid of about 2 min(m, P/32) cells for P probe
+      points, padded by one band and one sector that repeat the last ones
+      so that z = 1 and phi = pi index a cell; one tree query finds the 4
+      points of every cell;
+    * the tree's chords at every 256th probe point give a lower bound L on
       the largest chord;
-    * the tree is queried at the probe points whose bound is at least
-      L^2 - 1e-12, with its search pruned at L: that returns inf, or a
-      chord of at least L, only at points that can hold the maximum;
-    * those points, typically a few dozen, are queried in full, and the
-      first argmax among them is taken.
+    * a probe point can hold the maximum only if p . y <= 1 - (L^2 -
+      1e-12) / 2 for each of its cell's points.  The first pass tests
+      every probe point against the point nearest its cell's centre; the
+      second tests only the survivors, up to about a third, against the
+      other three;
+    * the tree is queried at the survivors of both passes, with its search
+      pruned at L: that returns inf, or a chord of at least L, only at
+      points that can hold the maximum;
+    * those points, tens to about a thousand of 100k, are queried in full,
+      and the first argmax among them is taken.
 
     The result is bit-identical to querying every probe point.  Every
-    maximiser passes both filters: its chord is at least L; the bound
-    errs by a few ulp of 2 only (the slack is absolute, as L^2 can be far
+    maximiser passes both passes and the pruned query: its chord is at
+    least L; a bound over one point of the set is as much an upper bound
+    as one over four, and any cell in range keeps it valid; the bound
+    errs by a few ulp of 1 only (the slack is absolute, as L^2 can be far
     below 1e-12); and a pruned search returns the tree's chord to some
     point or inf, never less than the full search's chord.  The tree's
     answer for a point does not depend on the batch it comes in, so the
@@ -168,10 +201,11 @@ def mesh_norm(points, probe: EvaluationGrid) -> float:
     # tables[j, a] holds coordinate a of the j-th node of every cell
     tables = np.ascontiguousarray(pts[cell_nodes].transpose(1, 2, 0))
     lower = float(np.max(tree.query(grid[::_SAMPLE_STRIDE])[0]))
-    threshold = lower * lower - _FILTER_SLACK
+    # 2 - 2 p.y >= L^2 - slack, as a bound on the dot
+    max_dot = 1.0 - (lower * lower - _FILTER_SLACK) / 2.0
     candidates = np.concatenate([
-        start + np.flatnonzero(_squared_chord_bound(
-            grid[start:start + _CHUNK], tables, bands, sectors) >= threshold)
+        start + _far_rows(grid[start:start + _CHUNK], tables, bands, sectors,
+                          max_dot)
         for start in range(0, grid.shape[0], _CHUNK)])
     # below L a pruned search gives the exact chord, else inf or >= L
     pruned, _ = tree.query(grid[candidates], distance_upper_bound=lower)

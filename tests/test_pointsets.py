@@ -140,8 +140,15 @@ def test_load_reports_line_numbers(tmp_path) -> None:
 def test_load_rejects_nonpositive_file_weight(tmp_path) -> None:
     path = tmp_path / "w.txt"
     path.write_text("0 0 1 0.0\n0 0 -1 1.0\n")
-    with pytest.raises(PointFileError, match="not positive"):
+    with pytest.raises(PointFileError, match=r"w\.txt:1: weight 0\.0 is not"):
         load_pointset(path, weight_mode="from_file")
+    # the bad row is the file's fifth line but the rule's second point
+    path.write_text("# poles\n0 0 1 1.0\n\n# south\n0 0 -1 -2\n")
+    with pytest.raises(PointFileError,
+                       match=r"w\.txt:5: weight -2\.0 is not positive"):
+        load_pointset(path, weight_mode="from_file")
+    # equal weights ignore the column
+    assert load_pointset(path).m == 2
 
 
 def test_load_accepts_comments_and_label(tmp_path) -> None:

@@ -205,6 +205,14 @@ def td(t: int) -> np.ndarray:
     return design_rule(t).points
 
 
+def farthest_last(points: np.ndarray, n: int, seed: int) -> EvaluationGrid:
+    """n uniform probe points, the one farthest from points moved last."""
+    grid = uniform_random_points(n, seed=seed).points
+    i = int(np.argmin(np.max(grid @ points.T, axis=1)))
+    return EvaluationGrid(points=np.vstack([np.delete(grid, i, axis=0),
+                                            grid[i]]), seed=seed)
+
+
 # case -> (probe -> (points, probe)), the probe given being the 100k grid
 EXACTNESS_CASES = {
     **{name: lambda probe, name=name: (
@@ -229,7 +237,15 @@ EXACTNESS_CASES = {
         points=np.vstack([nanoradian_turn(td(10), axis) for axis in
                           np.random.default_rng(0).standard_normal((40, 3))]),
         seed=0)),
-    # 16 nodes per cell: the cell bound passes about 40% of the probe
+    # three and four nodes: the second pass tries two and three of them
+    **{f"random-m{m}": lambda probe, m=m: (
+        random_rule(m, seed=m + 17).points, probe) for m in (3, 4)},
+    # one row past a chunk: the last chunk holds only the maximiser, so its
+    # offset must cross the chunk boundary
+    "chunk-plus-one-probe": lambda probe: (
+        td(10), farthest_last(td(10), sphere._CHUNK + 1, seed=13)),
+    # 16 nodes per cell: about 60% of the probe passes the first pass and
+    # 35% the second
     "m20000-P20k": lambda probe: (random_rule(20_000, seed=11).points,
                                   uniform_random_points(20_000, seed=12)),
 }
