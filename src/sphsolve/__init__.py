@@ -13,11 +13,10 @@ basis matrices.
 from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE,
                           EXPERIMENT_IDS, ExperimentRecord, experiment_f,
                           experiment_kernels, recompute_f, run_experiment)
-from .harmonics import HarmonicBasis, eval_basis_matrix, legendre_table
+from .harmonics import eval_basis_matrix, legendre_table
 from .moments import (ModifiedMoments, OracleAccuracyWarning, SingularKernel,
                       modified_moments, moments_algebraic, moments_log,
-                      moments_mixed, moments_one, oracle_moments_vector,
-                      profile_integral)
+                      moments_mixed, oracle_moments_vector)
 from .mz import MZReport, gram_matrix, mz_constant, quadrature_error_on_harmonics
 from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
@@ -32,14 +31,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvaluationGrid", "mesh_norm", "uniform_random_points",
-    "HarmonicBasis", "eval_basis_matrix", "legendre_table",
+    "eval_basis_matrix", "legendre_table",
     "PointFileError", "QuadratureRule", "bundled_pointset_path",
     "bundled_pointsets", "equal_area_points", "load_pointset", "random_rule",
     "save_pointset",
     "MZReport", "gram_matrix", "mz_constant", "quadrature_error_on_harmonics",
     "ModifiedMoments", "OracleAccuracyWarning", "SingularKernel",
     "modified_moments", "moments_algebraic", "moments_log", "moments_mixed",
-    "moments_one", "oracle_moments_vector", "profile_integral",
+    "oracle_moments_vector",
     "ContinuousKernel", "DiscreteSolution", "IllConditionedWarning",
     "NonFiniteInputError", "ProblemSpec", "SingularSystemError",
     "assemble_system", "evaluate_stage2", "solve_stage1", "uniform_error",

@@ -280,9 +280,10 @@ def _cmd_experiment(config: RunConfig) -> int:
 
     plan: list[tuple[int, QuadratureRule]] = []  # every rule loaded first
     if config.sweep is not None:
-        if config.points is not None:
+        if config.points is not None or config.weights != "equal":
             raise ValidationError(
-                "--sweep chooses its own bundled designs; drop --points")
+                "--sweep chooses its own bundled designs, which carry no "
+                "weight column; drop --points and --weights file")
         degrees = parse_sweep_descriptor(config.sweep)
         available = set(bundled_pointsets())
         for n in degrees:

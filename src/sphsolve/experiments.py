@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .moments import SingularKernel, profile_integral
+from .moments import SingularKernel, oracle_moments_vector
 from .pointsets import QuadratureRule
 from .solver import (ContinuousKernel, ProblemSpec, solve_stage1,
                      uniform_error)
@@ -78,8 +78,9 @@ def recompute_f(exp_id: int) -> float:
     """f = 1 - 2pi int h K dt from the endpoint-refined oracle, with
     |x-y| = sqrt(2 up) at the distance up = 1 - t from +1."""
     kernel, K = experiment_kernels(exp_id)
-    return 1.0 - profile_integral(
-        lambda up, um: kernel.profile(up, um) * K.of_distance(np.sqrt(2.0 * up)))
+    return 1.0 - float(oracle_moments_vector(
+        lambda up, um: kernel.profile(up, um) * K.of_distance(np.sqrt(2.0 * up)),
+        0)[0])
 
 
 def experiment_f(exp_id: int) -> float:

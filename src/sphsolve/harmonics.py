@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sphere import as_unit_vectors
 
 __all__ = [
-    "HarmonicBasis",
     "legendre_table",
     "eval_basis_matrix",
 ]
@@ -40,19 +38,6 @@ def _check_degree(n) -> None:
         valid = False
     if not valid:
         raise ValueError(f"degree must be an integer >= 0, got {n!r}")
-
-
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """All harmonics of degree <= n in the frozen flat order."""
-
-    n: int
-
-    def __post_init__(self):
-        _check_degree(self.n)
-
-    def __len__(self) -> int:
-        return (self.n + 1) ** 2
 
 
 def _check_t(t):
@@ -149,7 +134,8 @@ def _basis_matrix(n, points):
     return out
 
 
-def eval_basis_matrix(basis: HarmonicBasis, points) -> np.ndarray:
-    """Matrix of Y_i(x_j), (n+1)^2 rows by m columns, flat row order."""
-    pts = as_unit_vectors(points)
-    return _basis_matrix(basis.n, pts)
+def eval_basis_matrix(n: int, points) -> np.ndarray:
+    """Matrix of Y_i(x_j) for every harmonic of degree <= n, (n+1)^2 rows
+    by m columns, flat row order."""
+    _check_degree(n)
+    return _basis_matrix(n, as_unit_vectors(points))

@@ -2,18 +2,19 @@
 
 These are the zonal eigenvalues through which a weight h acts on spherical
 harmonics: integrating h(|x-y|) against Y_{l,k}(y) over the sphere yields
-mu_l Y_{l,k}(x).  Four weight families are supported:
+mu_l Y_{l,k}(x).  Three weight families are supported:
 
-  one                h = 1
   algebraic(nu)      h = |x-y|^nu,              nu > -1 (singular for nu < 0)
   log                h = log|x-y|
   mixed(nu1, nu2)    h = |x-y|^nu1 |x+y|^nu2,   -1 <= nu_i <= 0
 
-The first three families have closed forms; the mixed family uses
-Gauss-Jacobi rules that absorb both endpoint singularities exactly.  A
-high-precision 1-D oracle (composite Gauss-Legendre with dyadic refinement
-toward the +-1 endpoints) integrates any other profile and is the
-independent reference the closed forms are tested against.
+h = 1 is algebraic(0) (SingularKernel.one()), whose closed form gives
+mu_0 = 4pi and exact zeros after it.  The first two families have closed
+forms; the mixed family uses Gauss-Jacobi rules that absorb both endpoint
+singularities exactly.  A high-precision 1-D oracle (composite
+Gauss-Legendre with dyadic refinement toward the +-1 endpoints) integrates
+any other profile and is the independent reference the closed forms are
+tested against.
 
 A profile is one function h(up, um) of up = 1 - t and um = 1 + t, the
 distances of t = x.y from the two endpoints; |x-y| = sqrt(2 up) and
@@ -43,17 +44,14 @@ __all__ = [
     "SingularKernel",
     "ModifiedMoments",
     "OracleAccuracyWarning",
-    "moments_one",
     "moments_algebraic",
     "moments_log",
     "moments_mixed",
     "modified_moments",
     "oracle_moments_vector",
-    "profile_integral",
 ]
 
 TWO_PI = 2.0 * math.pi
-FOUR_PI = 4.0 * math.pi
 
 # Oracle settings: 32-node panels, dyadic refinement toward each endpoint,
 # and the absolute error _TARGET*(1+|result|) that it certifies.  As
@@ -86,7 +84,11 @@ def descriptor_floats(text: str, params, count, grammar: str) -> list:
 
 @dataclass(frozen=True)
 class SingularKernel:
-    """One of the four weight families, with validated parameters."""
+    """One of the three weight families, with validated parameters.
+
+    h = 1 is algebraic(0): one() builds it, describe() names it
+    algebraic:0, and parse() also reads it as one.
+    """
 
     family: str
     nu: float = 0.0
@@ -94,30 +96,23 @@ class SingularKernel:
 
     GRAMMAR = "one | alg:NU | log | mixed:NU1:NU2"
     # family -> parameter count, read by describe() and by parse()
-    _ARITY = {"one": 0, "algebraic": 1, "log": 0, "mixed": 2}
+    _ARITY = {"algebraic": 1, "log": 0, "mixed": 2}
 
     def __post_init__(self):
-        if self.family == "one":
-            pass
-        elif self.family == "algebraic":
-            # h is in L^1 of the sphere for every nu > -2, but in L^2 only
-            # for nu > -1, and ||h||_2 bounds sum_j |W_j(x)|.
-            if not self.nu > -1.0:
-                raise ValueError(f"algebraic exponent must be > -1, got {self.nu}")
-        elif self.family == "log":
-            pass
-        elif self.family == "mixed":
-            for v in (self.nu, self.nu2):
-                if not -1.0 <= v <= 0.0:
-                    raise ValueError(
-                        f"mixed exponents must lie in [-1, 0], got "
-                        f"({self.nu}, {self.nu2})")
-        else:
+        if self.family not in self._ARITY:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        # h is in L^1 of the sphere for every nu > -2, but in L^2 only
+        # for nu > -1, and ||h||_2 bounds sum_j |W_j(x)|.
+        if self.family == "algebraic" and not self.nu > -1.0:
+            raise ValueError(f"algebraic exponent must be > -1, got {self.nu}")
+        if self.family == "mixed" and not (-1.0 <= self.nu <= 0.0
+                                           and -1.0 <= self.nu2 <= 0.0):
+            raise ValueError(f"mixed exponents must lie in [-1, 0], got "
+                             f"({self.nu}, {self.nu2})")
 
     @classmethod
     def one(cls) -> "SingularKernel":
-        return cls("one")
+        return cls.algebraic(0.0)
 
     @classmethod
     def algebraic(cls, nu: float) -> "SingularKernel":
@@ -137,8 +132,11 @@ class SingularKernel:
 
     @classmethod
     def parse(cls, text: str) -> "SingularKernel":
-        """The kernel that describe() names; alg:NU also reads."""
+        """The kernel that describe() names; alg:NU and one (algebraic:0)
+        also read."""
         family, *params = text.split(":")
+        if family == "one" and not params:
+            return cls.one()
         family = "algebraic" if family == "alg" else family
         return cls(family, *descriptor_floats(
             text, params, cls._ARITY.get(family), cls.GRAMMAR))
@@ -147,8 +145,6 @@ class SingularKernel:
         """h as a function of up = 1 - t and um = 1 + t, t = x.y, using
         |x-y| = sqrt(2 up) and |x+y| = sqrt(2 um).  Vectorized."""
         up = np.asarray(up, dtype=np.float64)
-        if self.family == "one":
-            return np.ones_like(up)
         if self.family == "algebraic":
             return (2.0 * up) ** (self.nu / 2.0)
         if self.family == "log":
@@ -273,18 +269,6 @@ def oracle_moments_vector(h, n: int) -> np.ndarray:
     return totals
 
 
-def profile_integral(h) -> float:
-    """2pi int_{-1}^1 h dt, the l = 0 moment of a profile h(up, um)."""
-    return float(oracle_moments_vector(h, 0)[0])
-
-
-def moments_one(n: int) -> ModifiedMoments:
-    """mu_0 = 4pi and mu_l = 0 for l >= 1, by Legendre orthogonality."""
-    values = np.zeros(n + 1)
-    values[0] = FOUR_PI
-    return ModifiedMoments(SingularKernel.one(), n, values, "closed_form")
-
-
 def moments_algebraic(nu: float, n: int) -> ModifiedMoments:
     """Closed form for h = |x-y|^nu, nu > -1.
 
@@ -292,6 +276,8 @@ def moments_algebraic(nu: float, n: int) -> ModifiedMoments:
     factorial / Gamma shifts give the stable downward ratio
     mu_{l+1} = mu_l (l - nu/2) / (l + nu/2 + 2).  It holds for nu > -2,
     where h is in L^1; nu > -1 keeps ||h||_2, which bounds sum_j |W_j(x)|.
+    At nu = 0 (h = 1) mu_0 is exactly 4pi, as Gamma(1) = Gamma(2), and the
+    factor l - nu/2 = 0 at l = 0 makes every later moment exactly 0.
     """
     kernel = SingularKernel.algebraic(nu)
     # numpy's power overflows to inf where Python's ** raises, so a huge nu
@@ -335,8 +321,6 @@ def moments_mixed(nu1: float, nu2: float, n: int) -> ModifiedMoments:
 
 def modified_moments(kernel: SingularKernel, n: int) -> ModifiedMoments:
     """Dispatch to the family-specific constructor."""
-    if kernel.family == "one":
-        return moments_one(n)
     if kernel.family == "algebraic":
         return moments_algebraic(kernel.nu, n)
     if kernel.family == "log":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .harmonics import HarmonicBasis, eval_basis_matrix
+from .harmonics import eval_basis_matrix
 from .pointsets import QuadratureRule
 from .sphere import EvaluationGrid, mesh_norm, uniform_random_points
 
@@ -70,11 +70,10 @@ def gram_matrix(rule: QuadratureRule, n: int,
                 basis: np.ndarray | None = None) -> np.ndarray:
     """G_{ii'} = sum_j w_j Y_i(x_j) Y_{i'}(x_j), symmetric PSD, (n+1)^2 square.
 
-    basis, if given, is eval_basis_matrix(HarmonicBasis(n), rule.points),
-    already evaluated by the caller.
+    basis, if given, is eval_basis_matrix(n, rule.points), already
+    evaluated by the caller.
     """
-    Y = (eval_basis_matrix(HarmonicBasis(n), rule.points) if basis is None
-         else basis)
+    Y = eval_basis_matrix(n, rule.points) if basis is None else basis
     G = _blas.matmul(Y * rule.weights, Y.T)
     return 0.5 * (G + G.T)  # exact symmetry for the eigensolver
 
@@ -100,7 +99,7 @@ def _harmonic_quadrature_errors(Y: np.ndarray,
 
 def quadrature_error_on_harmonics(rule: QuadratureRule, d: int) -> float:
     """Max over l <= d, k of |sum_j w_j Y_{l,k}(x_j) - sqrt(4pi) [l=0]|."""
-    Y = eval_basis_matrix(HarmonicBasis(d), rule.points)
+    Y = eval_basis_matrix(d, rule.points)
     return float(np.max(np.abs(_harmonic_quadrature_errors(Y, rule.weights))))
 
 
@@ -126,7 +125,7 @@ def mz_constant(rule: QuadratureRule, n: int,
     lat-long cell bound cannot rule out, and returns bit for bit the value
     of a query at every probe point.
     """
-    Y = eval_basis_matrix(HarmonicBasis(2 * n + 1), rule.points)
+    Y = eval_basis_matrix(2 * n + 1, rule.points)
     eta, lam_min, lam_max = gram_spectrum(
         gram_matrix(rule, n, basis=Y[:(n + 1) ** 2]))
     exact_to = _exactness_degree(_harmonic_quadrature_errors(Y, rule.weights),

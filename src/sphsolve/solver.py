@@ -92,7 +92,6 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dlange, sgetrf, sgetrs
 
 from . import _blas, harmonics
-from .harmonics import HarmonicBasis
 from .moments import (ModifiedMoments, SingularKernel, descriptor_floats,
                       modified_moments, shortest)
 from .mz import gram_matrix, gram_spectrum
@@ -361,7 +360,7 @@ def _target_factor(moments: ModifiedMoments, targets: np.ndarray,
     """
     degree, rows, _ = _active_rows(moments)
     if basis is None:
-        basis = harmonics.eval_basis_matrix(HarmonicBasis(degree), targets)
+        basis = harmonics.eval_basis_matrix(degree, targets)
     basis[0] = 1.0
     left = basis[rows]
     if left.shape[0] < basis.shape[0] and np.may_share_memory(left, basis):
@@ -448,8 +447,8 @@ def _nodal_rhs(spec: ProblemSpec) -> np.ndarray:
 
 def assemble_system(spec: ProblemSpec,
                     moments: ModifiedMoments | None = None,
-                    left: np.ndarray | None = None):
-    """Collocation matrix M_ij = delta_ij - W_j(x_i) K(x_i, x_j) and rhs f(x_i).
+                    left: np.ndarray | None = None) -> np.ndarray:
+    """Collocation matrix M_ij = delta_ij - W_j(x_i) K(x_i, x_j).
 
     -W_j(x_i) K(x_i, x_j) is stage 2's weighted-kernel block with the
     nodes as targets: one _weighted_kernel_block call on the right factor
@@ -463,7 +462,6 @@ def assemble_system(spec: ProblemSpec,
         moments = modified_moments(spec.kernel, spec.n)
     if moments.n != spec.n or moments.kernel != spec.kernel:
         raise ValueError("moments do not match the problem kernel/degree")
-    b = _nodal_rhs(spec)
     nodes = spec.rule.points
     if left is None:
         left = _target_factor(moments, nodes)
@@ -471,7 +469,7 @@ def assemble_system(spec: ProblemSpec,
     right *= -1.0
     M = _weighted_kernel_block(nodes, right, spec.K, nodes, left)
     np.fill_diagonal(M, M.diagonal() + 1.0)
-    return M, b
+    return M
 
 
 def _factor(A: np.ndarray, name: str):
@@ -588,7 +586,8 @@ def _first_non_finite_row(M: np.ndarray) -> int:
 
 def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
                  left: np.ndarray):
-    """(phi, residual, condition estimate) of the assembled M.
+    """(phi, residual, condition estimate) of the assembled M, for the
+    right-hand side b = f(x_i) that solve_stage1 checked.
 
     M is C-ordered, so its float32 copy's transpose is M^T in Fortran
     order, which sgetrf factors in place.  Where that LU cannot be formed
@@ -596,7 +595,7 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
     names a zero pivot with SingularSystemError.
     """
     with np.errstate(over="ignore"):  # an overflow is named just below
-        M, _ = assemble_system(spec, moments, left)
+        M = assemble_system(spec, moments, left)
     anorm = float(dlange("1", M.T))  # ||M||_inf: M.T is M in Fortran order
     if not math.isfinite(anorm):
         raise NonFiniteInputError(
@@ -708,7 +707,7 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     """
     moments = modified_moments(spec.kernel, spec.n)
     b = _nodal_rhs(spec)
-    Y = harmonics.eval_basis_matrix(HarmonicBasis(spec.n), spec.rule.points)
+    Y = harmonics.eval_basis_matrix(spec.n, spec.rule.points)
     G = gram_matrix(spec.rule, spec.n, basis=Y)
     eta = gram_spectrum(G)[0]
     left = _target_factor(moments, spec.rule.points, Y)

@@ -18,7 +18,6 @@ import pytest
 from sphsolve import (
     EXPERIMENT_IDS,
     ContinuousKernel,
-    HarmonicBasis,
     ProblemSpec,
     SingularKernel,
     bundled_pointsets,
@@ -239,7 +238,7 @@ def brute_force_surface_integrals(kernel: SingularKernel, x: np.ndarray,
              + t[:, None, None] * x)
         y = y.reshape(-1, 3)
         y /= np.linalg.norm(y, axis=1)[:, None]
-        Yb = eval_basis_matrix(HarmonicBasis(lmax), y)
+        Yb = eval_basis_matrix(lmax, y)
         total += (2.0 * np.pi / Q) * (
             Yb.reshape((lmax + 1) ** 2, len(t), Q).sum(axis=2) @ (wt * hv))
     return total
@@ -260,7 +259,7 @@ def test_criterion_6_funk_hecke_identity() -> None:
         fam_worst = 0.0
         for x in xs:
             brute = brute_force_surface_integrals(kernel, x, lmax)
-            Yx = eval_basis_matrix(HarmonicBasis(lmax), x[None, :])[:, 0]
+            Yx = eval_basis_matrix(lmax, x[None, :])[:, 0]
             fam_worst = max(fam_worst,
                             float(np.max(np.abs(brute - mu_flat * Yx))))
         details.append(f"{kernel.describe()} {fam_worst:.2e}")

@@ -33,7 +33,8 @@ from sphsolve import (ContinuousKernel, NonFiniteInputError, SingularKernel,
 
 def test_kernel_descriptor_grammar() -> None:
     parse = SingularKernel.parse
-    assert parse("one") == SingularKernel.one()
+    # h == 1 is algebraic:0; one still names it on input, alone
+    assert parse("one") == parse("alg:0") == SingularKernel.one()
     assert parse("alg:-0.5") == SingularKernel.algebraic(-0.5)
     assert parse("algebraic:-0.5") == SingularKernel.algebraic(-0.5)
     assert parse("log") == SingularKernel.log()
@@ -238,6 +239,16 @@ def test_moments_out_json(tmp_path, capsys) -> None:
                      "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     assert json.loads(out.read_text())["kernel"] == "algebraic:-0.1234567"
+    # --kernel one is h == 1, which the JSON names algebraic:0
+    payloads = []
+    for kernel in ("one", "alg:0"):
+        assert cli.main(["moments", "--kernel", kernel, "--n", "6",
+                         "--out", str(out)]) == EXIT_OK
+        payloads.append(json.loads(out.read_text()))
+    capsys.readouterr()
+    assert [p["kernel"] for p in payloads] == ["algebraic:0"] * 2
+    assert payloads[0]["values"] == payloads[1]["values"] == [
+        4.0 * math.pi] + [0.0] * 6
 
 
 def test_moments_out_csv_with_json_mirror(tmp_path, capsys) -> None:
@@ -405,6 +416,23 @@ def test_experiment_flag_validation(capsys) -> None:
     assert cli.main(["experiment", "--id", "9", "--n", "5",
                      "--points", "equal_area:10"]) == EXIT_VALIDATION
     capsys.readouterr()
+
+
+def test_sweep_rejects_weights_from_file(tmp_path, capsys) -> None:
+    # the bundled designs of a sweep carry no weight column, as with
+    # --points td010_00121.txt --weights file; from a flag or a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("weights = file\n")
+    for extra in (["--weights", "file"], ["--config", str(cfg)]):
+        code = cli.main(["experiment", "--id", "3", "--sweep", "n=10:5:10",
+                         *extra])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION, extra
+        assert captured.out == ""
+        assert "weight column" in captured.err
+    assert cli.main(["experiment", "--id", "3", "--n", "5", "--points",
+                     "td010_00121.txt", "--weights", "file"]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
 
 
 def test_validation_failures_exit_2_before_any_output(tmp_path, capsys) -> None:

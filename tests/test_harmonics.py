@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphsolve import (
-    HarmonicBasis,
     eval_basis_matrix,
     legendre_table,
     uniform_random_points,
@@ -19,7 +18,7 @@ from sphsolve import (
 
 def addition_sum(l: int, x, y) -> float:
     """sum_k Y_{l,k}(x) Y_{l,k}(y), the rows of degree l from the basis."""
-    Y = eval_basis_matrix(HarmonicBasis(l), np.array([x, y]))[l * l:]
+    Y = eval_basis_matrix(l, np.array([x, y]))[l * l:]
     return float(np.dot(Y[:, 0], Y[:, 1]))
 
 
@@ -67,16 +66,15 @@ def test_legendre_rejects_out_of_domain() -> None:
     for n in (-1, -3, 2.5, 3.0):
         with pytest.raises(ValueError, match="degree must be an integer"):
             legendre_table(n, 0.0)
-    with pytest.raises(ValueError, match="degree must be an integer"):
-        HarmonicBasis(2.5)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            eval_basis_matrix(n, [[0.0, 0.0, 1.0]])
     assert legendre_table(np.int64(2), 0.5)[2] == -0.125
 
 
 def test_constant_harmonic_value() -> None:
     # Y_{0,1} = 1/sqrt(4 pi) everywhere
     c = 1.0 / math.sqrt(4.0 * math.pi)
-    Y0 = eval_basis_matrix(HarmonicBasis(0), [[0.0, 0.0, 1.0],
-                                               [1.0, 0.0, 0.0]])
+    Y0 = eval_basis_matrix(0, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     assert Y0.shape == (1, 2)
     for value in Y0[0]:
         assert value == pytest.approx(0.28209479177, abs=1e-11)
@@ -87,7 +85,7 @@ def test_zonal_harmonic_at_pole() -> None:
     # (l, k) sits in row l*l + k - 1; the k = l+1 member is zonal, and at
     # the pole it equals sqrt((2l+1)/4pi)
     pole = np.array([[0.0, 0.0, 1.0]])
-    Y = eval_basis_matrix(HarmonicBasis(7), pole)[:, 0]
+    Y = eval_basis_matrix(7, pole)[:, 0]
     assert Y[1 * 1 + 2 - 1] == pytest.approx(0.48860251190, abs=1e-11)
     for l in range(0, 8):
         assert Y[l * l + l] == pytest.approx(
@@ -115,8 +113,8 @@ def test_addition_theorem_against_explicit_sum() -> None:
     grid = uniform_random_points(400, seed=11)
     xs, ys = grid.points[:200], grid.points[200:]
     n = 30
-    Yx = eval_basis_matrix(HarmonicBasis(n), xs)
-    Yy = eval_basis_matrix(HarmonicBasis(n), ys)
+    Yx = eval_basis_matrix(n, xs)
+    Yy = eval_basis_matrix(n, ys)
     P = legendre_table(n, np.clip(np.sum(xs * ys, axis=1), -1.0, 1.0))
     worst = 0.0
     for l in range(0, n + 1):
@@ -129,12 +127,11 @@ def test_addition_theorem_against_explicit_sum() -> None:
 
 def test_basis_matrix_shape_and_single_point_consistency() -> None:
     grid = uniform_random_points(5, seed=2)
-    basis = HarmonicBasis(4)
-    Y = eval_basis_matrix(basis, grid.points)
-    assert Y.shape == (25, 5)
-    assert len(basis) == 25
+    for n in (0, 1, 4, np.int64(4)):
+        assert eval_basis_matrix(n, grid.points).shape == ((n + 1) ** 2, 5)
+    Y = eval_basis_matrix(4, grid.points)
     for l, k in ((3, 1), (4, 9), (2, 3)):
         for j in range(5):
-            single = eval_basis_matrix(HarmonicBasis(l), grid.points[j])
+            single = eval_basis_matrix(l, grid.points[j])
             assert Y[l * l + k - 1, j] == pytest.approx(
                 single[l * l + k - 1, 0], abs=1e-13)

@@ -22,9 +22,7 @@ from sphsolve import (
     moments_algebraic,
     moments_log,
     moments_mixed,
-    moments_one,
     oracle_moments_vector,
-    profile_integral,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -37,19 +35,31 @@ def oracle_for(kernel: SingularKernel, n: int) -> np.ndarray:
 def test_kernel_family_validation() -> None:
     with pytest.raises(ValueError, match="> -1"):
         SingularKernel.algebraic(-1.0)
-    with pytest.raises(ValueError, match=r"\[-1, 0\]"):
-        SingularKernel.mixed(-0.5, 0.5)
-    with pytest.raises(ValueError, match="family"):
-        SingularKernel("cubic")
+    for nu1, nu2 in ((-0.5, 0.5), (0.5, -0.5), (-0.5, math.nan)):
+        with pytest.raises(ValueError, match=r"\[-1, 0\]"):
+            SingularKernel.mixed(nu1, nu2)
+    for family in ("cubic", "one"):  # h == 1 is algebraic:0, not a family
+        with pytest.raises(ValueError, match="family"):
+            SingularKernel(family)
     assert SingularKernel.algebraic(-0.5).describe() == "algebraic:-0.5"
     assert SingularKernel.mixed(-1.0, -0.25).describe() == "mixed:-1:-0.25"
 
 
-def test_moments_one_is_orthogonality() -> None:
-    mom = moments_one(12)
-    assert mom.values[0] == pytest.approx(FOUR_PI, rel=1e-15)
-    assert np.all(mom.values[1:] == 0.0)
+def test_h_one_is_algebraic_zero_with_exact_orthogonality() -> None:
+    # h == 1 is algebraic:0: Gamma(1) == Gamma(2) gives mu_0 = 4pi exactly,
+    # and the factor l - nu/2 = 0 at l = 0 leaves exact zeros after it
+    kernel = SingularKernel.one()
+    assert kernel == SingularKernel.algebraic(0.0)
+    assert kernel.describe() == "algebraic:0"
+    mom = modified_moments(kernel, 12)
+    assert np.array_equal(mom.values, [FOUR_PI] + [0.0] * 12)
     assert mom.method == "closed_form"
+
+
+def test_h_one_profile_is_exactly_one() -> None:
+    up = np.array([0.0, 1e-300, 0.5, 2.0])
+    assert np.array_equal(SingularKernel.one().profile(up, 2.0 - up),
+                          np.ones(4))
 
 
 def test_oracle_reproduces_orthogonality() -> None:
@@ -140,7 +150,7 @@ def test_algebraic_moments_decay_monotonically(nu: float) -> None:
 
 
 def test_log_and_one_moments_decay_monotonically() -> None:
-    for mom in (moments_log(30), moments_one(30)):
+    for mom in (moments_log(30), modified_moments(SingularKernel.one(), 30)):
         mags = np.abs(mom.values)
         assert np.all(mags[2:] <= mags[1:-1] * (1.0 + 1e-12))
 
@@ -167,7 +177,7 @@ def test_oracle_warns_when_it_cannot_certify() -> None:
     # up^-0.999 sheds only a factor 2^-0.001 per dyadic level toward +1, so
     # no tail contracts enough to extrapolate within the level cap
     with pytest.warns(OracleAccuracyWarning):
-        profile_integral(lambda up, um: up ** -0.999)
+        oracle_moments_vector(lambda up, um: up ** -0.999, 0)[0]
 
 
 def test_oracle_exact_endpoint_profiles_certify_silently() -> None:
@@ -175,7 +185,7 @@ def test_oracle_exact_endpoint_profiles_certify_silently() -> None:
     import warnings as _warnings
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", OracleAccuracyWarning)
-        value = profile_integral(kernel.profile)
+        value = oracle_moments_vector(kernel.profile, 0)[0]
     assert value == pytest.approx(moments_algebraic(-0.9, 0).values[0],
                                   rel=1e-13)
 

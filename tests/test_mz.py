@@ -122,7 +122,7 @@ def test_eta_is_one_computation_for_mz_and_solver() -> None:
 def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
     # both diagnostics are bit-identical to the weighted basis sums they
     # were each computed from on their own
-    from sphsolve.harmonics import HarmonicBasis, eval_basis_matrix
+    from sphsolve.harmonics import eval_basis_matrix
     from sphsolve.mz import EXACTNESS_TOL, SQRT_4PI
 
     rule = (random_rule(500, 41) if which == "random500"
@@ -130,7 +130,7 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
     probe = uniform_random_points(1000, seed=3)
     for n in (0, 4, 10):
         d = 2 * n + 1
-        s = eval_basis_matrix(HarmonicBasis(d), rule.points) @ rule.weights
+        s = eval_basis_matrix(d, rule.points) @ rule.weights
         s[0] -= SQRT_4PI
         exact_to = -1
         for l in range(d + 1):
@@ -148,7 +148,7 @@ def test_mz_report_matches_the_two_call_form(t) -> None:
     # basis at n for the Gram matrix and again at 2n+1 for exactness
     from conftest import design_rule
     from sphsolve import mesh_norm
-    from sphsolve.harmonics import HarmonicBasis, eval_basis_matrix
+    from sphsolve.harmonics import eval_basis_matrix
     from sphsolve.mz import (EXACTNESS_TOL, MZReport, _exactness_degree,
                              _harmonic_quadrature_errors, gram_spectrum)
 
@@ -156,9 +156,9 @@ def test_mz_report_matches_the_two_call_form(t) -> None:
     probe = uniform_random_points(2000, seed=71)
     h = mesh_norm(rule.points, probe)
     for n in range(t // 2 + 1):
-        Y = eval_basis_matrix(HarmonicBasis(2 * n + 1), rule.points)
+        Y = eval_basis_matrix(2 * n + 1, rule.points)
         assert np.array_equal(
-            Y[:(n + 1) ** 2], eval_basis_matrix(HarmonicBasis(n), rule.points))
+            Y[:(n + 1) ** 2], eval_basis_matrix(n, rule.points))
         eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n))
         exact_to = _exactness_degree(
             _harmonic_quadrature_errors(Y, rule.weights), EXACTNESS_TOL)

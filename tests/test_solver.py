@@ -24,7 +24,6 @@ from scipy.special import lpmv
 
 from sphsolve import (
     ContinuousKernel,
-    HarmonicBasis,
     IllConditionedWarning,
     ModifiedMoments,
     NonFiniteInputError,
@@ -42,7 +41,6 @@ from sphsolve import (
     modified_moments,
     mz_constant,
     oracle_moments_vector,
-    profile_integral,
     random_rule,
     run_experiment,
     solve_stage1,
@@ -105,7 +103,8 @@ def test_weight_sums_obey_hyperinterpolant_bound(td40) -> None:
     moments = modified_moments(kernel, n)
     eta = mz_constant(td40, n).eta
 
-    h2 = profile_integral(lambda up, um: kernel.profile(up, um) ** 2)
+    h2 = oracle_moments_vector(lambda up, um: kernel.profile(up, um) ** 2,
+                               0)[0]
     # closed form of 2pi int (log profile)^2 dt for cross-validation
     assert h2 == pytest.approx(
         math.pi * (4.0 * math.log(2.0) ** 2 - 4.0 * math.log(2.0) + 2.0),
@@ -122,11 +121,10 @@ def test_assembled_matrix_structure_for_plain_rule(td10) -> None:
     spec = ProblemSpec(kernel=SingularKernel.one(),
                        K=ContinuousKernel.constant(1.0),
                        f=1.0, n=5, rule=td10)
-    M, b = assemble_system(spec)
+    M = assemble_system(spec)
     m = td10.m
     expected = np.eye(m) - (FOUR_PI / m) * np.ones((m, m))
     assert np.max(np.abs(M - expected)) <= 1e-12
-    assert np.allclose(b, 1.0)
 
 
 def test_constant_K_assembles_without_distances(td10, monkeypatch) -> None:
@@ -137,14 +135,14 @@ def test_constant_K_assembles_without_distances(td10, monkeypatch) -> None:
         return ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0, n=10,
                            rule=td10)
 
-    custom, _ = assemble_system(
+    custom = assemble_system(
         spec(ContinuousKernel.custom(lambda r: np.full_like(r, 0.7))))
 
     def no_distances(r):
         raise AssertionError("a constant K formed distances")
 
     monkeypatch.setattr(solver, "_distance_from_scaled_dots", no_distances)
-    M, _ = assemble_system(spec(ContinuousKernel.constant(0.7)))
+    M = assemble_system(spec(ContinuousKernel.constant(0.7)))
     assert np.array_equal(M, custom)
 
 
@@ -436,8 +434,8 @@ def test_stage2_blocks_match_one_product(td20) -> None:
     sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K,
                                    f=0.7, n=n, rule=td20))
     mu = np.repeat(sol.moments.values, 2 * np.arange(n + 1) + 1)
-    right = mu[:, None] * eval_basis_matrix(HarmonicBasis(n), td20.points)
-    left = eval_basis_matrix(HarmonicBasis(n), targets)
+    right = mu[:, None] * eval_basis_matrix(n, td20.points)
+    left = eval_basis_matrix(n, targets)
     dots = np.clip(targets @ td20.points.T, -1.0, 1.0)
     B = (left.T @ (right * td20.weights)) * K.of_dots(dots)
     expected = 0.7 + B @ sol.nodal_values
@@ -564,7 +562,8 @@ def test_low_rank_matches_dense_lu(case, request, eval_grid) -> None:
     assert sol.path == ("low-rank" if r < spec.rule.m else "dense-lu")
     assert sol.factor.shape == (active_rank(sol.moments), spec.rule.m)
 
-    M, b = assemble_system(spec, sol.moments)
+    M = assemble_system(spec, sol.moments)
+    b = spec.f_values(spec.rule.points)
     phi = lu_solve(lu_factor(M), b)
     scale = float(np.max(np.abs(phi)))
     assert np.max(np.abs(sol.nodal_values - phi)) <= 1e-10 * scale
@@ -639,7 +638,7 @@ def test_dense_path_drops_the_gram_matrix_before_assembly(td10,
 
 
 def harmonic_values(l: int, k: int, points: np.ndarray) -> np.ndarray:
-    Y = eval_basis_matrix(HarmonicBasis(l), points)
+    Y = eval_basis_matrix(l, points)
     return Y[l * l + k - 1]
 
 
@@ -806,7 +805,7 @@ def test_low_rank_condition_estimate(case, request) -> None:
         spec = low_rank_spec(case, request)
     sol = solve_stage1(spec)
     assert sol.path == "low-rank"
-    M, _ = assemble_system(spec, sol.moments)
+    M = assemble_system(spec, sol.moments)
     exact = np.linalg.cond(M, np.inf)
     assert exact / 2.0 <= sol.condition_estimate <= exact * (1.0 + 1e-5)
 
@@ -898,7 +897,8 @@ def test_one_node_solve_has_condition_one() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_stage1(spec)
-    M, b = assemble_system(spec, sol.moments)
+    M = assemble_system(spec, sol.moments)
+    b = spec.f_values(spec.rule.points)
     assert sol.path == "dense-lu"
     assert sol.nodal_values[0] == pytest.approx(b[0] / M[0, 0], rel=1e-15)
     assert abs(sol.condition_estimate - 1.0) <= np.finfo(np.float32).eps
@@ -962,7 +962,8 @@ def test_mixed_precision_dense_solve(exp_id, rule_name, n, request,
     shapes = count_double_lu(monkeypatch)
     sol = solve_stage1(spec)
     assert sol.path == "dense-lu" and shapes == []
-    M, b = assemble_system(spec, sol.moments)
+    M = assemble_system(spec, sol.moments)
+    b = spec.f_values(spec.rule.points)
     expected = scipy.linalg.solve(M, b)
     assert np.max(np.abs(sol.nodal_values - expected)) <= 1e-12 * np.max(
         np.abs(expected))
@@ -1009,7 +1010,8 @@ def test_dense_matrix_beyond_float32_solves_in_float64(monkeypatch) -> None:
         warnings.simplefilter("error")
         sol = solve_stage1(spec)
     assert sol.path == "dense-lu" and shapes == [(8, 8)]
-    M, b = assemble_system(spec, sol.moments)
+    M = assemble_system(spec, sol.moments)
+    b = spec.f_values(spec.rule.points)
     assert np.linalg.norm(M, np.inf) > np.finfo(np.float32).max
     expected = scipy.linalg.solve(M, b)
     assert np.max(np.abs(sol.nodal_values - expected)) <= 1e-12 * np.max(
@@ -1391,9 +1393,8 @@ def test_assembly_from_the_solve_basis_is_bit_identical(td20) -> None:
                        rule=td20)
     left = solver._target_factor(modified_moments(spec.kernel, spec.n),
                                  td20.points)
-    M, b = assemble_system(spec)
-    M_left, b_left = assemble_system(spec, left=left)
-    assert np.array_equal(M_left, M) and np.array_equal(b_left, b)
+    assert np.array_equal(assemble_system(spec, left=left),
+                          assemble_system(spec))
 
 
 @pytest.mark.parametrize("K_name", ["sin", "cos", "custom"])
@@ -1409,7 +1410,7 @@ def test_assembly_matches_identity_minus_weighted_kernel(rule_name, K_name,
     identity = np.eye(rule.m)
     for kernel in (SingularKernel.log(), SingularKernel.mixed(-0.5, -0.5)):
         spec = ProblemSpec(kernel=kernel, K=K, f=1.0, n=10, rule=rule)
-        M, _ = assemble_system(spec)
+        M = assemble_system(spec)
         full = weighted_kernel(rule, modified_moments(kernel, spec.n), K,
                                rule.points)
         scale = float(np.max(np.abs(full)))
@@ -1444,6 +1445,25 @@ def test_experiment_evaluates_node_basis_once(exp_id, path, td10,
     assert seen == ([True] if exp_id == 1 else [True, False])
 
 
+@pytest.mark.parametrize("K, path", [
+    (ContinuousKernel.constant(1.0), "low-rank"),
+    (ContinuousKernel.sin_scaled(10.0), "dense-lu"),
+], ids=["low-rank", "dense-lu"])
+def test_solve_evaluates_f_once(K, path, td10) -> None:
+    # stage 1 evaluates and checks f at the nodes once; assembly takes no
+    # right-hand side of its own
+    calls = []
+
+    def f(points):
+        calls.append(len(points))
+        return np.ones(len(points))
+
+    sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(), K=K, f=f,
+                                   n=5, rule=td10))
+    assert sol.path == path
+    assert calls == [td10.m]
+
+
 def count_basis_calls(monkeypatch, nodes: np.ndarray) -> list[bool]:
     """Wrap every basis evaluation; the list records, per call, whether it
     evaluated the basis of nodes."""
@@ -1451,9 +1471,9 @@ def count_basis_calls(monkeypatch, nodes: np.ndarray) -> list[bool]:
     seen = []
 
     def counting(fn):
-        def wrapper(basis, points):
+        def wrapper(n, points):
             seen.append(points is nodes)
-            return fn(basis, points)
+            return fn(n, points)
         return wrapper
 
     monkeypatch.setattr(harmonics, "eval_basis_matrix",
