@@ -251,8 +251,8 @@ def _cmd_solve(config: RunConfig) -> int:
     rule = resolve_points_descriptor(config.points, config.weights)
     grid = uniform_random_points(config.grid, seed=config.seed)
 
-    mom = modified_moments(kernel, config.n)
-    mu0 = float(mom.values[0])
+    # mu_0 is the same at every degree; solve_stage1 computes them to n
+    mu0 = float(modified_moments(kernel, 0).values[0])
     if f_const is None:
         # Right-hand side making phi == 1 exact: f = 1 - c mu_0.
         f_value, exact = 1.0 - K.c * mu0, 1.0

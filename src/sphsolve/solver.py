@@ -57,18 +57,18 @@ over U once the solve is done.  Stage 2 forms the r coefficients c V phi
 once per call and costs O(r) per target: phi(t) = f(t) + Y(t)^T (c V phi).
 Every other K takes the dense solve.
 
-Every stage-1 solve is refined in double by one loop, as LAPACK's dsgesv
-refines (Langou et al., SC 2006; Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 12): corrections x += solve(b - M x) until
+Every LU, of M or of the r x r system, is one lu_factor call in
+_lu_solves, and one loop refines every stage-1 solve in float64, as
+LAPACK's dsgesv does (Langou et al., SC 2006; Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 12): x += solve(b - M x) until
 max|b - M x| <= max|x| ||M||_inf eps sqrt(m).  The dense solve factors M
-in single precision: a float32 LU costs half a float64 one, and on
-matrices as well conditioned as the collocation matrices (condition
-estimates of a few hundred on the t-designs) two or three corrections
-reach the float64 answer.  It falls back to the float64 LU, refined in
-turn, when ||M||_inf overflows float32, the float32 LU meets a zero pivot,
-or its solve does not pass.  Every condition estimate is ||M||_inf times
-one estimator, _norm1_estimate (the dlacn2 iteration), of ||M^-T||_1
-through the factor that solved.
+in float32, at half the cost of a float64 LU; on matrices as well
+conditioned as the collocation matrices (condition estimates of a few
+hundred on the t-designs) two or three corrections reach the float64
+answer.  It falls back to a float64 LU when ||M||_inf overflows float32,
+the float32 LU meets a zero pivot, or its solve does not pass.  Every
+condition estimate is ||M||_inf times one estimator, _norm1_estimate (the
+dlacn2 iteration), of ||M^-T||_1 through the factor that solved.
 
 Every dense product here, and the Gram eigensolve, runs through
 sphsolve._blas on scipy's BLAS and LAPACK, never through numpy's @.  The
@@ -89,7 +89,7 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dlange, sgetrf, sgetrs
+from scipy.linalg.lapack import dlange
 
 from . import _blas, harmonics
 from .moments import (ModifiedMoments, SingularKernel, descriptor_floats,
@@ -128,8 +128,6 @@ _CHUNK_ENTRIES = 1 << 16
 
 # Most corrections of one refined solve: ITERMAX of LAPACK dsgesv.
 _REFINE_STEPS = 30
-
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # Steps of the 1-norm estimator: ITMAX of LAPACK dlacn2.
 _NORM1_STEPS = 5
@@ -472,20 +470,35 @@ def assemble_system(spec: ProblemSpec,
     return M
 
 
-def _factor(A: np.ndarray, name: str):
-    """LU of A; SingularSystemError when a pivot is exactly zero.
+def _lu_solves(A: np.ndarray, dtype, name: str):
+    """(solve, solve_t): r -> A^-1 r and r -> A^-T r in float64, through one
+    lu_factor of A in dtype; SingularSystemError on an exactly zero pivot.
 
-    lu_factor warns LinAlgWarning, a RuntimeWarning, naming the first
-    exactly zero pivot; it is raised here as SingularSystemError.  A is
-    not scanned for non-finite entries: _solve_dense names any in its
-    norm pass, and _solve_low_rank checks its r x r S before factoring it.
+    A is C-ordered, so its copy in dtype, transposed, is A^T in Fortran
+    order, which lu_factor factors in place: that copy is the only one.
+    Each solve scales r to a largest entry of 1, so that its cast to dtype
+    cannot overflow, nor flush a small r to zero.  lu_factor warns
+    LinAlgWarning, a RuntimeWarning, naming the first zero pivot.  A is
+    not scanned for non-finite entries: _solve_dense names any in its norm
+    pass, and _solve_low_rank checks S before factoring it.
     """
+    a = A.astype(dtype).T
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
         try:
-            return lu_factor(A, check_finite=False)
+            lu_piv = lu_factor(a, overwrite_a=True, check_finite=False)
         except (RuntimeWarning, np.linalg.LinAlgError) as exc:
             raise SingularSystemError(f"{name} is singular: {exc}") from None
+
+    def solve(r: np.ndarray, trans: int) -> np.ndarray:
+        scale = float(np.max(np.abs(r)))
+        if scale == 0.0:
+            return np.zeros_like(r)
+        x = lu_solve(lu_piv, (r / scale).astype(dtype), trans=trans,
+                     check_finite=False)
+        return scale * x.astype(np.float64)
+
+    return partial(solve, trans=1), partial(solve, trans=0)
 
 
 def _norm1_estimate(apply: Callable[[np.ndarray], np.ndarray],
@@ -557,19 +570,6 @@ def _refined_solve(apply: Callable[[np.ndarray], np.ndarray],
     return x, residual, False
 
 
-def _float32_solve(lu: np.ndarray, piv: np.ndarray, trans: int,
-                   r: np.ndarray) -> np.ndarray:
-    """r solved in float32 with the sgetrf factor lu of M^T: M^-1 r for
-    trans=1, M^-T r for trans=0.  r is scaled to a largest entry of 1, so
-    that its cast to float32 cannot overflow, nor flush a small r to zero.
-    """
-    scale = float(np.max(np.abs(r)))
-    if scale == 0.0:
-        return np.zeros_like(r)
-    x = sgetrs(lu, piv, (r / scale).astype(np.float32), trans=trans)[0]
-    return scale * x.astype(np.float64)
-
-
 def _first_non_finite_row(M: np.ndarray) -> int:
     """The first row of M whose sum of |entries| is not finite, else 0.
 
@@ -589,10 +589,9 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
     """(phi, residual, condition estimate) of the assembled M, for the
     right-hand side b = f(x_i) that solve_stage1 checked.
 
-    M is C-ordered, so its float32 copy's transpose is M^T in Fortran
-    order, which sgetrf factors in place.  Where that LU cannot be formed
-    or its refined solve does not pass, _factor factors M in float64 and
-    names a zero pivot with SingularSystemError.
+    M is factored in float32 unless ||M||_inf overflows it, and in float64
+    when that LU meets a zero pivot or its refined solve does not pass; a
+    float64 zero pivot raises SingularSystemError.
     """
     with np.errstate(over="ignore"):  # an overflow is named just below
         M = assemble_system(spec, moments, left)
@@ -601,19 +600,20 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
         raise NonFiniteInputError(
             f"K is not finite in row {_first_non_finite_row(M)} of the "
             "collocation matrix")
-    apply, passed = partial(_blas.matvec, M), False
-    if anorm <= _FLOAT32_MAX:  # else the float32 copy overflows
-        lu, piv, info = sgetrf(M.astype(np.float32).T, overwrite_a=True)
-        if info == 0:  # no zero pivot
-            solves = [partial(_float32_solve, lu, piv, t) for t in (1, 0)]
-            phi, residual, passed = _refined_solve(apply, solves[0], b, anorm)
-        del lu, piv
-    if not passed:
+    apply = partial(_blas.matvec, M)
+    for dtype in (np.float32, np.float64):
+        if anorm > float(np.finfo(dtype).max):
+            continue  # the copy of M in dtype would overflow
         solves = None  # the float32 LU is not kept beside the float64 one
-        lu_piv = _factor(M, "collocation matrix")
-        solves = [partial(lu_solve, lu_piv, trans=t, check_finite=False)
-                  for t in (0, 1)]
-        phi, residual, _ = _refined_solve(apply, solves[0], b, anorm)
+        try:
+            solves = _lu_solves(M, dtype, "collocation matrix")
+        except SingularSystemError:
+            if dtype is np.float64:
+                raise
+            continue
+        phi, residual, passed = _refined_solve(apply, solves[0], b, anorm)
+        if passed:
+            break
     return phi, residual, anorm * _norm1_estimate(solves[1], solves[0],
                                                   M.shape[0])
 
@@ -654,15 +654,15 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
         raise NonFiniteInputError(
             f"constant K c = {c} makes the reduced system I - c V U "
             "non-finite")
-    lu_piv = _factor(S, "reduced system I - c V U")
+    S_inv, S_inv_t = _lu_solves(S, np.float64, "reduced system I - c V U")
 
     def apply_M(Ut):  # y -> M y, reading U^T from Ut
         return lambda y: y - c * _blas.matvec(
             Ut.T, mu * _blas.matvec(Ut, w * y))
 
     def apply_M_inv(Ut):  # y -> M^-1 y, reading U^T from Ut
-        return lambda y: y + c * _blas.matvec(Ut.T, lu_solve(
-            lu_piv, mu * _blas.matvec(Ut, w * y), check_finite=False))
+        return lambda y: y + c * _blas.matvec(
+            Ut.T, S_inv(mu * _blas.matvec(Ut, w * y)))
 
     U_T32 = U_T.astype(np.float32)
 
@@ -671,8 +671,7 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
                                         mu * _blas.matvec(U_T32, x))
 
     def M_inv_T(x):
-        z = lu_solve(lu_piv, _blas.matvec(U_T32, x), trans=1,
-                     check_finite=False)
+        z = S_inv_t(_blas.matvec(U_T32, x))
         return x + c * w * _blas.matvec(U_T32.T, mu * z)
 
     anorm = _norm1_estimate(M_T, apply_M(U_T32), m)  # ||M||_inf

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sphsolve import cli
+from sphsolve import cli, moments, solver
 from sphsolve.cli import (
     ANALYZE_CSV_HEADER,
     CSV_HEADER,
@@ -330,6 +330,27 @@ def test_solve_auto_rhs_constant_solution(tmp_path, capsys) -> None:
     assert payload["config"]["kernel"] == "log"
     assert payload["records"][0]["m"] == 121
     assert RunConfig(**payload["config"]).subcommand == "solve"
+
+
+def test_solve_computes_the_degree_n_moments_once(monkeypatch,
+                                                  capsys) -> None:
+    # mu_0 of const:auto comes from the degree-0 moments, so only
+    # solve_stage1 computes them to degree n: for the mixed family, one
+    # Gauss-Jacobi rule of n + 20 nodes, not two
+    degrees = []
+
+    def recording(kernel, n):
+        degrees.append(n)
+        return moments.modified_moments(kernel, n)
+
+    monkeypatch.setattr(cli, "modified_moments", recording)
+    monkeypatch.setattr(solver, "modified_moments", recording)
+    assert cli.main(["solve", "--kernel", "mixed:-0.5:-0.5", "--K",
+                     "const:0.02", "--f", "const:auto", "--n", "10",
+                     "--points", "td020_00441.txt"]) == EXIT_OK
+    assert degrees.count(10) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert float(lines[1].split(",")[4]) <= 1e-12  # against phi == 1
 
 
 def test_solve_explicit_f_constant_K_scales_solution(capsys) -> None:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,19 @@ def test_load_accepts_comments_and_label(tmp_path) -> None:
     assert rule.label == "poles"
     unlabeled = load_pointset(path)
     assert unlabeled.label == "two.txt"
+
+
+def test_generator_default_lists_every_bundled_design() -> None:
+    # tools/generate_pointsets.py with its defaults regenerates every
+    # bundled design, as the README says
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location(
+        "generate_pointsets", tools / "generate_pointsets.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    bundled = sorted(int(name[2:5]) for name in bundled_pointsets()
+                     if name.startswith("td"))
+    assert [int(t) for t in tool.DESIGNS.split(",")] == bundled
 
 
 def test_bundled_designs_present_and_loadable() -> None:

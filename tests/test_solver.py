@@ -588,17 +588,17 @@ def test_reduced_system_is_read_from_the_gram_matrix(case, rank, request,
     # the factors themselves, and the solve runs one GEMM: the Gram matrix
     spec = low_rank_spec(case, request)
     factored, gemms = [], []
-    factor, matmul = solver._factor, _blas.matmul
+    factor, matmul = solver.lu_factor, _blas.matmul
 
-    def capture(A, name):
-        factored.append(A.copy())
-        return factor(A, name)
+    def capture(a, *args, **kwargs):  # a is S^T, factored in place
+        factored.append(a.T.copy())
+        return factor(a, *args, **kwargs)
 
     def count(a, b):
         gemms.append((a.shape, b.shape))
         return matmul(a, b)
 
-    monkeypatch.setattr(solver, "_factor", capture)
+    monkeypatch.setattr(solver, "lu_factor", capture)
     monkeypatch.setattr(_blas, "matmul", count)
     sol = solve_stage1(spec)
     monkeypatch.undo()
@@ -919,17 +919,17 @@ def test_dense_path_when_rank_reaches_m() -> None:
 
 # ------------------------------------- dense path: mixed precision, fallback
 
-def count_double_lu(monkeypatch) -> list[tuple[int, ...]]:
-    """Wrap solver.lu_factor, the float64 LU that the dense path falls back
-    to; the list records the shape of each matrix it factors."""
-    shapes = []
+def record_lu(monkeypatch) -> list[tuple[tuple[int, ...], type]]:
+    """Wrap solver.lu_factor, the one LU of every stage-1 solve; the list
+    records the shape and dtype of each matrix it factors."""
+    factored = []
 
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
+    def recording(a, *args, **kwargs):
+        factored.append((a.shape, a.dtype.type))
         return lu_factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "lu_factor", counting)
-    return shapes
+    monkeypatch.setattr(solver, "lu_factor", recording)
+    return factored
 
 
 @pytest.mark.parametrize("exp_id", [1, 2, 4])
@@ -959,9 +959,10 @@ def test_mixed_precision_dense_solve(exp_id, rule_name, n, request,
     kernel, K = experiment_kernels(exp_id)
     spec = ProblemSpec(kernel=kernel, K=K, f=experiment_f(exp_id), n=n,
                        rule=rule)
-    shapes = count_double_lu(monkeypatch)
+    factored = record_lu(monkeypatch)
     sol = solve_stage1(spec)
-    assert sol.path == "dense-lu" and shapes == []
+    assert sol.path == "dense-lu"
+    assert factored == [((rule.m, rule.m), np.float32)]
     M = assemble_system(spec, sol.moments)
     b = spec.f_values(spec.rule.points)
     expected = scipy.linalg.solve(M, b)
@@ -974,6 +975,17 @@ def test_mixed_precision_dense_solve(exp_id, rule_name, n, request,
     assert exact / 2.0 <= sol.condition_estimate <= exact * (1.0 + 1e-4)
 
 
+def test_each_dense_solve_factors_once_in_float32(td20, monkeypatch) -> None:
+    # the ladder's td20 rung: each run of a non-constant-K preset, stage 1
+    # and stage 2, factors M once, in float32, and makes no float64 LU
+    grid = uniform_random_points(500, seed=4)
+    factored = record_lu(monkeypatch)
+    for exp_id in (1, 2, 4):
+        assert run_experiment(exp_id, 10, td20,
+                              grid=grid).solver_path == "dense-lu"
+    assert factored == [((td20.m, td20.m), np.float32)] * 3
+
+
 def test_singular_dense_system_falls_back(monkeypatch) -> None:
     # eight equal-weight points with K c w = 1/8 exactly, at n = 3 so that
     # (n+1)^2 >= m keeps the constant K on the dense path: M = I - ones/8
@@ -984,14 +996,14 @@ def test_singular_dense_system_falls_back(monkeypatch) -> None:
     assert c * rule.weights[0] == 0.125  # exact in float64
     spec = ProblemSpec(kernel=SingularKernel.one(),
                        K=ContinuousKernel.constant(c), f=1.0, n=3, rule=rule)
-    shapes = count_double_lu(monkeypatch)
+    factored = record_lu(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             sol = solve_stage1(spec)
         except SingularSystemError:
             sol = None
-    assert shapes == [(8, 8)]
+    assert factored == [((8, 8), np.float32), ((8, 8), np.float64)]
     if sol is not None:
         assert sol.path == "dense-lu"
         assert [w.category for w in caught] == [IllConditionedWarning]
@@ -1005,11 +1017,11 @@ def test_dense_matrix_beyond_float32_solves_in_float64(monkeypatch) -> None:
                        K=ContinuousKernel.custom(
                            lambda r: np.full_like(r, 1e39)),
                        f=1.0, n=3, rule=rule)
-    shapes = count_double_lu(monkeypatch)
+    factored = record_lu(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_stage1(spec)
-    assert sol.path == "dense-lu" and shapes == [(8, 8)]
+    assert sol.path == "dense-lu" and factored == [((8, 8), np.float64)]
     M = assemble_system(spec, sol.moments)
     b = spec.f_values(spec.rule.points)
     assert np.linalg.norm(M, np.inf) > np.finfo(np.float32).max
@@ -1039,7 +1051,7 @@ def test_import_leaves_sparse_linalg_unloaded() -> None:
 
 
 def test_dense_condition_estimate_repeats_across_processes() -> None:
-    # the estimate reads the float32 factor through sgetrs alone: two fresh
+    # the estimate reads the float32 factor through lu_solve alone: two fresh
     # interpreters give it bit for bit on a dense solve
     src = os.path.dirname(os.path.dirname(solver.__file__))
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -1183,8 +1195,7 @@ def test_overflowing_constant_kernel_is_named_on_both_paths(
     def never(*args, **kwargs):
         raise AssertionError("factored a non-finite matrix")
 
-    monkeypatch.setattr(solver, "_factor", never)
-    monkeypatch.setattr(solver, "sgetrf", never)
+    monkeypatch.setattr(solver, "lu_factor", never)
     spec = ProblemSpec(kernel=SingularKernel.log(),
                        K=ContinuousKernel.constant(1.7e308), f=1.0, n=n,
                        rule=rule)

@@ -42,6 +42,9 @@ from sphsolve.pointsets import QuadratureRule, equal_area_points, save_pointset 
 
 FOUR_PI = 4.0 * math.pi
 
+# t of every bundled design, the default of --designs
+DESIGNS = "10,12,18,20,24,30,36,40,42"
+
 
 # ----------------------------------------------------------------- geometry
 
@@ -318,7 +321,7 @@ def main(argv=None):
     ap.add_argument("--out", type=Path,
                     default=Path(__file__).resolve().parent.parent
                     / "src" / "sphsolve" / "data" / "pointsets")
-    ap.add_argument("--designs", type=str, default="10,12,18,20,24,30,40",
+    ap.add_argument("--designs", type=str, default=DESIGNS,
                     help="comma-separated t values for spherical t-designs")
     ap.add_argument("--me", type=int, default=441,
                     help="point count for the minimal-energy set (0 skips)")
