@@ -16,7 +16,7 @@ for every subcommand: a ``.json`` path gets only the JSON (configuration
 echo plus results), any other path the results as CSV plus that JSON at
 the same stem with suffix ``.json``.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error or out of memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -412,6 +412,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValidationError, PointFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # numpy's "Unable to allocate ..." included
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -65,22 +65,18 @@ def legendre_table(n: int, t) -> np.ndarray:
 
 
 def _normalization_tables(n):
-    """Coefficient tables for the normalized associated Legendre recurrence."""
+    """Coefficient tables for the normalized associated Legendre recurrence,
+    indexed [m] and [l, m]; rec_a and rec_b are 0 off l >= m + 2."""
+    orders = np.arange(n + 1.0)
     diag_c = np.zeros(n + 1)
-    sub_c = np.zeros(n + 1)
-    for m in range(1, n + 1):
-        diag_c[m] = math.sqrt((2 * m + 1) / (2.0 * m))
-    for m in range(0, n + 1):
-        sub_c[m] = math.sqrt(2 * m + 3.0)
+    diag_c[1:] = np.sqrt((2.0 * orders[1:] + 1.0) / (2.0 * orders[1:]))
+    l, m = np.tril_indices(n + 1, -2)  # every (l, m) with l >= m + 2
     rec_a = np.zeros((n + 1, n + 1))
     rec_b = np.zeros((n + 1, n + 1))
-    for m in range(0, n + 1):
-        for l in range(m + 2, n + 1):
-            rec_a[l, m] = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            rec_b[l, m] = math.sqrt(
-                ((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)
-            )
-    return diag_c, sub_c, rec_a, rec_b
+    rec_a[l, m] = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+    rec_b[l, m] = np.sqrt(((l - 1.0) ** 2 - m * m)
+                          / (4.0 * (l - 1.0) ** 2 - 1.0))
+    return diag_c, np.sqrt(2.0 * orders + 3.0), rec_a, rec_b
 
 
 _NRM0 = 1.0 / math.sqrt(4.0 * math.pi)

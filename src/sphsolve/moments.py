@@ -11,10 +11,10 @@ mu_l Y_{l,k}(x).  Three weight families are supported:
 h = 1 is algebraic(0) (SingularKernel.one()), whose closed form gives
 mu_0 = 4pi and exact zeros after it.  The first two families have closed
 forms; the mixed family uses Gauss-Jacobi rules that absorb both endpoint
-singularities exactly.  A high-precision 1-D oracle (composite
-Gauss-Legendre with dyadic refinement toward the +-1 endpoints) integrates
-any other profile and is the independent reference the closed forms are
-tested against.
+singularities exactly (scipy.special, loaded on its first call).  A
+high-precision 1-D oracle (composite Gauss-Legendre with dyadic refinement
+toward the +-1 endpoints) integrates any other profile and is the
+independent reference the closed forms are tested against.
 
 A profile is one function h(up, um) of up = 1 - t and um = 1 + t, the
 distances of t = x.y from the two endpoints; |x-y| = sqrt(2 up) and
@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from . import _blas
 from .harmonics import legendre_table
@@ -272,19 +271,18 @@ def oracle_moments_vector(h, n: int) -> np.ndarray:
 def moments_algebraic(nu: float, n: int) -> ModifiedMoments:
     """Closed form for h = |x-y|^nu, nu > -1.
 
-    mu_0 = 2^(nu+2) pi Gamma((nu+2)/2) / Gamma(nu/2 + 2), and the rising
-    factorial / Gamma shifts give the stable downward ratio
-    mu_{l+1} = mu_l (l - nu/2) / (l + nu/2 + 2).  It holds for nu > -2,
-    where h is in L^1; nu > -1 keeps ||h||_2, which bounds sum_j |W_j(x)|.
-    At nu = 0 (h = 1) mu_0 is exactly 4pi, as Gamma(1) = Gamma(2), and the
-    factor l - nu/2 = 0 at l = 0 makes every later moment exactly 0.
+    mu_0 = 2^(nu+3) pi / (nu+2), since Gamma(x) / Gamma(x+1) = 1/x at
+    x = nu/2 + 1, and the rising factorial / Gamma shifts give the stable
+    downward ratio mu_{l+1} = mu_l (l - nu/2) / (l + nu/2 + 2).  It holds
+    for nu > -2, where h is in L^1; nu > -1 keeps ||h||_2, which bounds
+    sum_j |W_j(x)|.  At nu = 0 (h = 1) mu_0 is exactly 4pi, and the factor
+    l - nu/2 = 0 at l = 0 makes every later moment exactly 0.
     """
     kernel = SingularKernel.algebraic(nu)
     # numpy's power overflows to inf where Python's ** raises, so a huge nu
     # ends in ModifiedMoments' "moments must be finite".
     with np.errstate(over="ignore"):
-        mu0 = (np.float64(2.0) ** (nu + 2.0) * math.pi
-               * math.exp(gammaln((nu + 2.0) / 2.0) - gammaln(nu / 2.0 + 2.0)))
+        mu0 = np.float64(2.0) ** (nu + 3.0) * (math.pi / (nu + 2.0))
     values = np.empty(n + 1)
     values[0] = mu0
     for l in range(n):
@@ -310,6 +308,8 @@ def moments_mixed(nu1: float, nu2: float, n: int) -> ModifiedMoments:
     nu1 == nu2 the profile is even in t and the odd moments are exactly 0,
     not the rounding noise of the sum.
     """
+    from scipy.special import roots_jacobi  # loads on the first call only
+
     kernel = SingularKernel.mixed(nu1, nu2)
     t, w = roots_jacobi(n + 20, nu1 / 2.0, nu2 / 2.0)
     scale = 2.0 ** ((nu1 + nu2) / 2.0) * TWO_PI

@@ -263,7 +263,7 @@ def test_moments_out_csv_with_json_mirror(tmp_path, capsys) -> None:
 
 
 def test_moments_that_overflow_exit_2(capsys) -> None:
-    # 2^(nu+2) in mu_0 overflows float64 for nu past 1022
+    # 2^(nu+3) in mu_0 overflows float64 for nu of 1021 and more
     assert cli.main(["moments", "--kernel", "alg:1e300",
                      "--n", "2"]) == EXIT_VALIDATION
     captured = capsys.readouterr()
@@ -492,6 +492,23 @@ def test_singular_system_exits_3(capsys) -> None:
                      "--points", "equal_area:2", "--grid", "10"])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_2(monkeypatch, tmp_path, capsys) -> None:
+    # numpy's failed allocation is a MemoryError; raised here by a patched
+    # analysis, so nothing is allocated
+    def no_memory(rule, n):
+        raise MemoryError("Unable to allocate 24.3 GiB for an array with "
+                          "shape (57100, 57100) and data type float64")
+
+    monkeypatch.setattr(cli, "mz_constant", no_memory)
+    out = tmp_path / "report.csv"
+    assert cli.main(["analyze", "--points", "equal_area:400", "--n", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(
+        "error: not enough memory: Unable to allocate 24.3 GiB")
 
 
 def test_csv_determinism_excluding_timing(tmp_path, capsys) -> None:

