@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from .mz import mz_constant
 from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
                         random_rule)
-from .solver import ContinuousKernel, ProblemSpec, SingularSystemError
+from .solver import ContinuousKernel, ProblemSpec
 from .sphere import uniform_random_points
 
 __all__ = ["main", "RunConfig", "ValidationError", "emit_results",
@@ -186,8 +185,12 @@ def _emit(config: RunConfig, header: str, rows: list[str],
 
 
 def emit_results(records: list[ExperimentRecord], config: RunConfig) -> None:
-    """The solve/experiment records to config.out, as _emit writes them."""
-    _emit(config, CSV_HEADER, [rec.csv_row() for rec in records],
+    """Print the solve/experiment records as CSV and write them to
+    config.out, as _emit writes them.  Called once every solve has
+    returned, so a run that fails prints nothing."""
+    rows = [rec.csv_row() for rec in records]
+    print("\n".join([CSV_HEADER, *rows]))
+    _emit(config, CSV_HEADER, rows,
           {"records": [dataclasses.asdict(r) for r in records]})
 
 
@@ -231,14 +234,6 @@ def _cmd_moments(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_finite(record: ExperimentRecord) -> ExperimentRecord:
-    if not (math.isfinite(record.eta) and math.isfinite(record.residual)):
-        raise SingularSystemError(
-            f"non-finite diagnostics (eta={record.eta}, "
-            f"residual={record.residual})")
-    return record
-
-
 def _cmd_solve(config: RunConfig) -> int:
     _require(config, "kernel", "K", "f", "n", "points")
     kernel = SingularKernel.parse(config.kernel)
@@ -263,10 +258,7 @@ def _cmd_solve(config: RunConfig) -> int:
     else:
         f_value, exact = f_const, None
     spec = ProblemSpec(kernel=kernel, K=K, f=f_value, n=config.n, rule=rule)
-    record = _check_finite(run_spec(spec, exact, grid))
-    print(CSV_HEADER)
-    print(record.csv_row())
-    emit_results([record], config)
+    emit_results([run_spec(spec, exact, grid)], config)
     return EXIT_OK
 
 
@@ -302,13 +294,8 @@ def _cmd_experiment(config: RunConfig) -> int:
                      resolve_points_descriptor(config.points, config.weights)))
 
     grid = uniform_random_points(config.grid, seed=config.seed)
-    records = []
-    print(CSV_HEADER)
-    for n, rule in plan:
-        record = _check_finite(run_experiment(config.id, n, rule, grid=grid))
-        records.append(record)
-        print(record.csv_row())
-    emit_results(records, config)
+    emit_results([run_experiment(config.id, n, rule, grid=grid)
+                  for n, rule in plan], config)
     return EXIT_OK
 
 
@@ -405,9 +392,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return _SUBCOMMANDS[config.subcommand][0](config)
-    except (SingularSystemError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
-        # Before ValueError: LinAlgError subclasses it.
+    except np.linalg.LinAlgError as exc:
+        # SingularSystemError included; before ValueError, which it subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValidationError, PointFileError, ValueError, OSError) as exc:

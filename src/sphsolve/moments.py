@@ -102,8 +102,9 @@ class SingularKernel:
             raise ValueError(f"unknown kernel family {self.family!r}")
         # h is in L^1 of the sphere for every nu > -2, but in L^2 only
         # for nu > -1, and ||h||_2 bounds sum_j |W_j(x)|.
-        if self.family == "algebraic" and not self.nu > -1.0:
-            raise ValueError(f"algebraic exponent must be > -1, got {self.nu}")
+        if self.family == "algebraic" and not -1.0 < self.nu < math.inf:
+            raise ValueError(f"algebraic exponent must be > -1 and finite, "
+                             f"got {self.nu}")
         if self.family == "mixed" and not (-1.0 <= self.nu <= 0.0
                                            and -1.0 <= self.nu2 <= 0.0):
             raise ValueError(f"mixed exponents must lie in [-1, 0], got "

@@ -553,20 +553,22 @@ def _refined_solve(apply: Callable[[np.ndarray], np.ndarray],
     x = solve(b), at least one and at most _REFINE_STEPS corrections
     x += solve(b - M x) run, until max|b - M x| <= max|x| anorm eps sqrt(m),
     the test of dsgesv; passed says whether it held, and residual is that
-    last max|b - M x|.  A non-finite residual is not corrected.
+    last max|b - M x|.  A non-finite residual is not corrected; an
+    overflow on the way to it is not a warning, as solve_stage1 names it.
     """
     tol = anorm * np.finfo(np.float64).eps * math.sqrt(b.size)
-    x = solve(b)
-    r = b - apply(x)
-    residual = float(np.max(np.abs(r)))
-    for _ in range(_REFINE_STEPS):
-        if not math.isfinite(residual):
-            break
-        x += solve(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = solve(b)
         r = b - apply(x)
         residual = float(np.max(np.abs(r)))
-        if residual <= float(np.max(np.abs(x))) * tol:
-            return x, residual, True
+        for _ in range(_REFINE_STEPS):
+            if not math.isfinite(residual):
+                break
+            x += solve(r)
+            r = b - apply(x)
+            residual = float(np.max(np.abs(r)))
+            if residual <= float(np.max(np.abs(x))) * tol:
+                return x, residual, True
     return x, residual, False
 
 
@@ -701,8 +703,10 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     a non-finite entry of M or of the reduced system; a non-finite c never
     gets this far);
     SingularSystemError naming the zero pivot when a factorization breaks
-    down; attaches IllConditionedWarning when the infinity-norm condition
-    estimate of M exceeds 1e12.
+    down, or naming the path when the refined solve of finite input has a
+    non-finite residual or nodal value (M singular to working precision);
+    attaches IllConditionedWarning, only after those checks, when the
+    infinity-norm condition estimate of M exceeds 1e12.
     """
     moments = modified_moments(spec.kernel, spec.n)
     b = _nodal_rhs(spec)
@@ -712,11 +716,16 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     left = _target_factor(moments, spec.rule.points, Y)
     del Y  # freed here unless left is all of it
     low_rank = spec.K.family == "constant" and (spec.n + 1) ** 2 < spec.rule.m
+    path = "low-rank" if low_rank else "dense-lu"
     if low_rank:
         phi, residual, cond = _solve_low_rank(spec, moments, b, left, G)
     else:
         del G  # not kept beside M and its float32 copy
         phi, residual, cond = _solve_dense(spec, moments, b, left)
+    if not (math.isfinite(residual) and np.isfinite(phi).all()):
+        raise SingularSystemError(
+            f"the {path} solve is not finite (residual {residual}): the "
+            "collocation matrix is singular to working precision")
     # the right factor once the solve is done with left, in left's place
     right = _rule_factor(spec.rule, moments, left, out=left)
     if not math.isfinite(cond) or cond > CONDITION_WARN_THRESHOLD:
@@ -727,8 +736,7 @@ def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:
     return DiscreteSolution(nodal_values=phi, spec=spec, moments=moments,
                             eta=eta,
                             residual=residual, condition_estimate=cond,
-                            path="low-rank" if low_rank else "dense-lu",
-                            factor=right)
+                            path=path, factor=right)
 
 
 def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:

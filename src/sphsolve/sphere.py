@@ -165,21 +165,16 @@ def mesh_norm(points, probe: EvaluationGrid) -> float:
       every probe point against the point nearest its cell's centre; the
       second tests only the survivors, up to about a third, against the
       other three;
-    * the tree is queried at the survivors of both passes, with its search
-      pruned at L: that returns inf, or a chord of at least L, only at
-      points that can hold the maximum;
-    * those points, tens to about a thousand of 100k, are queried in full,
-      and the first argmax among them is taken.
+    * the tree is queried at the survivors of both passes, and the first
+      argmax among them is taken.
 
     The result is bit-identical to querying every probe point.  Every
-    maximiser passes both passes and the pruned query: its chord is at
-    least L; a bound over one point of the set is as much an upper bound
-    as one over four, and any cell in range keeps it valid; the bound
-    errs by a few ulp of 1 only (the slack is absolute, as L^2 can be far
-    below 1e-12); and a pruned search returns the tree's chord to some
-    point or inf, never less than the full search's chord.  The tree's
-    answer for a point does not depend on the batch it comes in, so the
-    first argmax and its nearest point are the full query's.  That one
+    maximiser passes both passes: its chord is at least L; a bound over
+    one point of the set is as much an upper bound as one over four, and
+    any cell in range keeps it valid; and the bound errs by a few ulp of 1
+    only (the slack is absolute, as L^2 can be far below 1e-12).  The
+    tree's answer for a point does not depend on the batch it comes in, so
+    the first argmax and its nearest point are the full query's.  That one
     pair is measured as atan2(|p x x|, p . x), which keeps full relative
     accuracy at every angle; arccos of a dot cannot tell a hole below
     about 2e-8 rad from none.
@@ -207,9 +202,6 @@ def mesh_norm(points, probe: EvaluationGrid) -> float:
         start + _far_rows(grid[start:start + _CHUNK], tables, bands, sectors,
                           max_dot)
         for start in range(0, grid.shape[0], _CHUNK)])
-    # below L a pruned search gives the exact chord, else inf or >= L
-    pruned, _ = tree.query(grid[candidates], distance_upper_bound=lower)
-    candidates = candidates[~(pruned < lower)]
     chord, nearest = tree.query(grid[candidates])
     i = int(np.argmax(chord))
     p, x = grid[candidates[i]], pts[nearest[i]]

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sphsolve.cli import (
     sweep_rule_name,
 )
 from sphsolve import (ContinuousKernel, NonFiniteInputError, SingularKernel,
+                      SingularSystemError, run_experiment,
                       uniform_random_points)
 
 
@@ -485,13 +487,54 @@ def test_validation_failures_exit_2_before_any_output(tmp_path, capsys) -> None:
 
 
 def test_singular_system_exits_3(capsys) -> None:
-    # two equal-weight poles with c w = 1/2 exactly: singular collocation
-    code = cli.main(["solve", "--kernel", "one",
-                     "--K", "const:0.07957747154594767",
-                     "--f", "const:1", "--n", "0",
-                     "--points", "equal_area:2", "--grid", "10"])
-    assert code == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    # two equal-weight poles with c w = 1/2 exactly: singular collocation.
+    # c w = 1/m on td10 is singular to working precision: f = 1e300
+    # overflows the solve, which the solver names before any warning
+    for f, points, message in (
+            ("const:1", "equal_area:2", "is singular"),
+            ("const:1e300", "td010_00121.txt",
+             "the low-rank solve is not finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", "--kernel", "one",
+                             "--K", "const:0.07957747154594767",
+                             "--f", f, "--n", "0",
+                             "--points", points, "--grid", "10"])
+        assert code == EXIT_NUMERICAL, f
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("plan, failing_call", [
+    (["--n", "5", "--points", "td010_00121.txt"], 1),
+    (["--sweep", "n=10:5:15"], 2)], ids=["n", "sweep"])
+@pytest.mark.parametrize("error, code", [
+    (SingularSystemError("the dense-lu solve is not finite"), EXIT_NUMERICAL),
+    (MemoryError("Unable to allocate"), EXIT_VALIDATION)],
+    ids=["singular", "memory"])
+def test_failed_experiment_prints_nothing(plan, failing_call, error, code,
+                                          monkeypatch, tmp_path,
+                                          capsys) -> None:
+    # rows are printed and --out written only once every solve has returned
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise error
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", failing)
+    out = tmp_path / "exp.csv"
+    assert cli.main(["experiment", "--id", "3", *plan,
+                     "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert len(calls) == failing_call
+    assert captured.out == "" and not out.exists()
+    assert not out.with_suffix(".json").exists()
+    assert str(error) in captured.err
 
 
 def test_out_of_memory_exits_2(monkeypatch, tmp_path, capsys) -> None:

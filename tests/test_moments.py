@@ -37,8 +37,9 @@ def oracle_for(kernel: SingularKernel, n: int) -> np.ndarray:
 
 
 def test_kernel_family_validation() -> None:
-    with pytest.raises(ValueError, match="> -1"):
-        SingularKernel.algebraic(-1.0)
+    for nu in (-1.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="> -1 and finite"):
+            SingularKernel.algebraic(nu)
     for nu1, nu2 in ((-0.5, 0.5), (0.5, -0.5), (-0.5, math.nan)):
         with pytest.raises(ValueError, match=r"\[-1, 0\]"):
             SingularKernel.mixed(nu1, nu2)

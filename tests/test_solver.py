@@ -285,6 +285,26 @@ def test_near_singular_system_warns(td10) -> None:
             pytest.skip("rounded to exactly singular on this platform")
 
 
+@pytest.mark.parametrize("path", ["low-rank", "dense-lu"])
+def test_non_finite_solve_raises_before_any_warning(path, td10) -> None:
+    # f = 1e300 on a system singular to working precision overflows the
+    # solve: SingularSystemError names the path, and no RuntimeWarning or
+    # IllConditionedWarning comes before it
+    if path == "low-rank":  # the system of test_near_singular_system_warns
+        rule, K = td10, ContinuousKernel.constant(1.0 / FOUR_PI)
+    else:  # c w = (1 + 2^-52) / 2 on two poles; a custom K is never low rank
+        c = (1.0 + 2.0 ** -52) / FOUR_PI
+        rule = equal_area_points(2)
+        K = ContinuousKernel.custom(lambda r: np.full_like(r, c))
+    spec = ProblemSpec(kernel=SingularKernel.one(), K=K, f=1e300, n=0,
+                       rule=rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError,
+                           match=f"the {path} solve is not finite"):
+            solve_stage1(spec)
+
+
 def test_problem_spec_validation(td10) -> None:
     for n in (-1, 2.5):
         with pytest.raises(ValueError, match="degree must be an integer"):
