@@ -21,7 +21,7 @@ import numpy as np
 from . import _blas
 from .harmonics import eval_basis_matrix
 from .pointsets import QuadratureRule
-from .sphere import EvaluationGrid, mesh_norm, uniform_random_points
+from .sphere import EvaluationGrid, mesh_norm
 
 __all__ = ["MZReport", "gram_matrix", "gram_spectrum", "mz_constant",
            "quadrature_error_on_harmonics", "EXACTNESS_TOL"]
@@ -39,9 +39,10 @@ class MZReport:
 
     exact_to is the largest degree d <= 2n+1 at which the rule integrates
     every harmonic exactly (within tolerance), or -1 if even degree 0
-    fails.  degree_bound is the raw ratio eta / (2 mesh_norm) from the
-    admissibility heuristic; it carries an unspecified constant and is
-    reported, never asserted.
+    fails.  mesh_norm is the exact geodesic covering radius h_X of the
+    nodes (sphere.mesh_norm).  degree_bound is the raw ratio
+    eta / (2 mesh_norm) from the admissibility heuristic; it carries an
+    unspecified constant and is reported, never asserted.
     """
 
     n: int
@@ -119,20 +120,18 @@ def mz_constant(rule: QuadratureRule, n: int,
 
     One basis evaluation at degree 2n+1 serves both: in the flat order its
     leading (n+1)^2 rows are the degree-n basis of the Gram matrix, and all
-    of its rows give the exactness degree.  The default probe for the mesh
-    norm has min(100 m, 100000) points, seeded for reproducibility;
-    sphere.mesh_norm queries a k-d tree only at the probe points that a
-    lat-long cell bound cannot rule out, and returns bit for bit the value
-    of a query at every probe point.
+    of its rows give the exactness degree.  The mesh norm is
+    sphere.mesh_norm, the exact covering radius of the nodes from one
+    convex hull.  probe is ignored and deprecated; mesh_norm warns when
+    one is passed.
     """
     Y = eval_basis_matrix(2 * n + 1, rule.points)
     eta, lam_min, lam_max = gram_spectrum(
         gram_matrix(rule, n, basis=Y[:(n + 1) ** 2]))
     exact_to = _exactness_degree(_harmonic_quadrature_errors(Y, rule.weights),
                                  EXACTNESS_TOL)
-    if probe is None:
-        probe = uniform_random_points(min(100 * rule.m, 100_000), seed=2024)
+    # positional, as perfbench's tracer reads the probe from args[1]
     h = mesh_norm(rule.points, probe)
-    bound = eta / (2.0 * h) if h > 0.0 else math.inf
     return MZReport(n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
-                    exact_to=exact_to, mesh_norm=h, degree_bound=bound)
+                    exact_to=exact_to, mesh_norm=h,
+                    degree_bound=eta / (2.0 * h))

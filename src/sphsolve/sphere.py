@@ -1,4 +1,4 @@
-"""Geometry of the unit sphere: points, sampling, mesh norm.
+"""Geometry of the unit sphere: points, sampling, the exact mesh norm.
 
 Points are unit vectors stored as float64 numpy arrays, shape (3,) for a
 single point or (m, 3) for a batch.  All functions are pure.
@@ -7,6 +7,7 @@ single point or (m, 3) for a batch.  All functions are pure.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,136 +74,86 @@ def uniform_random_points(m: int, seed: int) -> EvaluationGrid:
     return EvaluationGrid(points=v / norms[:, None], seed=seed)
 
 
-# Every _SAMPLE_STRIDE-th probe point is measured exactly for the lower bound.
-_SAMPLE_STRIDE = 256
-# Nodes nearest each cell centre that bound a probe point's chord from above.
-_CELL_NODES = 4
-# Absolute slack of the filter on L^2: half of it is far above the few-ulp
-# round-off of p.y, and absolute so that a nanoradian hole (L^2 ~ 1e-18)
-# keeps its maximiser.
-_FILTER_SLACK = 1e-12
-# Probe rows filtered per block: the temporaries stay in cache, the peak low.
-_CHUNK = 16384
+def _angles(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Geodesic angles between unit vectors p and x, over the last axis.
 
-
-def _cell_centres(bands: int, sectors: int) -> np.ndarray:
-    """Centres of the cells, row band * (sectors + 1) + sector.
-
-    The table is padded: band `bands` repeats the last band and sector
-    `sectors` the last sector, so that z = 1 and phi = pi index a cell.
+    atan2(|p x x|, p . x) keeps full relative accuracy at every angle;
+    arccos of a dot cannot tell a hole below about 2e-8 rad from none.
     """
-    band = np.minimum(np.arange(bands + 1), bands - 1)
-    sector = np.minimum(np.arange(sectors + 1), sectors - 1)
-    z = -1.0 + (band + 0.5) * (2.0 / bands)
-    phi = -math.pi + (sector + 0.5) * (2.0 * math.pi / sectors)
-    r = np.sqrt(1.0 - z * z)
-    return np.column_stack([np.outer(r, np.cos(phi)).ravel(),
-                            np.outer(r, np.sin(phi)).ravel(),
-                            np.repeat(z, sectors + 1)])
+    return np.arctan2(np.linalg.norm(np.cross(p, x), axis=-1),
+                      np.einsum("...i,...i->...", p, x))
 
 
-def _node_dots(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-               node: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """Dot of each row (x, y, z) with the node that node holds for the
-    row's cell (node[a] is coordinate a of it), formed in place."""
-    dot = node[0][cell]
-    dot *= x
-    term = node[1][cell]
-    term *= y
-    dot += term
-    np.take(node[2], cell, out=term)
-    term *= z
-    dot += term
-    return dot
+def _midpoint_antipodes(pts: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """-(x + y) / |x + y| for each pair (x, y) that is not antipodal."""
+    mid = pts[pairs[:, 0]] + pts[pairs[:, 1]]
+    norm = np.linalg.norm(mid, axis=1)
+    keep = norm > 0.0
+    return mid[keep] / -norm[keep, None]
 
 
-def _far_rows(grid: np.ndarray, tables: np.ndarray, bands: int,
-              sectors: int, max_dot: float) -> np.ndarray:
-    """Rows whose dots with the nodes tables holds for their cell are all
-    at most max_dot.
+def _farthest(pts: np.ndarray, centres: np.ndarray) -> float:
+    """Largest geodesic distance from a centre to its nearest point."""
+    from scipy.spatial import cKDTree
 
-    A row's cell is a uniform band in z times a uniform sector in phi, of
-    the padded table of _cell_centres.  The first node of each cell, the
-    one nearest its centre, tests every row; the others test only the rows
-    that pass it.
+    _, nearest = cKDTree(pts).query(centres)
+    return float(np.max(_angles(centres, pts[nearest])))
+
+
+def mesh_norm(points, probe: EvaluationGrid | None = None) -> float:
+    """Mesh norm h_X of a point set: its geodesic covering radius, exactly.
+
+    h_X is the largest geodesic distance from a point of the sphere to its
+    nearest point of the set.  The farthest point y is a local maximum of
+    that distance, of one of three kinds:
+
+    * a vertex of the spherical Voronoi diagram.  These are the unit outward
+      normals n of the facets of the convex hull of the points (one qhull
+      call, Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996): no point lies
+      beyond a facet's plane, so the cap about n through the facet's
+      vertices is empty and they are n's nearest points.  A facet's value
+      is the largest angle from n to one of its vertices;
+    * the antipode of the midpoint of two Voronoi neighbours, where the
+      distance peaks along their Voronoi edge if the edge reaches it.  It
+      lies more than pi/2 from both, so it is a local maximum only when
+      every point lies in a closed hemisphere, which is when some facet's
+      value is at least pi/2.  Only then are the antipodes of the hull
+      edges' midpoints measured, by one k-d-tree query for their nearest
+      points;
+    * the antipode of the point, when all points coincide.
+
+    qhull raises QhullError for m <= 3 and for points on one circle (a
+    flat hull).  There the Voronoi vertices are the two poles of the
+    points' plane, +-its normal, and the neighbours are the pairs adjacent
+    around the circle (a lone point pairs with itself, giving its antipode).
+    All of these candidates are measured by the k-d tree; antipodal pairs,
+    which have no midpoint, are skipped.
+
+    probe is ignored and deprecated: passing one warns.
     """
-    x, y, z = np.ascontiguousarray(grid.T)
-    cell = ((z + 1.0) * (0.5 * bands)).astype(np.intp) * (sectors + 1)
-    cell += ((np.arctan2(y, x) + math.pi)
-             * (sectors / (2.0 * math.pi))).astype(np.intp)
-    rows = np.flatnonzero(_node_dots(x, y, z, tables[0], cell) <= max_dot)
-    x, y, z, cell = x[rows], y[rows], z[rows], cell[rows]
-    best_dot = np.full(rows.shape[0], -np.inf)
-    for node in tables[1:]:
-        np.maximum(best_dot, _node_dots(x, y, z, node, cell), out=best_dot)
-    return rows[best_dot <= max_dot]
+    from scipy.spatial import ConvexHull, QhullError  # paid on the first call
 
-
-def mesh_norm(points, probe: EvaluationGrid) -> float:
-    """Geodesic radius of the largest hole of a point set, probed densely.
-
-    Returns max over probe points of the geodesic distance to the nearest
-    point of the set.  A lower bound on the true mesh norm that converges
-    from below as the probe refines; a probe of >= 100x the set size is
-    recommended.
-
-    For unit vectors the chord |p - x| is monotone in the geodesic
-    distance, so the probe point p whose nearest point x is farthest holds
-    the largest hole.  A k-d tree on the m set points finds nearest points
-    exactly, but only probe points that can hold the maximum go through it:
-
-    * a probe point's squared chord to its nearest point is at most
-      2 - 2 p . y for every point y of the set.  The y tried are the 4
-      points nearest the centre of the probe point's cell, in an
-      equal-area lat-long grid of about 2 min(m, P/32) cells for P probe
-      points, padded by one band and one sector that repeat the last ones
-      so that z = 1 and phi = pi index a cell; one tree query finds the 4
-      points of every cell;
-    * the tree's chords at every 256th probe point give a lower bound L on
-      the largest chord;
-    * a probe point can hold the maximum only if p . y <= 1 - (L^2 -
-      1e-12) / 2 for each of its cell's points.  The first pass tests
-      every probe point against the point nearest its cell's centre; the
-      second tests only the survivors, up to about a third, against the
-      other three;
-    * the tree is queried at the survivors of both passes, and the first
-      argmax among them is taken.
-
-    The result is bit-identical to querying every probe point.  Every
-    maximiser passes both passes: its chord is at least L; a bound over
-    one point of the set is as much an upper bound as one over four, and
-    any cell in range keeps it valid; and the bound errs by a few ulp of 1
-    only (the slack is absolute, as L^2 can be far below 1e-12).  The
-    tree's answer for a point does not depend on the batch it comes in, so
-    the first argmax and its nearest point are the full query's.  That one
-    pair is measured as atan2(|p x x|, p . x), which keeps full relative
-    accuracy at every angle; arccos of a dot cannot tell a hole below
-    about 2e-8 rad from none.
-    """
-    from scipy.spatial import cKDTree  # ~0.07 s, paid on the first call only
-
+    if probe is not None:
+        warnings.warn("mesh_norm is exact and ignores probe, which will be "
+                      "removed", DeprecationWarning, stacklevel=2)
     pts = as_unit_vectors(points)
     if pts.shape[0] == 0:
         raise ValueError("mesh_norm of an empty point set is undefined")
-    grid = probe.points
-    tree = cKDTree(pts)
-    # cells square at the equator: 2 / bands = 2 pi / sectors
-    cells = max(1, 2 * min(pts.shape[0], grid.shape[0] // 32))
-    bands = max(1, round(math.sqrt(cells / math.pi)))
-    sectors = max(1, round(cells / bands))
-    k = min(_CELL_NODES, pts.shape[0])
-    _, cell_nodes = tree.query(_cell_centres(bands, sectors),
-                               k=list(range(1, k + 1)))
-    # tables[j, a] holds coordinate a of the j-th node of every cell
-    tables = np.ascontiguousarray(pts[cell_nodes].transpose(1, 2, 0))
-    lower = float(np.max(tree.query(grid[::_SAMPLE_STRIDE])[0]))
-    # 2 - 2 p.y >= L^2 - slack, as a bound on the dot
-    max_dot = 1.0 - (lower * lower - _FILTER_SLACK) / 2.0
-    candidates = np.concatenate([
-        start + _far_rows(grid[start:start + _CHUNK], tables, bands, sectors,
-                          max_dot)
-        for start in range(0, grid.shape[0], _CHUNK)])
-    chord, nearest = tree.query(grid[candidates])
-    i = int(np.argmax(chord))
-    p, x = grid[candidates[i]], pts[nearest[i]]
-    return float(np.arctan2(np.linalg.norm(np.cross(p, x)), p @ x))
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        centred = pts - pts.mean(axis=0)
+        _, axes = np.linalg.eigh(centred.T @ centred)  # ascending spread
+        normal, e2, e1 = axes.T
+        order = np.argsort(np.arctan2(pts @ e2, pts @ e1))
+        pairs = np.column_stack([order, np.roll(order, -1)])
+        return _farthest(pts, np.vstack([normal, -normal,
+                                         _midpoint_antipodes(pts, pairs)]))
+    facets = hull.simplices
+    h = float(np.max(_angles(hull.equations[:, None, :3], pts[facets])))
+    # a Voronoi vertex at exactly pi/2 may round to just below it
+    if h >= math.pi / 2.0 - 1e-9:
+        edges = np.concatenate([facets[:, [0, 1]], facets[:, [1, 2]],
+                                facets[:, [2, 0]]])
+        h = max(h, _farthest(pts, _midpoint_antipodes(pts, edges)))
+    return h

@@ -53,7 +53,7 @@ def octahedron() -> QuadratureRule:
 
 @pytest.fixture(scope="session")
 def probe_grid() -> EvaluationGrid:
-    # 100k uniform points; dense enough to probe mesh norms to ~1e-2.
+    # 100k uniform points, 0.023 from the farthest point of the sphere.
     return uniform_random_points(100_000, seed=7)
 
 
@@ -68,7 +68,7 @@ def brute_force_mesh_norm(points, probe: EvaluationGrid,
     """max over probe points of arccos(largest clipped dot with a point).
 
     The O(P m) scan over every probe-point/point dot, in probe blocks of
-    chunk rows: the reference the k-d-tree mesh norm is checked against.
+    chunk rows: a probe's reading of the mesh norm, by no k-d tree.
     """
     pts = as_unit_vectors(points)
     grid = probe.points
@@ -80,10 +80,10 @@ def brute_force_mesh_norm(points, probe: EvaluationGrid,
 
 
 def full_query_mesh_norm(points, probe: EvaluationGrid) -> float:
-    """mesh_norm with one k-d-tree query at every probe point.
+    """A probe's reading of the mesh norm, one k-d-tree query per point.
 
     The first argmax of the tree chords and its nearest point, measured by
-    atan2: the value the filtered sphere.mesh_norm must equal bit for bit.
+    atan2 as the exact sphere.mesh_norm measures its candidates.
     """
     from scipy.spatial import cKDTree
 
@@ -92,6 +92,23 @@ def full_query_mesh_norm(points, probe: EvaluationGrid) -> float:
     i = int(np.argmax(chord))
     p, x = grid[i], pts[nearest[i]]
     return float(np.arctan2(np.linalg.norm(np.cross(p, x)), p @ x))
+
+
+def assert_within_probe(h: float, reading: float,
+                        probe_mesh_norm: float) -> None:
+    """h is a mesh norm, reading a probe's reading of it: reading <= h, and
+    h <= reading + the probe's own mesh norm, as some probe point lies
+    that close to the farthest point of the sphere.
+    """
+    assert reading <= h <= reading + probe_mesh_norm + 1e-12, (
+        h, reading, probe_mesh_norm)
+
+
+@pytest.fixture(scope="session")
+def probe_grid_mesh_norm(probe_grid) -> float:
+    from sphsolve import mesh_norm
+
+    return mesh_norm(probe_grid.points)
 
 
 @pytest.fixture(scope="session")

@@ -123,7 +123,7 @@ def test_criterion_2_tolerance_at_n20(exp_id: int, ladder_records) -> None:
 
 # ---------------------------------------------------------------- criterion 3
 
-def test_criterion_3_designs_are_exact(probe_grid) -> None:
+def test_criterion_3_designs_are_exact() -> None:
     # eta <= 1e-10 for every bundled design at every n <= t/2
     designs = sorted(name for name in bundled_pointsets()
                      if name.startswith("td"))
@@ -134,7 +134,7 @@ def test_criterion_3_designs_are_exact(probe_grid) -> None:
         t = int(name[2:5])
         rule = load_pointset(bundled_pointset_path(name), label=name)
         for n in range(0, t // 2 + 1):
-            eta = mz_constant(rule, n, probe=probe_grid).eta
+            eta = mz_constant(rule, n).eta
             if eta > worst:
                 worst, worst_at = eta, f"{name} n={n}"
     ok = worst <= 1e-10

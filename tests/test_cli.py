@@ -27,8 +27,9 @@ from sphsolve.cli import (
     sweep_rule_name,
 )
 from sphsolve import (ContinuousKernel, NonFiniteInputError, SingularKernel,
-                      SingularSystemError, run_experiment,
-                      uniform_random_points)
+                      SingularSystemError, mesh_norm, run_experiment)
+
+from conftest import assert_within_probe
 
 
 # ------------------------------------------------------------- descriptors
@@ -301,9 +302,10 @@ def test_analyze_json_only_output(tmp_path, capsys) -> None:
     assert not out.with_suffix(".csv").exists()
 
 
-def test_analyze_mesh_norm_matches_brute_force(tmp_path, capsys,
-                                              brute_mesh_norm) -> None:
-    # analyze probes with the default 100k points of mz_constant
+def test_analyze_mesh_norm_matches_brute_force(
+        tmp_path, capsys, probe_grid, probe_grid_mesh_norm,
+        brute_mesh_norm) -> None:
+    # analyze writes the exact mesh norm, under the same CSV header
     out = tmp_path / "x.csv"
     assert cli.main(["analyze", "--points", "random:4000:1", "--n", "10",
                      "--out", str(out)]) == EXIT_OK
@@ -312,8 +314,9 @@ def test_analyze_mesh_norm_matches_brute_force(tmp_path, capsys,
     assert header == ANALYZE_CSV_HEADER
     h = float(row.split(",")[header.split(",").index("mesh_norm")])
     points = resolve_points_descriptor("random:4000:1", "equal").points
-    reference = brute_mesh_norm(points, uniform_random_points(100_000, seed=2024))
-    assert abs(h - reference) <= 1e-12 * reference
+    assert h == mesh_norm(points)
+    assert_within_probe(h, brute_mesh_norm(points, probe_grid),
+                        probe_grid_mesh_norm)
 
 
 def test_solve_auto_rhs_constant_solution(tmp_path, capsys) -> None:

@@ -14,7 +14,6 @@ from sphsolve import (
     mz_constant,
     quadrature_error_on_harmonics,
     random_rule,
-    uniform_random_points,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -48,8 +47,7 @@ def test_single_point_rule_spectrum() -> None:
     # G = 4pi v v^T at the pole: lambda_max = 4pi |v|^2 = 4, so eta = 3
     rule = QuadratureRule(points=np.array([[0.0, 0.0, 1.0]]),
                           weights=np.array([FOUR_PI]), label="single")
-    probe = uniform_random_points(2000, seed=5)
-    report = mz_constant(rule, 1, probe=probe)
+    report = mz_constant(rule, 1)
     assert report.lambda_max == pytest.approx(4.0, abs=1e-12)
     assert report.eta == pytest.approx(3.0, abs=1e-12)
     assert report.lambda_min == pytest.approx(0.0, abs=1e-12)
@@ -107,7 +105,7 @@ def test_eta_is_one_computation_for_mz_and_solver() -> None:
     rule, n = random_rule(400, 5), 6
     lam = np.linalg.eigvalsh(gram_matrix(rule, n))
     eta = max(float(lam[-1]) - 1.0, 1.0 - float(lam[0]), 0.0)
-    report = mz_constant(rule, n, probe=uniform_random_points(1000, seed=3))
+    report = mz_constant(rule, n)
     assert (report.eta, report.lambda_min, report.lambda_max) == (
         eta, float(lam[0]), float(lam[-1]))
     for K, path in ((ContinuousKernel.constant(1.0), "low-rank"),
@@ -127,7 +125,6 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
 
     rule = (random_rule(500, 41) if which == "random500"
             else request.getfixturevalue(which))
-    probe = uniform_random_points(1000, seed=3)
     for n in (0, 4, 10):
         d = 2 * n + 1
         s = eval_basis_matrix(d, rule.points) @ rule.weights
@@ -138,7 +135,7 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
                 break
             exact_to = l
         assert quadrature_error_on_harmonics(rule, d) == float(np.max(np.abs(s)))
-        assert mz_constant(rule, n, probe=probe).exact_to == exact_to
+        assert mz_constant(rule, n).exact_to == exact_to
 
 
 @pytest.mark.parametrize("t", [10, 20, 30])
@@ -153,8 +150,7 @@ def test_mz_report_matches_the_two_call_form(t) -> None:
                              _harmonic_quadrature_errors, gram_spectrum)
 
     rule = design_rule(t)
-    probe = uniform_random_points(2000, seed=71)
-    h = mesh_norm(rule.points, probe)
+    h = mesh_norm(rule.points)
     for n in range(t // 2 + 1):
         Y = eval_basis_matrix(2 * n + 1, rule.points)
         assert np.array_equal(
@@ -162,6 +158,18 @@ def test_mz_report_matches_the_two_call_form(t) -> None:
         eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n))
         exact_to = _exactness_degree(
             _harmonic_quadrature_errors(Y, rule.weights), EXACTNESS_TOL)
-        assert mz_constant(rule, n, probe=probe) == MZReport(
+        assert mz_constant(rule, n) == MZReport(
             n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
             exact_to=exact_to, mesh_norm=h, degree_bound=eta / (2.0 * h))
+
+
+def test_mz_constant_leaves_rule_points_untouched() -> None:
+    # qhull can write into the array it hulls; the rule's read-only nodes
+    # must come back bit for bit
+    from conftest import design_rule
+
+    rule = design_rule(10)
+    before = rule.points.tobytes()
+    mz_constant(rule, 5)
+    assert rule.points.tobytes() == before
+    assert not rule.points.flags.writeable

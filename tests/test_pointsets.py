@@ -84,10 +84,10 @@ def test_equal_area_points_basic() -> None:
     assert rule.label == "equal_area:400"
 
 
-def test_equal_area_mesh_norm_gate(probe_grid) -> None:
+def test_equal_area_mesh_norm_gate() -> None:
     # quasi-uniformity: the largest hole stays under 2 sqrt(4pi/m)
     rule = equal_area_points(400)
-    assert mesh_norm(rule.points, probe_grid) <= 2.0 * math.sqrt(FOUR_PI / 400)
+    assert mesh_norm(rule.points) <= 2.0 * math.sqrt(FOUR_PI / 400)
 
 
 def test_random_rule_reproducible() -> None:

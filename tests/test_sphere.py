@@ -26,6 +26,8 @@ from sphsolve import (
 )
 from sphsolve.sphere import as_unit_vectors
 
+from conftest import assert_within_probe
+
 
 def test_as_unit_vectors_reports_offending_row() -> None:
     pts = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.5]])
@@ -88,34 +90,33 @@ def test_evaluation_grid_rejects_empty_and_non_unit() -> None:
                        seed=0)
 
 
-def test_mesh_norm_octahedron(octahedron, probe_grid) -> None:
+def test_mesh_norm_octahedron(octahedron) -> None:
     # largest hole of the octahedron vertices: face center, arccos(1/sqrt(3))
     target = math.acos(1.0 / math.sqrt(3.0))
-    h = mesh_norm(octahedron.points, probe_grid)
-    assert h <= target + 1e-12  # probed value never exceeds the truth
-    assert h >= target - 0.02   # 100k probe points land near a face center
+    assert abs(mesh_norm(octahedron.points) - target) <= 1e-15
 
 
-def test_mesh_norm_zero_when_probe_is_subset(octahedron) -> None:
+def test_mesh_norm_warns_on_probe_and_ignores_it(octahedron) -> None:
+    # a probe holding the nodes themselves read 0 before; it is ignored now
     probe = EvaluationGrid(points=octahedron.points, seed=0)
-    assert mesh_norm(octahedron.points, probe) == pytest.approx(0.0, abs=1e-7)
+    with pytest.warns(DeprecationWarning, match="probe") as record:
+        h = mesh_norm(octahedron.points, probe)
+    assert len(record) == 1
+    assert h == mesh_norm(octahedron.points)
 
 
-def test_mesh_norm_rejects_empty_set(probe_grid) -> None:
+def test_mesh_norm_rejects_empty_set() -> None:
     with pytest.raises(ValueError):
-        mesh_norm(np.zeros((0, 3)), probe_grid)
-
-
-def assert_matches_brute_force(h: float, reference: float) -> None:
-    assert abs(h - reference) <= 1e-12 * reference + 1e-15, (h, reference)
+        mesh_norm(np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("name", bundled_pointsets())
 def test_mesh_norm_matches_brute_force_on_bundled_sets(
-        name, probe_grid, brute_mesh_norm) -> None:
+        name, probe_grid, probe_grid_mesh_norm, brute_mesh_norm) -> None:
     rule = load_pointset(bundled_pointset_path(name))
-    assert_matches_brute_force(mesh_norm(rule.points, probe_grid),
-                               brute_mesh_norm(rule.points, probe_grid))
+    assert_within_probe(mesh_norm(rule.points),
+                        brute_mesh_norm(rule.points, probe_grid),
+                        probe_grid_mesh_norm)
 
 
 GENERATED_RULES = ([random_rule(m, seed=m + 17) for m in (1, 2, 500, 4000)]
@@ -124,17 +125,16 @@ GENERATED_RULES = ([random_rule(m, seed=m + 17) for m in (1, 2, 500, 4000)]
 
 @pytest.mark.parametrize("rule", GENERATED_RULES, ids=lambda rule: rule.label)
 def test_mesh_norm_matches_brute_force_on_generated_rules(
-        rule, probe_grid, brute_mesh_norm) -> None:
-    assert_matches_brute_force(mesh_norm(rule.points, probe_grid),
-                               brute_mesh_norm(rule.points, probe_grid))
+        rule, probe_grid, probe_grid_mesh_norm, brute_mesh_norm) -> None:
+    assert_within_probe(mesh_norm(rule.points),
+                        brute_mesh_norm(rule.points, probe_grid),
+                        probe_grid_mesh_norm)
 
 
-def test_mesh_norm_ignores_duplicated_points(probe_grid, brute_mesh_norm) -> None:
+def test_mesh_norm_ignores_duplicated_points() -> None:
     points = random_rule(300, seed=5).points
     doubled = np.vstack([points, points[::3], points[:10]])
-    h = mesh_norm(doubled, probe_grid)
-    assert_matches_brute_force(h, brute_mesh_norm(doubled, probe_grid))
-    assert_matches_brute_force(h, brute_mesh_norm(points, probe_grid))
+    assert mesh_norm(doubled) == mesh_norm(points)
 
 
 def test_mesh_norm_probe_containing_the_points(brute_mesh_norm) -> None:
@@ -142,19 +142,16 @@ def test_mesh_norm_probe_containing_the_points(brute_mesh_norm) -> None:
     probe = EvaluationGrid(
         points=np.vstack([points, uniform_random_points(20_000, seed=3).points]),
         seed=3)
-    h = mesh_norm(points, probe)
+    h = mesh_norm(points)
     assert h > 0.1  # the holes between the points, not the points themselves
-    assert_matches_brute_force(h, brute_mesh_norm(points, probe))
+    assert_within_probe(h, brute_mesh_norm(points, probe),
+                        mesh_norm(probe.points))
 
 
 def test_mesh_norm_antipodal_pair_is_a_right_angle() -> None:
-    # every equator point is pi/2 from both poles, with a dot of exactly 0
+    # every equator point is pi/2 from both poles
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    probe = EvaluationGrid(
-        points=np.vstack([[1.0, 0.0, 0.0],
-                          uniform_random_points(1000, seed=4).points]),
-        seed=4)
-    assert mesh_norm(poles, probe) == math.pi / 2.0
+    assert mesh_norm(poles) == math.pi / 2.0
 
 
 def nanoradian_turn(points: np.ndarray,
@@ -170,17 +167,15 @@ def nanoradian_turn(points: np.ndarray,
     return points @ rotation.T
 
 
-def test_mesh_norm_resolves_a_nanoradian_hole() -> None:
-    # the td20 nodes probed by themselves turned by 1e-9 rad about one
-    # axis: each probe point lies 1e-9 sin(angle to the axis) from its
-    # node, so the mesh norm is just below 1e-9.  arccos of the dot would
-    # read round-off there (arccos(1 - 2^-53) is already 1.5e-8).
+def test_mesh_norm_of_nanoradian_neighbours() -> None:
+    # the td20 nodes with a copy of each turned by 1e-9 rad: the hull sees
+    # pairs 1e-9 apart, and the holes shrink by at most 1e-9
     from conftest import design_rule
 
     points = design_rule(20).points
-    probe = EvaluationGrid(points=nanoradian_turn(points), seed=0)
-    h = mesh_norm(points, probe)
-    assert 0.9e-9 <= h <= 1e-9 * (1.0 + 1e-6)
+    h = mesh_norm(points)
+    union = mesh_norm(np.vstack([points, nanoradian_turn(points)]))
+    assert h - 1e-9 <= union <= h
 
 
 def polar_cap(m: int, radius: float, seed: int) -> np.ndarray:
@@ -192,8 +187,18 @@ def polar_cap(m: int, radius: float, seed: int) -> np.ndarray:
                             np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
-# Both poles, and points on the phi = +-pi seam (x < 0, y = +-0): the ends
-# of the lat-long cell ranges.
+def circle(k: int, z: float) -> np.ndarray:
+    """k equally spaced points on the circle at height z."""
+    phi = 2.0 * math.pi * np.arange(k) / k
+    r = math.sqrt(1.0 - z * z)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), np.full(k, z)])
+
+
+# A rotation that puts the circles, poles and hemisphere below off the axes.
+TILT = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+
+# Both poles, and points on the phi = +-pi seam (x < 0, y = +-0), two of
+# them equal.
 POLES_AND_SEAM = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
                            [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],
                            [-0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]])
@@ -221,41 +226,86 @@ EXACTNESS_CASES = {
     **{rule.label: lambda probe, rule=rule: (rule.points, probe)
        for rule in GENERATED_RULES},
     "polar-cap": lambda probe: (polar_cap(300, 0.1, seed=1), probe),
-    "poles-and-seam": lambda probe: (POLES_AND_SEAM, EvaluationGrid(
-        points=np.vstack([POLES_AND_SEAM, probe.points]), seed=0)),
-    # shorter than the sampling stride: one point gives the lower bound
+    "poles-and-seam": lambda probe: (POLES_AND_SEAM, probe),
+    # probes far coarser and far finer than the nodes
     "3-point-probe": lambda probe: (td(10), uniform_random_points(3, seed=5)),
-    # every chord is 0, so the lower bound is 0 and every point passes
     "probe-is-the-nodes": lambda probe: (
         td(20), EvaluationGrid(points=td(20), seed=0)),
     "nanoradian": lambda probe: (td(20), EvaluationGrid(
         points=nanoradian_turn(td(20)), seed=0)),
-    # the td10 nodes turned by 1e-9 rad about 40 axes: each probe point's
-    # node is among its cell's, so its bound rounds to 0 while L^2 ~ 1e-18,
-    # and only an absolute slack keeps the maximiser
+    # a probe with 40 points within 2e-9 rad of each node
     "nanoradian-40-axes": lambda probe: (td(10), EvaluationGrid(
         points=np.vstack([nanoradian_turn(td(10), axis) for axis in
                           np.random.default_rng(0).standard_normal((40, 3))]),
         seed=0)),
-    # three and four nodes: the second pass tries two and three of them
+    # three nodes, which qhull cannot hull, and four
     **{f"random-m{m}": lambda probe, m=m: (
         random_rule(m, seed=m + 17).points, probe) for m in (3, 4)},
-    # one row past a chunk: the last chunk holds only the maximiser, so its
-    # offset must cross the chunk boundary
     "chunk-plus-one-probe": lambda probe: (
-        td(10), farthest_last(td(10), sphere._CHUNK + 1, seed=13)),
-    # 16 nodes per cell: about 60% of the probe passes the first pass and
-    # 35% the second
+        td(10), farthest_last(td(10), 16385, seed=13)),
     "m20000-P20k": lambda probe: (random_rule(20_000, seed=11).points,
                                   uniform_random_points(20_000, seed=12)),
+    # qhull fails on a flat set: points on one great or small circle
+    "antipodal-pair": lambda probe: (np.array([[0.0, 0.0, 1.0],
+                                               [0.0, 0.0, -1.0]]) @ TILT.T,
+                                     probe),
+    "great-circle-8": lambda probe: (circle(8, 0.0) @ TILT.T, probe),
+    "small-circle-7": lambda probe: (circle(7, 0.6) @ TILT.T, probe),
+    "small-circle-4": lambda probe: (circle(4, -0.3), probe),
+    # an arc of the equator from 0 to 40 degrees, out of order
+    "arc-5-shuffled": lambda probe: (circle(36, 0.0)[[0, 2, 1, 4, 3]] @ TILT.T,
+                                     probe),
+    "duplicated": lambda probe: (np.vstack([random_rule(300, seed=5).points,
+                                            random_rule(300, seed=5).points[::3]]),
+                                 probe),
+    "duplicated-m2": lambda probe: (np.repeat(random_rule(2, seed=5).points,
+                                              3, axis=0), probe),
+    # a clustered 4-point set, whose farthest point lies inside a Voronoi
+    # edge: the hull's facets alone read 2.1481
+    "clustered-4": lambda probe: (polar_cap(4, 1.2, seed=4), probe),
+    # a closed hemisphere, edge included, and an open one
+    "hemisphere": lambda probe: (np.vstack([polar_cap(200, math.pi / 2, 1),
+                                            circle(12, 0.0)]) @ TILT.T, probe),
+    "hemisphere-cap": lambda probe: (polar_cap(200, math.pi / 2, 2), probe),
 }
 
 
 @pytest.mark.parametrize("case", EXACTNESS_CASES)
-def test_mesh_norm_equals_full_query(case, probe_grid, full_query) -> None:
-    # the filtered mesh norm is the full k-d-tree query's value, bit for bit
+def test_mesh_norm_equals_full_query(case, probe_grid, probe_grid_mesh_norm,
+                                     full_query) -> None:
+    # the exact mesh norm equals a k-d-tree query at every probe point up to
+    # the probe's own mesh norm, and never reads below it
     points, probe = EXACTNESS_CASES[case](probe_grid)
-    assert mesh_norm(points, probe) == full_query(points, probe)
+    gap = (probe_grid_mesh_norm if probe is probe_grid
+           else mesh_norm(probe.points))
+    assert_within_probe(mesh_norm(points), full_query(points, probe), gap)
+
+
+def half_gap_antipode(points: np.ndarray) -> float:
+    """pi - theta/2 for the angle theta between the first and last points:
+    the distance to both from the antipode of their midpoint."""
+    return math.pi - math.acos(float(points[0] @ points[-1])) / 2.0
+
+
+# case -> its exact mesh norm, from its points
+EXACT_VALUES = {
+    "random:1:18": lambda points: math.pi,
+    "random:2:19": half_gap_antipode,
+    "duplicated-m2": half_gap_antipode,
+    "antipodal-pair": lambda points: math.pi / 2.0,
+    "great-circle-8": lambda points: math.pi / 2.0,
+    # the far pole of a small circle at height z, pi - arccos(z) from it
+    "small-circle-7": lambda points: math.pi - math.acos(0.6),
+    # the antipode of the arc's middle, 160 degrees from both ends
+    "arc-5-shuffled": lambda points: math.radians(160.0),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_VALUES)
+def test_mesh_norm_of_degenerate_sets(case) -> None:
+    # qhull cannot hull these: the candidates of a flat set give the value
+    points, _ = EXACTNESS_CASES[case](None)
+    assert abs(mesh_norm(points) - EXACT_VALUES[case](points)) <= 1e-14
 
 
 def test_import_leaves_spatial_unloaded() -> None:
