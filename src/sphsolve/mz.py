@@ -14,14 +14,16 @@ sampling looseness.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas
-from .harmonics import eval_basis_matrix
+from .harmonics import _check_degree, eval_basis_matrix
 from .pointsets import QuadratureRule
-from .sphere import EvaluationGrid, mesh_norm
+# mesh_norm stays importable here: perfbench's tracer wraps mz.mesh_norm
+from .sphere import EvaluationGrid, mesh_norm  # noqa: F401
 
 __all__ = ["MZReport", "gram_matrix", "gram_spectrum", "mz_constant",
            "quadrature_error_on_harmonics", "EXACTNESS_TOL"]
@@ -40,7 +42,7 @@ class MZReport:
     exact_to is the largest degree d <= 2n+1 at which the rule integrates
     every harmonic exactly (within tolerance), or -1 if even degree 0
     fails.  mesh_norm is the exact geodesic covering radius h_X of the
-    nodes (sphere.mesh_norm).  degree_bound is the raw ratio
+    nodes, the rule's own mesh_norm.  degree_bound is the raw ratio
     eta / (2 mesh_norm) from the admissibility heuristic; it carries an
     unspecified constant and is reported, never asserted.
     """
@@ -120,18 +122,20 @@ def mz_constant(rule: QuadratureRule, n: int,
 
     One basis evaluation at degree 2n+1 serves both: in the flat order its
     leading (n+1)^2 rows are the degree-n basis of the Gram matrix, and all
-    of its rows give the exactness degree.  The mesh norm is
-    sphere.mesh_norm, the exact covering radius of the nodes from one
-    convex hull.  probe is ignored and deprecated; mesh_norm warns when
-    one is passed.
+    of its rows give the exactness degree.  The mesh norm is rule.mesh_norm,
+    measured on the rule's first call and read back on every later one.
+    probe is ignored and deprecated: passing one warns.
     """
+    _check_degree(n)
+    if probe is not None:
+        warnings.warn("mz_constant ignores probe, which will be removed",
+                      DeprecationWarning, stacklevel=2)
     Y = eval_basis_matrix(2 * n + 1, rule.points)
     eta, lam_min, lam_max = gram_spectrum(
         gram_matrix(rule, n, basis=Y[:(n + 1) ** 2]))
     exact_to = _exactness_degree(_harmonic_quadrature_errors(Y, rule.weights),
                                  EXACTNESS_TOL)
-    # positional, as perfbench's tracer reads the probe from args[1]
-    h = mesh_norm(rule.points, probe)
+    h = rule.mesh_norm
     return MZReport(n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
                     exact_to=exact_to, mesh_norm=h,
                     degree_bound=eta / (2.0 * h))

