@@ -66,16 +66,17 @@ def legendre_table(n: int, t) -> np.ndarray:
 
 def _normalization_tables(n):
     """Coefficient tables for the normalized associated Legendre recurrence,
-    indexed [m] and [l, m]; rec_a and rec_b are 0 off l >= m + 2."""
+    indexed [m] and [l, m]; rec_a and rec_b hold the recurrence's values
+    where l >= m + 2 and are not read elsewhere (inf or nan there)."""
     orders = np.arange(n + 1.0)
     diag_c = np.zeros(n + 1)
     diag_c[1:] = np.sqrt((2.0 * orders[1:] + 1.0) / (2.0 * orders[1:]))
-    l, m = np.tril_indices(n + 1, -2)  # every (l, m) with l >= m + 2
-    rec_a = np.zeros((n + 1, n + 1))
-    rec_b = np.zeros((n + 1, n + 1))
-    rec_a[l, m] = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-    rec_b[l, m] = np.sqrt(((l - 1.0) ** 2 - m * m)
-                          / (4.0 * (l - 1.0) ** 2 - 1.0))
+    l = orders[:, None]
+    m = orders
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rec_a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        rec_b = np.sqrt(((l - 1.0) ** 2 - m * m)
+                        / (4.0 * (l - 1.0) ** 2 - 1.0))
     return diag_c, np.sqrt(2.0 * orders + 3.0), rec_a, rec_b
 
 
@@ -86,13 +87,16 @@ def _basis_matrix(n, points):
     """Real orthonormal spherical harmonics up to degree n at unit vectors.
 
     Returns an array of shape ((n+1)^2, len(points)) in the flat order.
-    The recurrence runs over whole rows: fully normalized associated
-    Legendre functions in l for each order m, and cos/sin(m phi) by the
-    angle-addition recurrence.
+    The recurrences run over whole rows: cos/sin(m phi) by angle addition,
+    then the fully normalized associated Legendre functions degree by
+    degree, every order of one degree in each step, so the Python loop is
+    O(n), not O(n^2).  Each entry takes the same floating-point operations
+    in the same order as a loop over one (l, m) at a time would.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     diag_c, sub_c, rec_a, rec_b = _normalization_tables(n)
-    out = np.empty(((n + 1) * (n + 1), pts.shape[0]))
+    size = pts.shape[0]
+    out = np.empty(((n + 1) * (n + 1), size))
     x = pts[:, 0]
     y = pts[:, 1]
     t = pts[:, 2]
@@ -101,32 +105,39 @@ def _basis_matrix(n, points):
     cphi = np.where(safe, x / np.where(safe, s, 1.0), 1.0)
     sphi = np.where(safe, y / np.where(safe, s, 1.0), 0.0)
     sqrt2 = math.sqrt(2.0)
-    pmm = np.full(pts.shape[0], _NRM0)
-    cm = np.ones(pts.shape[0])
-    sm = np.zeros(pts.shape[0])
-    for m in range(0, n + 1):
-        if m > 0:
-            pmm = diag_c[m] * s * pmm
-            cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
-        pl_prev = np.zeros(0)
-        pl = pmm
-        for l in range(m, n + 1):
-            if l == m:
-                val = pmm
-            elif l == m + 1:
-                val = sub_c[m] * t * pmm
-            else:
-                val = rec_a[l, m] * (t * pl - rec_b[l, m] * pl_prev)
-            if l > m:
-                pl_prev = pl
-                pl = val
-            base = l * l
-            if m == 0:
-                out[base + l] = val
-            else:  # sqrt2 * val once, each product written in place
-                v2 = sqrt2 * val
-                np.multiply(v2, sm, out=out[base + (l - m)])
-                np.multiply(v2, cm, out=out[base + (l + m)])
+    cm = np.empty((n + 1, size))  # row m: cos(m phi)
+    sm = np.empty((n + 1, size))  # row m: sin(m phi)
+    cm[0] = 1.0
+    sm[0] = 0.0
+    for m in range(1, n + 1):
+        cm[m] = cm[m - 1] * cphi - sm[m - 1] * sphi
+        sm[m] = sm[m - 1] * cphi + cm[m - 1] * sphi
+    # row m of cur is P_l^m for the degree l at hand, of prev for l - 1
+    cur = np.empty((n + 1, size))
+    prev = np.empty((n + 1, size))
+    tmp = np.empty((n + 1, size))
+    cur[0] = _NRM0
+    for l in range(n + 1):
+        if l > 0:
+            # orders m < l - 1 by the three-term recurrence, written over
+            # the rows of degree l - 2; then P_l^{l-1} and P_l^l from the
+            # sectoral P_{l-1}^{l-1}
+            prev, cur = cur, prev
+            k = l - 1
+            np.multiply(rec_b[l, :k, None], cur[:k], out=tmp[:k])
+            np.multiply(t, prev[:k], out=cur[:k])
+            np.subtract(cur[:k], tmp[:k], out=cur[:k])
+            np.multiply(rec_a[l, :k, None], cur[:k], out=cur[:k])
+            cur[k] = sub_c[k] * t * prev[k]
+            cur[l] = diag_c[l] * s * prev[k]
+        base = l * l
+        out[base + l] = cur[0]
+        # sqrt2 * P_l^m for m = 1..l goes into the cos rows, which first
+        # feed the sin rows (m = l..1) and are then scaled in place
+        cos_rows = out[base + l + 1:base + 2 * l + 1]
+        np.multiply(sqrt2, cur[1:l + 1], out=cos_rows)
+        np.multiply(cos_rows[::-1], sm[l:0:-1], out=out[base:base + l])
+        np.multiply(cos_rows, cm[1:l + 1], out=cos_rows)
     return out
 
 

@@ -107,13 +107,15 @@ def quadrature_error_on_harmonics(rule: QuadratureRule, d: int) -> float:
 
 
 def _exactness_degree(s: np.ndarray, tol: float) -> int:
-    """Largest d with every error of degree <= d within tol, or -1."""
-    exact_to = -1
-    for d in range(math.isqrt(s.size)):
-        if np.max(np.abs(s[d * d:(d + 1) * (d + 1)])) > tol:
-            break
-        exact_to = d
-    return exact_to
+    """Largest d with every error of degree <= d within tol, or -1.
+
+    Entry i belongs to degree isqrt(i), so the first failing entry names
+    the first failing degree.
+    """
+    failing = np.abs(s) > tol
+    if not failing.any():
+        return math.isqrt(s.size) - 1
+    return math.isqrt(int(np.argmax(failing))) - 1
 
 
 def mz_constant(rule: QuadratureRule, n: int,

@@ -135,3 +135,82 @@ def test_basis_matrix_shape_and_single_point_consistency() -> None:
             single = eval_basis_matrix(l, grid.points[j])
             assert Y[l * l + k - 1, j] == pytest.approx(
                 single[l * l + k - 1, 0], abs=1e-13)
+
+
+def _basis_one_order_at_a_time(n, points):
+    """The basis by scalar-coefficient recurrences, one (l, m) row at a
+    time: the reference for the array-step form in harmonics."""
+    x, y, t = points[:, 0], points[:, 1], points[:, 2]
+    s = np.hypot(x, y)
+    safe = s > 0.0
+    cphi = np.where(safe, x / np.where(safe, s, 1.0), 1.0)
+    sphi = np.where(safe, y / np.where(safe, s, 1.0), 0.0)
+    out = np.empty(((n + 1) ** 2, len(points)))
+    pmm = np.full(len(points), 1.0 / math.sqrt(4.0 * math.pi))
+    cm, sm = np.ones(len(points)), np.zeros(len(points))
+    for m in range(n + 1):
+        if m > 0:
+            pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
+            cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
+        pl_prev, pl = None, pmm
+        for l in range(m, n + 1):
+            if l == m:
+                val = pmm
+            elif l == m + 1:
+                val = math.sqrt(2.0 * m + 3.0) * t * pmm
+            else:
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m)
+                              / (4.0 * (l - 1.0) ** 2 - 1.0))
+                val = a * (t * pl - b * pl_prev)
+            if l > m:
+                pl_prev, pl = pl, val
+            if m == 0:
+                out[l * l + l] = val
+            else:
+                out[l * l + l - m] = math.sqrt(2.0) * val * sm
+                out[l * l + l + m] = math.sqrt(2.0) * val * cm
+    return out
+
+
+def test_basis_equals_the_one_order_at_a_time_recurrence_bit_for_bit() -> None:
+    # the same arithmetic in the same order, so equal, not close
+    from sphsolve.sphere import as_unit_vectors
+
+    grid = uniform_random_points(200, seed=9)
+    points = np.vstack([grid.points, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    for n in (0, 1, 2, 3, 7, 31):
+        for pts in (points, points[:1], points[-2:]):
+            assert np.array_equal(
+                eval_basis_matrix(n, pts),
+                _basis_one_order_at_a_time(n, as_unit_vectors(pts)))
+
+
+def test_every_row_matches_the_associated_legendre_closed_form() -> None:
+    # each (l, k) row against sqrt2 N_lm P_l^m(cos theta) sin/cos(m phi)
+    # from scipy's lpmv, an evaluation independent of the recurrence; the
+    # addition theorem sums over k and cannot see rows swapped in a degree
+    from scipy.special import lpmv
+
+    grid = uniform_random_points(60, seed=4)
+    points = np.vstack([grid.points, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                                      [-1.0, 0.0, 0.0], [0.0, -0.6, 0.8]]])
+    n = 31
+    Y = eval_basis_matrix(n, points)
+    theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    for l in range(n + 1):
+        for m in range(l + 1):
+            # lpmv carries the Condon-Shortley phase (-1)^m; the basis not
+            norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                             * (math.factorial(l - m) / math.factorial(l + m)))
+            p = (-1.0) ** m * norm * lpmv(m, l, np.cos(theta))
+            if m == 0:
+                expected = {l: p}
+            else:
+                expected = {l - m: math.sqrt(2.0) * p * np.sin(m * phi),
+                            l + m: math.sqrt(2.0) * p * np.cos(m * phi)}
+            for k0, row in expected.items():
+                np.testing.assert_allclose(Y[l * l + k0], row,
+                                           rtol=0.0, atol=1e-11,
+                                           err_msg=f"l={l} m={m}")

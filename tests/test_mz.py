@@ -118,15 +118,21 @@ def test_eta_is_one_computation_for_mz_and_solver() -> None:
         assert sol.eta == eta
 
 
-@pytest.mark.parametrize("which", ["td10", "td20", "random500"])
+@pytest.mark.parametrize("which", ["td10", "td20", "random500", "td10x2"])
 def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
     # both diagnostics are bit-identical to the weighted basis sums they
-    # were each computed from on their own
+    # were each computed from on their own; doubled weights fail even at
+    # degree 0, so exact_to is -1 there
     from sphsolve.harmonics import eval_basis_matrix
     from sphsolve.mz import EXACTNESS_TOL, SQRT_4PI
 
-    rule = (random_rule(500, 41) if which == "random500"
-            else request.getfixturevalue(which))
+    if which == "td10x2":
+        td10 = request.getfixturevalue("td10")
+        rule = QuadratureRule(points=td10.points, weights=2.0 * td10.weights,
+                              label="td10x2")
+    else:
+        rule = (random_rule(500, 41) if which == "random500"
+                else request.getfixturevalue(which))
     for n in (0, 4, 10):
         d = 2 * n + 1
         s = eval_basis_matrix(d, rule.points) @ rule.weights
@@ -138,6 +144,8 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
             exact_to = l
         assert quadrature_error_on_harmonics(rule, d) == float(np.max(np.abs(s)))
         assert mz_constant(rule, n).exact_to == exact_to
+        assert exact_to == {"td10": min(d, 10), "td20": min(d, 20),
+                            "random500": 0, "td10x2": -1}[which]
 
 
 @pytest.mark.parametrize("t", [10, 20, 30])
