@@ -17,7 +17,7 @@ from .harmonics import eval_basis_matrix, legendre_table
 from .moments import (ModifiedMoments, OracleAccuracyWarning, SingularKernel,
                       modified_moments, moments_algebraic, moments_log,
                       moments_mixed, oracle_moments_vector)
-from .mz import MZReport, gram_matrix, mz_constant, quadrature_error_on_harmonics
+from .mz import MZReport, gram_matrix, mz_constant
 from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
                         random_rule, save_pointset)
@@ -35,7 +35,7 @@ __all__ = [
     "PointFileError", "QuadratureRule", "bundled_pointset_path",
     "bundled_pointsets", "equal_area_points", "load_pointset", "random_rule",
     "save_pointset",
-    "MZReport", "gram_matrix", "mz_constant", "quadrature_error_on_harmonics",
+    "MZReport", "gram_matrix", "mz_constant",
     "ModifiedMoments", "OracleAccuracyWarning", "SingularKernel",
     "modified_moments", "moments_algebraic", "moments_log", "moments_mixed",
     "oracle_moments_vector",

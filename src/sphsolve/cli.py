@@ -34,7 +34,7 @@ import numpy as np
 from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE, EXPERIMENT_IDS,
                           ExperimentRecord, run_experiment, run_spec)
 from .moments import SingularKernel, modified_moments
-from .mz import mz_constant
+from .mz import MZReport, mz_constant
 from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
                         random_rule)
@@ -204,7 +204,7 @@ def _require(config: RunConfig, *fields: str) -> None:
                 f"(flag or config-file entry)")
 
 
-ANALYZE_CSV_HEADER = "n,eta,lambda_min,lambda_max,exact_to,mesh_norm,degree_bound"
+ANALYZE_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(MZReport))
 MOMENTS_CSV_HEADER = "l,mu,method"
 
 
@@ -213,9 +213,7 @@ def _cmd_analyze(config: RunConfig) -> int:
     rule = resolve_points_descriptor(config.points, config.weights)
     report = mz_constant(rule, config.n)
     print(f"{rule.label}: {report.summary()}")
-    row = (f"{report.n},{report.eta:.17g},{report.lambda_min:.17g},"
-           f"{report.lambda_max:.17g},{report.exact_to},"
-           f"{report.mesh_norm:.17g},{report.degree_bound:.17g}")
+    row = ",".join(f"{v:.17g}" for v in dataclasses.astuple(report))
     _emit(config, ANALYZE_CSV_HEADER, [row],
           {"rule": {"label": rule.label, "m": rule.m},
            "report": dataclasses.asdict(report)})
@@ -387,10 +385,6 @@ def build_config(argv=None) -> RunConfig:
 def main(argv=None) -> int:
     try:
         config = build_config(argv)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         return _SUBCOMMANDS[config.subcommand][0](config)
     except np.linalg.LinAlgError as exc:
         # SingularSystemError included; before ValueError, which it subclasses

@@ -26,7 +26,7 @@ from .pointsets import QuadratureRule
 from .sphere import EvaluationGrid, mesh_norm  # noqa: F401
 
 __all__ = ["MZReport", "gram_matrix", "gram_spectrum", "mz_constant",
-           "quadrature_error_on_harmonics", "EXACTNESS_TOL"]
+           "EXACTNESS_TOL"]
 
 # Tolerance of the exactness degree: above the accumulated round-off of
 # <= 5000-term weighted sums.
@@ -37,14 +37,15 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 @dataclass(frozen=True)
 class MZReport:
-    """MZ constant of one (rule, n) pair plus the surrounding diagnostics.
+    """MZ constant of one (rule, n) pair, its Gram spectrum, the rule's
+    exactness degree and covering radius; the fields, in order, are the
+    columns of the analyze CSV.
 
-    exact_to is the largest degree d <= 2n+1 at which the rule integrates
-    every harmonic exactly (within tolerance), or -1 if even degree 0
-    fails.  mesh_norm is the exact geodesic covering radius h_X of the
-    nodes, the rule's own mesh_norm.  degree_bound is the raw ratio
-    eta / (2 mesh_norm) from the admissibility heuristic; it carries an
-    unspecified constant and is reported, never asserted.
+    eta is max(lambda_max - 1, 1 - lambda_min) over the spectrum of the
+    degree-n Gram matrix.  exact_to is the largest degree d <= 2n+1 at
+    which the rule integrates every harmonic exactly (within tolerance),
+    or -1 if even degree 0 fails.  mesh_norm is the exact geodesic
+    covering radius h_X of the nodes, the rule's own mesh_norm.
     """
 
     n: int
@@ -53,7 +54,6 @@ class MZReport:
     lambda_max: float
     exact_to: int
     mesh_norm: float
-    degree_bound: float
 
     @property
     def mz_holds(self) -> bool:
@@ -62,8 +62,7 @@ class MZReport:
     def summary(self) -> str:
         head = (f"n={self.n}  eta={self.eta:.6e}  "
                 f"lambda in [{self.lambda_min:.12f}, {self.lambda_max:.12f}]  "
-                f"exact_to={self.exact_to}  mesh_norm={self.mesh_norm:.6f}  "
-                f"degree_bound={self.degree_bound:.3f}")
+                f"exact_to={self.exact_to}  mesh_norm={self.mesh_norm:.6f}")
         if not self.mz_holds:
             head += "  [MZ property fails (eta >= 1)]"
         return head
@@ -100,12 +99,6 @@ def _harmonic_quadrature_errors(Y: np.ndarray,
     return s
 
 
-def quadrature_error_on_harmonics(rule: QuadratureRule, d: int) -> float:
-    """Max over l <= d, k of |sum_j w_j Y_{l,k}(x_j) - sqrt(4pi) [l=0]|."""
-    Y = eval_basis_matrix(d, rule.points)
-    return float(np.max(np.abs(_harmonic_quadrature_errors(Y, rule.weights))))
-
-
 def _exactness_degree(s: np.ndarray, tol: float) -> int:
     """Largest d with every error of degree <= d within tol, or -1.
 
@@ -137,7 +130,5 @@ def mz_constant(rule: QuadratureRule, n: int,
         gram_matrix(rule, n, basis=Y[:(n + 1) ** 2]))
     exact_to = _exactness_degree(_harmonic_quadrature_errors(Y, rule.weights),
                                  EXACTNESS_TOL)
-    h = rule.mesh_norm
     return MZReport(n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
-                    exact_to=exact_to, mesh_norm=h,
-                    degree_bound=eta / (2.0 * h))
+                    exact_to=exact_to, mesh_norm=rule.mesh_norm)

@@ -419,13 +419,9 @@ def _weighted_kernel_block(nodes: np.ndarray, right: np.ndarray,
 def _kernel_chunks(nodes: np.ndarray, K: ContinuousKernel,
                    targets: np.ndarray):
     """(rows, K(t, x_j)) for each row chunk of _row_chunks, formed in one
-    cache-sized buffer as K.of_dots forms it; a constant K yields its c,
-    with no distances formed."""
+    cache-sized buffer as K.of_dots forms it."""
     scaled_nodes = -2.0 * nodes.T
     for rows in _row_chunks(targets.shape[0], nodes.shape[0]):
-        if K.family == "constant":
-            yield rows, K.c
-            continue
         r = _distance_from_scaled_dots(
             _blas.matmul(targets[rows], scaled_nodes))
         yield rows, K._of_distance_inplace(r)

@@ -63,22 +63,6 @@ def eval_grid() -> EvaluationGrid:
     return uniform_random_points(5000, seed=2024)
 
 
-def brute_force_mesh_norm(points, probe: EvaluationGrid,
-                          chunk: int = 4096) -> float:
-    """max over probe points of arccos(largest clipped dot with a point).
-
-    The O(P m) scan over every probe-point/point dot, in probe blocks of
-    chunk rows: a probe's reading of the mesh norm, by no k-d tree.
-    """
-    pts = as_unit_vectors(points)
-    grid = probe.points
-    worst = -1.0
-    for start in range(0, grid.shape[0], chunk):
-        dots = np.clip(grid[start:start + chunk] @ pts.T, -1.0, 1.0)
-        worst = max(worst, float(np.arccos(np.min(np.max(dots, axis=1)))))
-    return worst
-
-
 def full_query_mesh_norm(points, probe: EvaluationGrid) -> float:
     """A probe's reading of the mesh norm, one k-d-tree query per point.
 
@@ -109,11 +93,6 @@ def probe_grid_mesh_norm(probe_grid) -> float:
     from sphsolve import mesh_norm
 
     return mesh_norm(probe_grid.points)
-
-
-@pytest.fixture(scope="session")
-def brute_mesh_norm():
-    return brute_force_mesh_norm
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,10 @@ from sphsolve import (
     equal_area_points,
     gram_matrix,
     mz_constant,
-    quadrature_error_on_harmonics,
     random_rule,
 )
+from sphsolve.harmonics import eval_basis_matrix
+from sphsolve.mz import _harmonic_quadrature_errors
 
 FOUR_PI = 4.0 * math.pi
 
@@ -40,9 +41,10 @@ def test_design_eta_at_half_degree(td20) -> None:
 
 def test_quadrature_error_on_harmonics_degrees(td20) -> None:
     # worst harmonic of each degree: exact through t, wrong beyond
-    for d in (0, 1, 10, 20):
-        assert quadrature_error_on_harmonics(td20, d) <= 1e-12
-    assert quadrature_error_on_harmonics(td20, 21) > 1e-9
+    s = np.abs(_harmonic_quadrature_errors(eval_basis_matrix(21, td20.points),
+                                           td20.weights))
+    assert np.max(s[:21 * 21]) <= 1e-12
+    assert np.max(s[21 * 21:]) > 1e-9
 
 
 def test_single_point_rule_spectrum() -> None:
@@ -72,8 +74,6 @@ def test_random_rule_satisfies_mz_at_moderate_degree() -> None:
     assert report.eta < 1.0
     assert report.mz_holds
     assert report.exact_to == 0  # random points are exact only at degree 0
-    assert report.degree_bound > 0.0
-    assert math.isfinite(report.degree_bound)
 
 
 def test_equal_area_analysis_values() -> None:
@@ -123,7 +123,6 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
     # both diagnostics are bit-identical to the weighted basis sums they
     # were each computed from on their own; doubled weights fail even at
     # degree 0, so exact_to is -1 there
-    from sphsolve.harmonics import eval_basis_matrix
     from sphsolve.mz import EXACTNESS_TOL, SQRT_4PI
 
     if which == "td10x2":
@@ -142,7 +141,9 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
             if np.max(np.abs(s[l * l:(l + 1) * (l + 1)])) > EXACTNESS_TOL:
                 break
             exact_to = l
-        assert quadrature_error_on_harmonics(rule, d) == float(np.max(np.abs(s)))
+        errors = _harmonic_quadrature_errors(
+            eval_basis_matrix(d, rule.points), rule.weights)
+        assert np.max(np.abs(errors)) == np.max(np.abs(s))
         assert mz_constant(rule, n).exact_to == exact_to
         assert exact_to == {"td10": min(d, 10), "td20": min(d, 20),
                             "random500": 0, "td10x2": -1}[which]
@@ -155,9 +156,8 @@ def test_mz_report_matches_the_two_call_form(t) -> None:
     # basis at n for the Gram matrix and again at 2n+1 for exactness
     from conftest import design_rule
     from sphsolve import mesh_norm
-    from sphsolve.harmonics import eval_basis_matrix
     from sphsolve.mz import (EXACTNESS_TOL, MZReport, _exactness_degree,
-                             _harmonic_quadrature_errors, gram_spectrum)
+                             gram_spectrum)
 
     rule = design_rule(t)
     h = mesh_norm(rule.points)
@@ -170,7 +170,7 @@ def test_mz_report_matches_the_two_call_form(t) -> None:
             _harmonic_quadrature_errors(Y, rule.weights), EXACTNESS_TOL)
         assert mz_constant(rule, n) == MZReport(
             n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
-            exact_to=exact_to, mesh_norm=h, degree_bound=eta / (2.0 * h))
+            exact_to=exact_to, mesh_norm=h)
 
 
 def test_mz_constant_leaves_rule_points_untouched() -> None:

@@ -127,21 +127,16 @@ def test_assembled_matrix_structure_for_plain_rule(td10) -> None:
     assert np.max(np.abs(M - expected)) <= 1e-12
 
 
-def test_constant_K_assembles_without_distances(td10, monkeypatch) -> None:
-    # (n+1)^2 = m: the dense path.  A constant K scales each block by its c
-    # and forms no distance; the M equals that of the same constant given
-    # as a distance function, bit for bit.
+def test_constant_K_assembles_as_a_constant_distance_function(td10) -> None:
+    # (n+1)^2 = m: the dense path.  A constant K takes the one K pass of
+    # every kernel, so its M equals that of the same constant given as a
+    # distance function, bit for bit.
     def spec(K):
         return ProblemSpec(kernel=SingularKernel.log(), K=K, f=1.0, n=10,
                            rule=td10)
 
     custom = assemble_system(
         spec(ContinuousKernel.custom(lambda r: np.full_like(r, 0.7))))
-
-    def no_distances(r):
-        raise AssertionError("a constant K formed distances")
-
-    monkeypatch.setattr(solver, "_distance_from_scaled_dots", no_distances)
     M = assemble_system(spec(ContinuousKernel.constant(0.7)))
     assert np.array_equal(M, custom)
 

@@ -110,25 +110,8 @@ def test_mesh_norm_rejects_empty_set() -> None:
         mesh_norm(np.zeros((0, 3)))
 
 
-@pytest.mark.parametrize("name", bundled_pointsets())
-def test_mesh_norm_matches_brute_force_on_bundled_sets(
-        name, probe_grid, probe_grid_mesh_norm, brute_mesh_norm) -> None:
-    rule = load_pointset(bundled_pointset_path(name))
-    assert_within_probe(mesh_norm(rule.points),
-                        brute_mesh_norm(rule.points, probe_grid),
-                        probe_grid_mesh_norm)
-
-
 GENERATED_RULES = ([random_rule(m, seed=m + 17) for m in (1, 2, 500, 4000)]
                    + [equal_area_points(400)])
-
-
-@pytest.mark.parametrize("rule", GENERATED_RULES, ids=lambda rule: rule.label)
-def test_mesh_norm_matches_brute_force_on_generated_rules(
-        rule, probe_grid, probe_grid_mesh_norm, brute_mesh_norm) -> None:
-    assert_within_probe(mesh_norm(rule.points),
-                        brute_mesh_norm(rule.points, probe_grid),
-                        probe_grid_mesh_norm)
 
 
 def test_mesh_norm_ignores_duplicated_points() -> None:
@@ -137,14 +120,14 @@ def test_mesh_norm_ignores_duplicated_points() -> None:
     assert mesh_norm(doubled) == mesh_norm(points)
 
 
-def test_mesh_norm_probe_containing_the_points(brute_mesh_norm) -> None:
+def test_mesh_norm_probe_containing_the_points(full_query) -> None:
     points = random_rule(200, seed=9).points
     probe = EvaluationGrid(
         points=np.vstack([points, uniform_random_points(20_000, seed=3).points]),
         seed=3)
     h = mesh_norm(points)
     assert h > 0.1  # the holes between the points, not the points themselves
-    assert_within_probe(h, brute_mesh_norm(points, probe),
+    assert_within_probe(h, full_query(points, probe),
                         mesh_norm(probe.points))
 
 
