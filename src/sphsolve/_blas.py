@@ -7,8 +7,8 @@ of numpy's own OpenBLAS; the sphsolve.solver module docstring says why.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dgemm, get_blas_funcs
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = ["matmul", "matvec", "eigvalsh"]
 
@@ -59,5 +59,13 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric a in ascending order (LAPACK syevd)."""
-    return scipy.linalg.eigvalsh(a, driver="evd", check_finite=False)
+    """Eigenvalues of the symmetric a in ascending order: LAPACK syevd on
+    a's lower triangle with no eigenvectors, the call that
+    scipy.linalg.eigvalsh(a, driver="evd") makes; a is not written."""
+    syevd, syevd_lwork = get_lapack_funcs(("syevd", "syevd_lwork"), (a,))
+    lwork, liwork, _ = syevd_lwork(a.shape[0], compute_v=0, lower=1)
+    w, _, info = syevd(a, compute_v=0, lower=1, lwork=int(lwork),
+                       liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"syevd failed with info = {info}")
+    return w

@@ -83,20 +83,24 @@ def _normalization_tables(n):
 _NRM0 = 1.0 / math.sqrt(4.0 * math.pi)
 
 
-def _basis_matrix(n, points):
-    """Real orthonormal spherical harmonics up to degree n at unit vectors.
+def _harmonic_degrees(n, points, out):
+    """Yield (l, rows) for l = 0..n, rows the 2l+1 harmonics of degree l
+    at the unit vectors points, in the flat order.
 
-    Returns an array of shape ((n+1)^2, len(points)) in the flat order.
-    The recurrences run over whole rows: cos/sin(m phi) by angle addition,
-    then the fully normalized associated Legendre functions degree by
-    degree, every order of one degree in each step, so the Python loop is
-    O(n), not O(n^2).  Each entry takes the same floating-point operations
-    in the same order as a loop over one (l, m) at a time would.
+    While they fit, the rows of degree l are written into out at rows
+    l^2..(l+1)^2 - 1 of the flat order, and rows is that view; out has a
+    square number of rows and one column per point.  Above out's degree
+    they go into one scratch block of 2n+1 rows, reused for every degree,
+    so such rows are valid only until the next step.  The recurrences run
+    over whole rows: cos/sin(m phi) by angle addition, then the fully
+    normalized associated Legendre functions degree by degree, every order
+    of one degree in each step, so the Python loop is O(n), not O(n^2).
+    Each entry takes the same floating-point operations in the same order
+    as a loop over one (l, m) at a time would.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     diag_c, sub_c, rec_a, rec_b = _normalization_tables(n)
     size = pts.shape[0]
-    out = np.empty(((n + 1) * (n + 1), size))
     x = pts[:, 0]
     y = pts[:, 1]
     t = pts[:, 2]
@@ -116,6 +120,7 @@ def _basis_matrix(n, points):
     cur = np.empty((n + 1, size))
     prev = np.empty((n + 1, size))
     tmp = np.empty((n + 1, size))
+    spare = np.empty((2 * n + 1, size)) if len(out) < (n + 1) ** 2 else None
     cur[0] = _NRM0
     for l in range(n + 1):
         if l > 0:
@@ -130,14 +135,25 @@ def _basis_matrix(n, points):
             np.multiply(rec_a[l, :k, None], cur[:k], out=cur[:k])
             cur[k] = sub_c[k] * t * prev[k]
             cur[l] = diag_c[l] * s * prev[k]
-        base = l * l
-        out[base + l] = cur[0]
+        end = (l + 1) * (l + 1)
+        rows = out[l * l:end] if end <= len(out) else spare[:2 * l + 1]
+        rows[l] = cur[0]
         # sqrt2 * P_l^m for m = 1..l goes into the cos rows, which first
         # feed the sin rows (m = l..1) and are then scaled in place
-        cos_rows = out[base + l + 1:base + 2 * l + 1]
+        cos_rows = rows[l + 1:]
         np.multiply(sqrt2, cur[1:l + 1], out=cos_rows)
-        np.multiply(cos_rows[::-1], sm[l:0:-1], out=out[base:base + l])
+        np.multiply(cos_rows[::-1], sm[l:0:-1], out=rows[:l])
         np.multiply(cos_rows, cm[1:l + 1], out=cos_rows)
+        yield l, rows
+
+
+def _basis_matrix(n, points):
+    """Real orthonormal spherical harmonics up to degree n at unit vectors:
+    shape ((n+1)^2, len(points)) in the flat order, every degree of
+    _harmonic_degrees written in place."""
+    out = np.empty(((n + 1) * (n + 1), len(points)))
+    for _ in _harmonic_degrees(n, points, out):
+        pass
     return out
 
 

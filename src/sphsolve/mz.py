@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .harmonics import _check_degree, eval_basis_matrix
+from .harmonics import (_check_degree, _harmonic_degrees,
+                        eval_basis_matrix)
 from .pointsets import QuadratureRule
 # mesh_norm stays importable here: perfbench's tracer wraps mz.mesh_norm
-from .sphere import EvaluationGrid, mesh_norm  # noqa: F401
+from .sphere import EvaluationGrid, as_unit_vectors, mesh_norm  # noqa: F401
 
 __all__ = ["MZReport", "gram_matrix", "gram_spectrum", "mz_constant",
            "EXACTNESS_TOL"]
@@ -44,8 +45,10 @@ class MZReport:
     eta is max(lambda_max - 1, 1 - lambda_min) over the spectrum of the
     degree-n Gram matrix.  exact_to is the largest degree d <= 2n+1 at
     which the rule integrates every harmonic exactly (within tolerance),
-    or -1 if even degree 0 fails.  mesh_norm is the exact geodesic
-    covering radius h_X of the nodes, the rule's own mesh_norm.
+    or -1 if even degree 0 fails; mz_constant reads it from the weighted
+    sums of each degree, not from a stored degree-(2n+1) basis.
+    mesh_norm is the exact geodesic covering radius h_X of the nodes, the
+    rule's own mesh_norm.
     """
 
     n: int
@@ -115,20 +118,26 @@ def mz_constant(rule: QuadratureRule, n: int,
                 probe: EvaluationGrid | None = None) -> MZReport:
     """MZ constant from the Gram spectrum, with exactness and mesh diagnostics.
 
-    One basis evaluation at degree 2n+1 serves both: in the flat order its
-    leading (n+1)^2 rows are the degree-n basis of the Gram matrix, and all
-    of its rows give the exactness degree.  The mesh norm is rule.mesh_norm,
-    measured on the rule's first call and read back on every later one.
-    probe is ignored and deprecated: passing one warns.
+    One run of the basis recurrence to degree 2n+1 serves both, and only
+    its degree-n part is kept: degrees <= n are written into the basis of
+    the Gram matrix, and each degree above n is reduced to its weighted
+    sums sum_j w_j Y_i(x_j) as soon as it is made, in one reused block.
+    Those sums, after the Gram basis's own, give the exactness degree.
+    The mesh norm is rule.mesh_norm, measured on the rule's first call and
+    read back on every later one.  probe is ignored and deprecated:
+    passing one warns.
     """
     _check_degree(n)
     if probe is not None:
         warnings.warn("mz_constant ignores probe, which will be removed",
                       DeprecationWarning, stacklevel=2)
-    Y = eval_basis_matrix(2 * n + 1, rule.points)
-    eta, lam_min, lam_max = gram_spectrum(
-        gram_matrix(rule, n, basis=Y[:(n + 1) ** 2]))
-    exact_to = _exactness_degree(_harmonic_quadrature_errors(Y, rule.weights),
-                                 EXACTNESS_TOL)
+    points = as_unit_vectors(rule.points)
+    Y = np.empty(((n + 1) ** 2, len(points)))
+    high = [_blas.matvec(rows, rule.weights)
+            for l, rows in _harmonic_degrees(2 * n + 1, points, Y) if l > n]
+    eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n, basis=Y))
+    exact_to = _exactness_degree(
+        np.concatenate([_harmonic_quadrature_errors(Y, rule.weights), *high]),
+        EXACTNESS_TOL)
     return MZReport(n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
                     exact_to=exact_to, mesh_norm=rule.mesh_norm)

@@ -102,6 +102,27 @@ def test_eigvalsh_matches_numpy(size) -> None:
     assert_close(_blas.eigvalsh(a), np.linalg.eigvalsh(a))
 
 
+@pytest.mark.parametrize("size", [1, 2, 40, 256])
+def test_eigvalsh_is_scipys_evd_call_bit_for_bit(size) -> None:
+    # the same LAPACK call with the same workspace, so equal, not close,
+    # for every layout, and the input is left as it was
+    import scipy.linalg
+
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((size, size))
+    a = a + a.T
+    expected = scipy.linalg.eigvalsh(a, driver="evd", check_finite=False)
+    for name, arr in layouts(a).items():
+        before = arr.copy()
+        assert np.array_equal(_blas.eigvalsh(arr), expected), name
+        assert np.array_equal(arr, before), name
+
+
+def test_eigvalsh_raises_when_syevd_fails() -> None:
+    with pytest.raises(np.linalg.LinAlgError, match="syevd"):
+        _blas.eigvalsh(np.full((3, 3), np.nan))
+
+
 GUARDED_MODULES = ("solver.py", "mz.py", "moments.py")
 NUMPY_PRODUCTS = ("np.matmul", "np.dot", "np.linalg.eigvalsh")
 

@@ -19,6 +19,8 @@ from sphsolve import (
 from sphsolve.harmonics import eval_basis_matrix
 from sphsolve.mz import _harmonic_quadrature_errors
 
+from conftest import design_rule
+
 FOUR_PI = 4.0 * math.pi
 
 
@@ -149,19 +151,31 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
                             "random500": 0, "td10x2": -1}[which]
 
 
-@pytest.mark.parametrize("t", [10, 20, 30])
-def test_mz_report_matches_the_two_call_form(t) -> None:
-    # one basis at degree 2n+1 serves the Gram matrix through its leading
-    # (n+1)^2 rows: every report field equals the form that evaluates the
-    # basis at n for the Gram matrix and again at 2n+1 for exactness
-    from conftest import design_rule
+# a bundled t-design, by t, at n <= t/2; the other rules at n <= 10
+TWO_CALL_RULES = {
+    "10": (lambda: design_rule(10), 5),
+    "20": (lambda: design_rule(20), 10),
+    "30": (lambda: design_rule(30), 15),
+    "random:500:41": (lambda: random_rule(500, 41), 10),
+    "random:4000:7": (lambda: random_rule(4000, 7), 10),
+    "equal_area:2000": (lambda: equal_area_points(2000), 10),
+}
+
+
+@pytest.mark.parametrize("name", list(TWO_CALL_RULES))
+def test_mz_report_matches_the_two_call_form(name) -> None:
+    # mz_constant keeps only the degree-n basis and reduces each degree
+    # above n to its weighted sums as the recurrence makes it: every report
+    # field equals the form that evaluates the basis at n for the Gram
+    # matrix and the whole basis at 2n+1 for exactness
     from sphsolve import mesh_norm
     from sphsolve.mz import (EXACTNESS_TOL, MZReport, _exactness_degree,
                              gram_spectrum)
 
-    rule = design_rule(t)
+    make, top = TWO_CALL_RULES[name]
+    rule = make()
     h = mesh_norm(rule.points)
-    for n in range(t // 2 + 1):
+    for n in range(top + 1):
         Y = eval_basis_matrix(2 * n + 1, rule.points)
         assert np.array_equal(
             Y[:(n + 1) ** 2], eval_basis_matrix(n, rule.points))
@@ -171,6 +185,22 @@ def test_mz_report_matches_the_two_call_form(t) -> None:
         assert mz_constant(rule, n) == MZReport(
             n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
             exact_to=exact_to, mesh_norm=h)
+
+
+def test_mz_constant_holds_the_degree_n_basis_not_the_tall_one() -> None:
+    # the degree-(2n+1) basis of random:4000:7 at n = 15 is 4x the
+    # degree-n one; a traced call peaks below 3x the degree-n basis
+    import tracemalloc
+
+    rule, n = random_rule(4000, 7), 15
+    rule.mesh_norm  # the hull is the rule's, measured once, not the call's
+    tracemalloc.start()
+    try:
+        mz_constant(rule, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (n + 1) ** 2 * rule.m * 8
 
 
 def test_mz_constant_leaves_rule_points_untouched() -> None:

@@ -1048,6 +1048,44 @@ def test_dense_matrix_beyond_float32_solves_in_float64(monkeypatch) -> None:
                             * np.finfo(np.float64).eps * math.sqrt(M.shape[0]))
 
 
+@pytest.mark.parametrize("case", ["f-scale", "float32-factor"])
+def test_dense_solve_retries_in_float64_after_float32_fails(
+        case, monkeypatch) -> None:
+    # two poles, h == 1, n = 0: M = I - 2pi K(r) on the dense path.
+    # f-scale: c w = (1 + 2^-52) / 2 rounds M to singular in float32 (a
+    # zero pivot) but not in float64, whose solve f = 1e300 overflows, so
+    # SingularSystemError follows both LUs.  float32-factor: K(0) = 1/(2pi)
+    # and K(2) = 1e-40 make M = -t [[0, 1], [1, 0]] with t = 2pi 1e-40,
+    # below float32's normal range and 1/t above its largest value, so no
+    # float32 solve is finite, and the float64 LU gives x = -1/t
+    rule = equal_area_points(2)
+    if case == "f-scale":
+        c, f = (1.0 + 2.0 ** -52) / FOUR_PI, 1e300
+        K = ContinuousKernel.custom(lambda r: np.full_like(r, c))
+    else:
+        f = 1.0
+        K = ContinuousKernel.custom(
+            lambda r: np.where(r < 1.0, 0.5 / math.pi, 1e-40))
+    spec = ProblemSpec(kernel=SingularKernel.one(), K=K, f=f, n=0, rule=rule)
+    factored = record_lu(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if case == "f-scale":
+            with pytest.raises(SingularSystemError, match="not finite"):
+                solve_stage1(spec)
+        else:
+            sol = solve_stage1(spec)
+    assert factored == [((2, 2), np.float32), ((2, 2), np.float64)]
+    if case == "float32-factor":
+        M = assemble_system(spec, sol.moments)
+        assert np.array_equal(np.diag(M), [0.0, 0.0])
+        assert 1.0 / abs(M[0, 1]) > np.finfo(np.float32).max
+        expected = scipy.linalg.solve(M, spec.f_values(rule.points))
+        assert np.all(np.isfinite(sol.nodal_values))
+        assert np.max(np.abs(sol.nodal_values - expected)) <= 1e-12 * np.max(
+            np.abs(expected))
+
+
 def test_import_leaves_sparse_linalg_unloaded() -> None:
     # neither the import nor a low-rank solve, with its condition
     # estimate, loads scipy.sparse.linalg
