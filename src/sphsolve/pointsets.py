@@ -156,15 +156,13 @@ def load_pointset(path, weight_mode: str = "equal",
 
 def save_pointset(rule: QuadratureRule, path, include_weights: bool = True) -> None:
     """Write a rule in the text format above, 17 significant digits."""
-    path = Path(path)
+    rows = (np.column_stack([rule.points, rule.weights]) if include_weights
+            else rule.points)
+    # an open file, as np.savetxt gzips a path that ends in .gz, which
+    # load_pointset cannot read
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {rule.label}: m = {rule.m}\n")
-        for j in range(rule.m):
-            x, y, z = rule.points[j]
-            if include_weights:
-                fh.write(f"{x:.17g} {y:.17g} {z:.17g} {rule.weights[j]:.17g}\n")
-            else:
-                fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        np.savetxt(fh, rows, fmt="%.17g", header=f"{rule.label}: m = {rule.m}",
+                   comments="# ")
 
 
 def equal_area_rings(m: int) -> list[tuple[float, float, int]]:

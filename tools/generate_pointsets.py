@@ -10,8 +10,9 @@ optimization from equal-area initial layouts:
   F = (2pi/m^2) sum_{j,j'} sum_{l=1..t} (2l+1) P_l(x_j . x_j')
   with L-BFGS (cheap zonal sums, analytic gradient); phase B polishes
   with Levenberg-Marquardt on the explicit residual vector, whose
-  Jacobian costs almost nothing because moving one point changes one
-  basis column only.
+  central-difference Jacobian takes four basis evaluations in all:
+  moving one point changes only its own basis column, so every theta
+  (then every phi) is moved at once.
 * minimal Coulomb-energy points (sum of inverse pairwise distances).
 * maximal-determinant (Fekete) points at m = (n+1)^2: maximize
   log|det| of the square basis matrix.
@@ -61,15 +62,31 @@ def points_from_angles(z: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
 
 
-def tangent_frames(z: np.ndarray):
-    """d x / d theta and d x / d phi for every point (phi one unnormalized)."""
+def _angle_gradient(z: np.ndarray, gpts: np.ndarray) -> np.ndarray:
+    """Chain rule from a gradient on the points (one row each) to the
+    angles z: dot with d x / d theta and d x / d phi (unnormalized)."""
     m = z.size // 2
     theta, phi = z[:m], z[m:]
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
     dth = np.stack([ct * cp, ct * sp, -st], axis=1)
     dph = np.stack([-st * sp, st * cp, np.zeros(m)], axis=1)
-    return dth, dph
+    return np.concatenate([(gpts * dth).sum(axis=1), (gpts * dph).sum(axis=1)])
+
+
+def _column_differences(z: np.ndarray, n: int, h: float) -> list[np.ndarray]:
+    """Y(z + h e) - Y(z - h e) of the degree-n basis for e every theta,
+    then every phi.  Column j of the basis depends on point j alone, so
+    column j is the difference for moving point j's angle by itself."""
+    m = z.size // 2
+    diffs = []
+    for part in (slice(0, m), slice(m, 2 * m)):
+        zp, zm = z.copy(), z.copy()
+        zp[part] += h
+        zm[part] -= h
+        diffs.append(basis_matrix(n, points_from_angles(zp))
+                     - basis_matrix(n, points_from_angles(zm)))
+    return diffs
 
 
 # ------------------------------------------------- phase A: zonal functional
@@ -104,11 +121,8 @@ def _zonal_value_grad(pts, t_deg):
 
 
 def _phase_a_objective(z, t_deg, scale):
-    pts = points_from_angles(z)
-    val, gpts = _zonal_value_grad(pts, t_deg)
-    dth, dph = tangent_frames(z)
-    g = np.concatenate([(gpts * dth).sum(axis=1), (gpts * dph).sum(axis=1)])
-    return scale * val, scale * g
+    val, gpts = _zonal_value_grad(points_from_angles(z), t_deg)
+    return scale * val, scale * _angle_gradient(z, gpts)
 
 
 # --------------------------------------------- phase B: residual + LM polish
@@ -125,31 +139,11 @@ def design_residual(pts: np.ndarray, t_deg: int) -> np.ndarray:
 
 
 def _design_jacobian(z: np.ndarray, t_deg: int, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of design_residual w.r.t. the angles.
-
-    Perturbing point j only changes column j of the basis matrix, so each
-    of the 2m columns needs two single-point basis evaluations.
-    """
+    """Central-difference Jacobian of design_residual w.r.t. the angles:
+    the theta columns, then the phi columns."""
     m = z.size // 2
-    dim = (t_deg + 1) ** 2 - 1
-    J = np.empty((dim, 2 * m))
-    zp = z.copy()
-    for q in range(2 * m):
-        orig = zp[q]
-        zp[q] = orig + h
-        yp = basis_matrix(t_deg, points_from_angles_single(zp, q % m))
-        zp[q] = orig - h
-        ym = basis_matrix(t_deg, points_from_angles_single(zp, q % m))
-        zp[q] = orig
-        J[:, q] = (FOUR_PI / m) * (yp[1:, 0] - ym[1:, 0]) / (2.0 * h)
-    return J
-
-
-def points_from_angles_single(z: np.ndarray, j: int) -> np.ndarray:
-    m = z.size // 2
-    th, ph = z[j], z[m + j]
-    st = math.sin(th)
-    return np.array([[st * math.cos(ph), st * math.sin(ph), math.cos(th)]])
+    return np.hstack([(FOUR_PI / m) * d[1:] / (2.0 * h)
+                      for d in _column_differences(z, t_deg, h)])
 
 
 def _lm_polish(z: np.ndarray, t_deg: int, max_iter: int = 60,
@@ -229,13 +223,32 @@ def _coulomb_value_grad(pts):
     return val, grad
 
 
+def _fekete_value_grad(z, n):
+    """-log|det Y| of the square degree-n basis at the angles z, and its
+    gradient -tr(Y^{-1} dY): row j of Y^{-1} against the central
+    difference of column j."""
+    m = z.size // 2
+    lu, piv = lu_factor(basis_matrix(n, points_from_angles(z)))
+    diag = np.abs(np.diag(lu))
+    if np.any(diag == 0.0):
+        return 1e300, np.zeros(2 * m)
+    Yinv = lu_solve((lu, piv), np.eye(m))
+    if not np.all(np.isfinite(Yinv)):
+        return 1e300, np.zeros(2 * m)
+    h = 1e-6
+    g = []
+    for d in _column_differences(z, n, h):
+        # one dot of two contiguous rows per point: a strided column or
+        # an einsum rounds differently
+        Dt = np.ascontiguousarray((d / (2.0 * h)).T)
+        g += [-Yinv[j] @ Dt[j] for j in range(m)]
+    return -float(np.sum(np.log(diag))), np.array(g)
+
+
 def generate_minimal_energy(m: int, verbose: bool = True) -> np.ndarray:
     def objective(z):
-        pts = points_from_angles(z)
-        val, gpts = _coulomb_value_grad(pts)
-        dth, dph = tangent_frames(z)
-        g = np.concatenate([(gpts * dth).sum(axis=1), (gpts * dph).sum(axis=1)])
-        return val, g
+        val, gpts = _coulomb_value_grad(points_from_angles(z))
+        return val, _angle_gradient(z, gpts)
 
     z0 = angles_from_points(equal_area_points(m).points.copy())
     res = minimize(objective, z0, jac=True, method="L-BFGS-B",
@@ -259,40 +272,14 @@ def generate_fekete(m: int, init: np.ndarray | None = None,
     n = int(round(math.sqrt(m))) - 1
     if (n + 1) ** 2 != m:
         raise ValueError(f"Fekete point count must be a square, got {m}")
-    h = 1e-6
-
-    def objective(z):
-        pts = points_from_angles(z)
-        Y = basis_matrix(n, pts)
-        lu, piv = lu_factor(Y)
-        diag = np.abs(np.diag(lu))
-        if np.any(diag == 0.0):
-            return 1e300, np.zeros(2 * m)
-        logdet = float(np.sum(np.log(diag)))
-        Yinv = lu_solve((lu, piv), np.eye(m))
-        if not np.all(np.isfinite(Yinv)):
-            return 1e300, np.zeros(2 * m)
-        g = np.empty(2 * m)
-        zp = z.copy()
-        for j in range(m):
-            row = Yinv[j]
-            for q in (j, m + j):
-                orig = zp[q]
-                zp[q] = orig + h
-                yp = basis_matrix(n, points_from_angles_single(zp, j))[:, 0]
-                zp[q] = orig - h
-                ym = basis_matrix(n, points_from_angles_single(zp, j))[:, 0]
-                zp[q] = orig
-                g[q] = -row @ ((yp - ym) / (2.0 * h))
-        return -logdet, g
-
     if init is None:
         rng = np.random.default_rng(7)
         init = equal_area_points(m).points.copy()
         init += rng.normal(scale=0.05 / math.sqrt(m), size=init.shape)
         init /= np.linalg.norm(init, axis=1)[:, None]
     z0 = angles_from_points(init)
-    res = minimize(objective, z0, jac=True, method="L-BFGS-B",
+    res = minimize(_fekete_value_grad, z0, args=(n,), jac=True,
+                   method="L-BFGS-B",
                    options={"maxiter": 3000, "ftol": 1e-16, "gtol": 1e-8})
     if verbose:
         print(f"    log|det Y| {-res.fun:.6f} after {res.nit} iters")
@@ -327,7 +314,8 @@ def main(argv=None):
     ap.add_argument("--fekete", type=int, default=441,
                     help="point count for the Fekete set (0 skips)")
     ap.add_argument("--residual-gate", type=float, default=5e-15,
-                    help="max allowed t-design residual before retrying")
+                    help="max t-design residual; a t whose 4 seeds all miss "
+                         "it stops the run with no file for that t")
     args = ap.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -343,7 +331,11 @@ def main(argv=None):
                 best_pts, best_r = pts, rmax
             if best_r <= args.residual_gate:
                 break
-            print(f"    residual {rmax:.3e} above gate, retrying (seed {seed + 1})")
+            print(f"    seed {seed}: residual {rmax:.3e} above gate")
+        else:
+            sys.exit(f"t-design t={t_deg}: best residual {best_r:.3e} of 4 seeds "
+                     f"is above --residual-gate {args.residual_gate:.1e}; "
+                     f"no file written")
         print(f"  final residual {best_r:.3e} in {time.perf_counter() - start:.1f}s")
         _verify_and_save(best_pts, f"td{t_deg:03d}_{m:05d}.txt",
                          f"t-design t={t_deg} m={m}", args.out,
