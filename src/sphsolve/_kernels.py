@@ -6,8 +6,8 @@
   values by the addition theorem as BLAS products of basis matrices, and
   these kernels are the independent per-entry reference it is compared
   against.
-* ``basis_matrix`` is the harmonic basis of ``sphsolve.harmonics``
-  (the same function object), without the unit-vector check.
+* ``basis_matrix`` is ``sphsolve.harmonics.eval_basis_matrix`` (the same
+  function object), under the name the benchmark's micro-case calls.
 
 Nothing in the package imports this module.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harmonics import _basis_matrix as basis_matrix
+from .harmonics import eval_basis_matrix as basis_matrix
 
 __all__ = [
     "BACKEND",

@@ -10,11 +10,11 @@ Subcommands:
 Point descriptors: ``file:PATH`` (a bare path or a bundled file name also
 works), ``equal_area:M``, ``random:M:SEED``; the kernel descriptors are read
 by SingularKernel.parse and ContinuousKernel.parse.  A config file of
-``key=value`` lines may supply any flag, checked as the flag is (type,
-range, choices); explicit flags override it.  ``--out PATH`` works alike
-for every subcommand: a ``.json`` path gets only the JSON (configuration
-echo plus results), any other path the results as CSV plus that JSON at
-the same stem with suffix ``.json``.
+``key=value`` lines may supply any flag of its subcommand, checked as the
+flag is; explicit flags override it.  ``--out PATH`` works alike for every
+subcommand: a ``.json`` path gets only the JSON (configuration echo plus
+results), any other path the results as CSV plus that JSON at the same
+stem with suffix ``.json``.
 
 Exit codes: 0 success, 2 validation error or out of memory, 3 numerical failure.
 """
@@ -372,7 +372,13 @@ def build_config(argv=None) -> RunConfig:
     seed are range-checked here, once, whichever of the two gave them."""
     args = _build_parser().parse_args(argv)
     values = read_config_file(args.config) if args.config else {}
-    for flag in _SUBCOMMANDS[args.subcommand][2]:
+    flags = _SUBCOMMANDS[args.subcommand][2]
+    for key in values:
+        if key not in flags:
+            raise ValidationError(
+                f"{args.config}: {args.subcommand} takes no key {key!r}; "
+                f"valid keys: {', '.join(flags)}")
+    for flag in flags:
         if getattr(args, flag) is not None:
             values[flag] = getattr(args, flag)
     for flag, low in (("n", 0), ("grid", 1), ("seed", 0)):

@@ -147,18 +147,13 @@ def _harmonic_degrees(n, points, out):
         yield l, rows
 
 
-def _basis_matrix(n, points):
-    """Real orthonormal spherical harmonics up to degree n at unit vectors:
-    shape ((n+1)^2, len(points)) in the flat order, every degree of
-    _harmonic_degrees written in place."""
-    out = np.empty(((n + 1) * (n + 1), len(points)))
-    for _ in _harmonic_degrees(n, points, out):
-        pass
-    return out
-
-
 def eval_basis_matrix(n: int, points) -> np.ndarray:
     """Matrix of Y_i(x_j) for every harmonic of degree <= n, (n+1)^2 rows
-    by m columns, flat row order."""
+    by m columns, flat row order, at as_unit_vectors(points): every degree
+    of _harmonic_degrees written in place."""
     _check_degree(n)
-    return _basis_matrix(n, as_unit_vectors(points))
+    pts = as_unit_vectors(points)
+    out = np.empty(((n + 1) * (n + 1), len(pts)))
+    for _ in _harmonic_degrees(n, pts, out):
+        pass
+    return out

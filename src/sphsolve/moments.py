@@ -160,7 +160,7 @@ class ModifiedMoments:
     kernel: SingularKernel
     n: int
     values: np.ndarray
-    method: str  # closed_form | oracle
+    method: str  # "closed_form" from every constructor, Gauss-Jacobi too
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)

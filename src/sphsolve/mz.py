@@ -24,7 +24,7 @@ from .harmonics import (_check_degree, _harmonic_degrees,
                         eval_basis_matrix)
 from .pointsets import QuadratureRule
 # mesh_norm stays importable here: perfbench's tracer wraps mz.mesh_norm
-from .sphere import EvaluationGrid, as_unit_vectors, mesh_norm  # noqa: F401
+from .sphere import EvaluationGrid, mesh_norm  # noqa: F401
 
 __all__ = ["MZReport", "gram_matrix", "gram_spectrum", "mz_constant",
            "EXACTNESS_TOL"]
@@ -131,10 +131,9 @@ def mz_constant(rule: QuadratureRule, n: int,
     if probe is not None:
         warnings.warn("mz_constant ignores probe, which will be removed",
                       DeprecationWarning, stacklevel=2)
-    points = as_unit_vectors(rule.points)
-    Y = np.empty(((n + 1) ** 2, len(points)))
-    high = [_blas.matvec(rows, rule.weights)
-            for l, rows in _harmonic_degrees(2 * n + 1, points, Y) if l > n]
+    Y = np.empty(((n + 1) ** 2, rule.m))
+    high = [_blas.matvec(rows, rule.weights) for l, rows
+            in _harmonic_degrees(2 * n + 1, rule.points, Y) if l > n]
     eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n, basis=Y))
     exact_to = _exactness_degree(
         np.concatenate([_harmonic_quadrature_errors(Y, rule.weights), *high]),

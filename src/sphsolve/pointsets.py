@@ -50,7 +50,9 @@ class PointFileError(ValueError):
 class QuadratureRule:
     """Immutable point set plus positive weights and a provenance label.
 
-    mesh_norm, the nodes' covering radius, is measured on its first read.
+    The points are sphere.as_unit_vectors of the given ones; both arrays
+    are read-only copies.  mesh_norm, the nodes' covering radius, is
+    measured on its first read.
     """
 
     points: np.ndarray
@@ -58,22 +60,15 @@ class QuadratureRule:
     label: str
 
     def __post_init__(self):
-        # Copies, so that neither the caller's arrays are frozen nor a later
-        # edit of them reaches the validated rule.
-        pts = np.array(self.points, dtype=np.float64, order="C")
+        pts = sphere.as_unit_vectors(self.points)
+        if np.ndim(self.points) != 2 or pts.shape[0] == 0:
+            raise ValueError("a quadrature rule needs (m, 3) points, m >= 1, "
+                             f"got shape {np.shape(self.points)}")
         w = np.array(self.weights, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be (m, 3), got {pts.shape}")
         if w.shape != (pts.shape[0],):
             raise ValueError(
                 f"weights shape {w.shape} does not match {pts.shape[0]} points")
-        if pts.shape[0] == 0:
-            raise ValueError("a quadrature rule needs at least one point")
-        norms = np.linalg.norm(pts, axis=1)
-        # each check is "not (valid)", so that a NaN fails it
-        if not np.all(np.abs(norms - 1.0) <= 1e-12):
-            j = int(np.argmax(np.abs(norms - 1.0)))  # a NaN row comes first
-            raise ValueError(f"point {j} is not on the unit sphere: |x| = {norms[j]!r}")
+        # "not (valid)", so that a NaN fails it
         if not np.all(w > 0.0):
             j = int(np.argmin(w > 0.0))
             raise ValueError(f"weight {j} is not positive: {w[j]!r}")

@@ -318,7 +318,7 @@ def weight_matrix(rule: QuadratureRule, moments: ModifiedMoments,
                   targets) -> np.ndarray:
     """W_j(x) for a batch of targets x; shape (len(targets), m): the one
     GEMM Y(x)^T diag(mu) Y(X) diag(w) of _target_factor and _rule_factor."""
-    left = _target_factor(moments, as_unit_vectors(targets))
+    left = _target_factor(moments, targets)
     return _blas.matmul(left.T, _rule_factor(
         rule, moments, _target_factor(moments, rule.points)))
 

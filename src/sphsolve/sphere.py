@@ -24,7 +24,10 @@ UNIT_NORM_TOL = 1e-12
 
 
 def as_unit_vectors(points) -> np.ndarray:
-    """Coerce an (m, 3) array to float64 and check every row is unit length."""
+    """A new C-ordered float64 (m, 3) array of the rows of points, each
+    checked to be unit to UNIT_NORM_TOL and divided by its norm; a row unit
+    to rounding (4 eps; one division leaves at most 1.5 eps) is divided by
+    exactly 1, so it comes back as given and a second call changes nothing."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -35,7 +38,8 @@ def as_unit_vectors(points) -> np.ndarray:
     if np.any(bad):
         j = int(np.argmax(bad))
         raise ValueError(f"row {j} is not a unit vector: |x| = {norms[j]!r}")
-    return pts / norms[:, None]
+    norms[np.abs(norms - 1.0) <= 4.0 * np.finfo(np.float64).eps] = 1.0
+    return np.divide(pts, norms[:, None], order="C")
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,25 @@ def test_config_file_values_are_range_checked(entry, message, tmp_path,
     assert "error:" in captured.err and message in captured.err
 
 
+def test_config_key_the_subcommand_does_not_take_exits_2(tmp_path,
+                                                         capsys) -> None:
+    # as --id 7 on the command line would, and before any output
+    out = tmp_path / "never.json"
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("id=7\nkernel=log\nsweep=n=1:1:2\n")
+    assert cli.main(["analyze", "--points", "td010_00121.txt", "--n", "2",
+                     "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert ("analyze takes no key 'id'; valid keys: points, weights, n, out"
+            in captured.err)
+    # a key of the subcommand is still taken from the file
+    cfg.write_text("n=2\n")
+    assert cli.main(["analyze", "--points", "td010_00121.txt",
+                     "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["n"] == 2
+
+
 @pytest.mark.parametrize("kind", ["directory", "non-ascii"])
 def test_unreadable_config_file_exits_2(kind, tmp_path, capsys) -> None:
     # IsADirectoryError and UnicodeDecodeError are validation errors too

@@ -21,6 +21,7 @@ from sphsolve import (
     save_pointset,
 )
 from sphsolve.pointsets import equal_area_rings
+from sphsolve.sphere import as_unit_vectors
 
 FOUR_PI = 4.0 * math.pi
 
@@ -35,11 +36,25 @@ def test_quadrature_rule_validation() -> None:
     with pytest.raises(ValueError):
         QuadratureRule(points=pts[:, :2], weights=np.array([1.0, 1.0]),
                        label="shape")
-    with pytest.raises(ValueError, match="point 0"):
+    with pytest.raises(ValueError, match="row 0"):
         QuadratureRule(points=[[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]],
                        weights=[1.0, 1.0], label="nan point")
     with pytest.raises(ValueError, match="weight 0"):
         QuadratureRule(points=pts, weights=[np.nan, 1.0], label="nan weight")
+
+
+def test_rule_takes_its_points_through_as_unit_vectors() -> None:
+    # one unit-vector rule: rows 1e-13 off the sphere are normalized once,
+    # rows already unit are kept, and a single point must still be a row
+    pts = np.array([[0.0, 0.0, 1.0 + 1e-13], [0.6, 0.8, 0.0]])
+    rule = QuadratureRule(points=pts, weights=[1.0, 1.0], label="near")
+    assert np.array_equal(rule.points, as_unit_vectors(pts))
+    assert np.array_equal(rule.points, [[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]])
+    with pytest.raises(ValueError, match=r"\(m, 3\)"):
+        QuadratureRule(points=[0.0, 0.0, 1.0], weights=[1.0], label="1-D")
+    with pytest.raises(ValueError, match="row 1"):
+        QuadratureRule(points=[[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 + 2e-12]],
+                       weights=[1.0, 1.0], label="off")
 
 
 def test_rule_is_immutable(octahedron) -> None:

@@ -1545,3 +1545,30 @@ def count_basis_calls(monkeypatch, nodes: np.ndarray) -> list[bool]:
     monkeypatch.setattr(mz, "eval_basis_matrix",
                         counting(mz.eval_basis_matrix))
     return seen
+
+
+def test_every_basis_reads_the_nodes_and_targets_as_given(monkeypatch, td40,
+                                                          eval_grid) -> None:
+    # One set of coordinates per node: the basis recurrence of stage 1 and
+    # of the MZ report runs at rule.points, and stage 2's at the targets,
+    # bit for bit, as the dot products of the kernel blocks read them.
+    from sphsolve import harmonics, mz
+    seen = []
+    recurrence = harmonics._harmonic_degrees
+
+    def capturing(n, points, out):
+        seen.append(np.array(points))
+        return recurrence(n, points, out)
+
+    monkeypatch.setattr(harmonics, "_harmonic_degrees", capturing)
+    monkeypatch.setattr(mz, "_harmonic_degrees", capturing)
+    kernel, K = experiment_kernels(2)
+    sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=experiment_f(2),
+                                   n=10, rule=td40))
+    assert seen and all(np.array_equal(p, td40.points) for p in seen)
+    seen.clear()
+    mz_constant(td40, 10)
+    assert seen and all(np.array_equal(p, td40.points) for p in seen)
+    seen.clear()
+    evaluate_stage2(sol, eval_grid.points)
+    assert np.array_equal(np.concatenate(seen), eval_grid.points)

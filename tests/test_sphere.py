@@ -35,6 +35,27 @@ def test_as_unit_vectors_reports_offending_row() -> None:
         as_unit_vectors(pts)
 
 
+def test_as_unit_vectors_is_idempotent() -> None:
+    # rows 1e-13 off the sphere are normalized, and the result is unit to
+    # rounding: a second call returns it bit for bit
+    x = uniform_random_points(2000, seed=3).points * (1.0 + 1e-13)
+    once = as_unit_vectors(x)
+    assert not np.array_equal(once, x)
+    assert np.array_equal(as_unit_vectors(once), once)
+
+
+def test_unit_rows_come_back_as_given() -> None:
+    # the Gaussian draws divided by their norms, once
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((5000, 3))
+    drawn = v / np.linalg.norm(v, axis=1)[:, None]
+    assert np.array_equal(uniform_random_points(5000, seed=11).points, drawn)
+    assert np.array_equal(as_unit_vectors(drawn), drawn)
+    for name in bundled_pointsets():
+        points = load_pointset(bundled_pointset_path(name)).points
+        assert np.array_equal(as_unit_vectors(points), points), name
+
+
 @st.composite
 def unit_vectors(draw):
     v = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(3)])

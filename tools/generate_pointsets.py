@@ -35,9 +35,9 @@ from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-# The package's basis recurrence without its unit-vector check, so the
-# optimizer's iterates are used exactly as they are.
-from sphsolve.harmonics import _basis_matrix as basis_matrix  # noqa: E402
+# The package's basis; its unit-vector check returns the optimizer's
+# iterates as they are, since points from angles are unit to rounding.
+from sphsolve.harmonics import eval_basis_matrix as basis_matrix  # noqa: E402
 from sphsolve.mz import mz_constant  # noqa: E402
 from sphsolve.pointsets import QuadratureRule, equal_area_points, save_pointset  # noqa: E402
 
