@@ -10,9 +10,9 @@ The weights come from the addition theorem as BLAS products of harmonic
 basis matrices.
 """
 
-from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE,
-                          EXPERIMENT_IDS, ExperimentRecord, experiment_f,
-                          experiment_kernels, recompute_f, run_experiment)
+from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE, EXPERIMENT_IDS,
+                          ExperimentRecord, experiment_f, experiment_kernels,
+                          recompute_f, run_experiment, unit_response)
 from .harmonics import eval_basis_matrix, legendre_table
 from .moments import (ModifiedMoments, OracleAccuracyWarning, SingularKernel,
                       modified_moments, moments_algebraic, moments_log,
@@ -45,6 +45,6 @@ __all__ = [
     "weight_matrix",
     "DEFAULT_GRID_SEED", "DEFAULT_GRID_SIZE", "EXPERIMENT_IDS",
     "ExperimentRecord", "experiment_f", "experiment_kernels", "recompute_f",
-    "run_experiment",
+    "run_experiment", "unit_response",
     "__version__",
 ]

@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE, EXPERIMENT_IDS,
-                          ExperimentRecord, run_experiment, run_spec)
+                          ExperimentRecord, run_experiment, run_spec,
+                          unit_response)
 from .moments import SingularKernel, modified_moments
 from .mz import MZReport, mz_constant
 from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
@@ -237,24 +238,15 @@ def _cmd_solve(config: RunConfig) -> int:
     kernel = SingularKernel.parse(config.kernel)
     K = ContinuousKernel.parse(config.K)
     f_const = parse_f_descriptor(config.f)
-    if f_const is None and K.family != "constant":
-        raise ValidationError(
-            "--f const:auto needs a constant K (const:C); give an explicit "
-            "--f const:VALUE for oscillatory kernels")
     rule = resolve_points_descriptor(config.points, config.weights)
     grid = uniform_random_points(config.grid, seed=config.seed)
 
-    # mu_0 is the same at every degree; solve_stage1 computes them to n
-    mu0 = float(modified_moments(kernel, 0).values[0])
-    if f_const is None:
-        # Right-hand side making phi == 1 exact: f = 1 - c mu_0.
-        f_value, exact = 1.0 - K.c * mu0, 1.0
-    elif K.family == "constant":
-        denom = 1.0 - K.c * mu0
-        exact = f_const / denom if denom != 0.0 else None
-        f_value = f_const
-    else:
-        f_value, exact = f_const, None
+    # A 1 = a for radial h and K, so a constant f has the constant solution
+    # f / (1 - a); const:auto takes f = 1 - a, whose solution is exactly 1.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = unit_response(kernel, K)
+    f_value = 1.0 - a if f_const is None else f_const
+    exact = f_value / (1.0 - a) if np.isfinite(a) and a != 1.0 else None
     spec = ProblemSpec(kernel=kernel, K=K, f=f_value, n=config.n, rule=rule)
     emit_results([run_spec(spec, exact, grid)], config)
     return EXIT_OK
@@ -317,12 +309,13 @@ _SUBCOMMANDS = {
 # ------------------------------------------------------------ parsing/merge
 
 def read_config_file(path) -> dict:
-    """key=value lines, # comments; keys are the flag names, an integer
-    flag's value must be an integer, and a flag with choices takes one."""
+    """key=value lines, # comments; each key a flag name, given once; an
+    integer flag needs an integer, and a flag with choices takes one."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
     merged: dict = {}
+    line_of: dict = {}  # key -> the line that gave it
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -337,6 +330,10 @@ def read_config_file(path) -> dict:
                 raise ValidationError(
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
                     f"{', '.join(sorted(_FLAGS))}")
+            if key in line_of:
+                raise ValidationError(f"{path}:{lineno}: key {key!r} repeats "
+                                      f"line {line_of[key]}; give it once")
+            line_of[key] = lineno
             try:
                 merged[key] = _FLAGS[key].get("type", str)(value)
             except ValueError:

@@ -1,18 +1,13 @@
 """Preset experiment configurations with constant exact solution phi == 1.
 
-Each preset fixes (h, K) and the constant right-hand side f = 1 - (A 1)(x),
-where A is the integral operator; f is then constant because h and K are
-radial, and the equation has the known solution phi == 1:
-
-  1: h = 1,                      K = sin(10|x-y|)
-  2: h = |x-y|^-0.5,             K = cos(10|x-y|)
-  3: h = log|x-y|,               K = 1
-  4: h = |x-y|^-0.5 |x+y|^-0.5,  K = sin(10|x-y|)
-
-Every preset takes f from the endpoint-refined 1-D oracle, recompute_f.
-The published constants, and preset 3's exact 1 - pi(4 ln 2 - 2), are test
-data checked against it; preset 2's published value is 3.4e-8 off the
-oracle, an offset that held that preset's error near 1e-7.
+Each preset of _PRESETS fixes (h, K).  For radial h and K the operator A
+maps a constant to a constant, A 1 = unit_response(h, K) = 2pi int h K dt
+from the endpoint-refined 1-D oracle, so the preset's f = 1 - A 1
+(recompute_f) is constant and phi == 1 solves it; the CLI's solve takes
+A 1 from unit_response for any (h, K).  The published constants, and
+preset 3's exact 1 - pi(4 ln 2 - 2), are test data checked against it;
+preset 2's published value is 3.4e-8 off the oracle, an offset that held
+that preset's error near 1e-7.
 """
 
 from __future__ import annotations
@@ -31,13 +26,20 @@ from .solver import (ContinuousKernel, ProblemSpec, solve_stage1,
 from .sphere import EvaluationGrid, uniform_random_points
 
 __all__ = ["ExperimentRecord", "EXPERIMENT_IDS", "experiment_kernels",
-           "experiment_f", "recompute_f", "run_experiment", "run_spec",
-           "DEFAULT_GRID_SIZE", "DEFAULT_GRID_SEED"]
+           "experiment_f", "recompute_f", "unit_response", "run_experiment",
+           "run_spec", "DEFAULT_GRID_SIZE", "DEFAULT_GRID_SEED"]
 
 DEFAULT_GRID_SIZE = 5000
 DEFAULT_GRID_SEED = 2024
 
-EXPERIMENT_IDS = (1, 2, 3, 4)
+_PRESETS = {  # preset id -> (h, K)
+    1: (SingularKernel.one(), ContinuousKernel.sin_scaled(10.0)),
+    2: (SingularKernel.algebraic(-0.5), ContinuousKernel.cos_scaled(10.0)),
+    3: (SingularKernel.log(), ContinuousKernel.constant(1.0)),
+    4: (SingularKernel.mixed(-0.5, -0.5), ContinuousKernel.sin_scaled(10.0)),
+}
+EXPERIMENT_IDS = tuple(_PRESETS)
+
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -62,25 +64,24 @@ class ExperimentRecord:
 
 
 def experiment_kernels(exp_id: int) -> tuple[SingularKernel, ContinuousKernel]:
-    if exp_id == 1:
-        return SingularKernel.one(), ContinuousKernel.sin_scaled(10.0)
-    if exp_id == 2:
-        return SingularKernel.algebraic(-0.5), ContinuousKernel.cos_scaled(10.0)
-    if exp_id == 3:
-        return SingularKernel.log(), ContinuousKernel.constant(1.0)
-    if exp_id == 4:
-        return SingularKernel.mixed(-0.5, -0.5), ContinuousKernel.sin_scaled(10.0)
-    raise ValueError(f"experiment id must be one of {EXPERIMENT_IDS}, got {exp_id}")
+    if exp_id not in _PRESETS:
+        raise ValueError(f"experiment id must be one of {EXPERIMENT_IDS}, "
+                         f"got {exp_id}")
+    return _PRESETS[exp_id]
+
+
+def unit_response(kernel: SingularKernel, K: ContinuousKernel) -> float:
+    """A 1 = 2pi int h K dt, the l = 0 Funk-Hecke eigenvalue, from the
+    oracle with |x-y| = sqrt(2 up) at the distance up = 1 - t from +1."""
+    return float(oracle_moments_vector(
+        lambda up, um: kernel.profile(up, um) * K.of_distance(np.sqrt(2.0 * up)),
+        0)[0])
 
 
 @lru_cache(maxsize=None)
 def recompute_f(exp_id: int) -> float:
-    """f = 1 - 2pi int h K dt from the endpoint-refined oracle, with
-    |x-y| = sqrt(2 up) at the distance up = 1 - t from +1."""
-    kernel, K = experiment_kernels(exp_id)
-    return 1.0 - float(oracle_moments_vector(
-        lambda up, um: kernel.profile(up, um) * K.of_distance(np.sqrt(2.0 * up)),
-        0)[0])
+    """f = 1 - A 1, so that phi == 1 solves preset exp_id."""
+    return 1.0 - unit_response(*experiment_kernels(exp_id))
 
 
 def experiment_f(exp_id: int) -> float:

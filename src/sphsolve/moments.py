@@ -220,8 +220,10 @@ def oracle_moments_vector(h, n: int) -> np.ndarray:
     distance u from +1 gets (u, 2 - u), and one at distance u from -1
     gets (2 - u, u).  Each side refines until its extrapolated tail is
     negligible (or the level cap is hit), then the tail estimate is added
-    to the result.  An OracleAccuracyWarning is raised unless the residual
-    uncertainty, taken as 2% of the tail estimate, stays within
+    to the result.  Every panel's sum is also taken on its two halves; a
+    profile that oscillates too fast for the panels moves it.  An
+    OracleAccuracyWarning is raised unless the summed moves, plus the
+    residual tail uncertainty of 2% of each tail estimate, stay within
     _TARGET*(1+|result|) = 1e-12*(1+|result|).
     """
     # 32 nodes make the rule exact for the polynomial factor to degree 63;
@@ -229,26 +231,34 @@ def oracle_moments_vector(h, n: int) -> np.ndarray:
     n_nodes = max(_PANEL_NODES, (n + 1) // 2 + 16)
     nodes_x, nodes_w = np.polynomial.legendre.leggauss(n_nodes)
 
+    def checked_sum(panels, at):
+        """2pi sum of w P_l(t) h(up, um) over the Gauss rule on (a, b)
+        panels of a variable s mapped by at(s) = (t, up, um), and how far
+        the sum moves when every panel is halved."""
+        def rule_sum(panels):
+            s, ws = _gauss_panels(panels, nodes_x, nodes_w)
+            t, up, um = at(s)
+            return TWO_PI * _blas.matvec(legendre_table(n, t), ws * h(up, um))
+        coarse = rule_sum(panels)
+        halves = [half for a, b in panels
+                  for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+        return coarse, np.abs(rule_sum(halves) - coarse)
+
     # Central band [-1/2, 1/2] in fixed panels of width 1/8.  The 2pi
     # factor is applied up front so the stopping test runs in result units.
     edges = np.linspace(-0.5, 0.5, 9)
-    t_mid, w_mid = _gauss_panels(list(zip(edges[:-1], edges[1:])),
-                                 nodes_x, nodes_w)
-    totals = TWO_PI * _blas.matvec(legendre_table(n, t_mid),
-                                   w_mid * h(1.0 - t_mid, 1.0 + t_mid))
+    totals, spread = checked_sum(list(zip(edges[:-1], edges[1:])),
+                                 lambda t: (t, 1.0 - t, 1.0 + t))
 
     certified = True
-    for sign in (+1.0, -1.0):
+    for at in (lambda u: (1.0 - u, u, 2.0 - u),   # distance u from +1
+               lambda u: (u - 1.0, 2.0 - u, u)):  # distance u from -1
         prev = np.zeros(n + 1)
         tails = None
         for k in range(1, _MAX_LEVELS + 1):
-            lo, hi = 2.0 ** -(k + 1), 2.0 ** -k
-            u = lo + 0.5 * (hi - lo) * (nodes_x + 1.0)
-            wu = 0.5 * (hi - lo) * nodes_w
-            hu = h(u, 2.0 - u) if sign > 0 else h(2.0 - u, u)
-            contrib = TWO_PI * _blas.matvec(legendre_table(n, sign * (1.0 - u)),
-                                            wu * hu)
+            contrib, moved = checked_sum([(2.0 ** -(k + 1), 2.0 ** -k)], at)
             totals += contrib
+            spread += moved
             floor = 1e-16 * (1.0 + float(np.min(np.abs(totals))))
             tails = _tail_vector(prev, contrib, floor)
             prev = contrib
@@ -258,14 +268,14 @@ def oracle_moments_vector(h, n: int) -> np.ndarray:
             certified = False
             continue
         totals += tails
-        uncertainty = 0.02 * float(np.max(np.abs(tails)))
-        if uncertainty > _TARGET * (1.0 + float(np.min(np.abs(totals)))):
-            certified = False
-    if not certified:
+        spread += 0.02 * np.abs(tails)
+    if not certified or (float(np.max(spread))
+                         > _TARGET * (1.0 + float(np.min(np.abs(totals))))):
         warnings.warn(
             f"moment oracle: could not certify absolute error "
-            f"{_TARGET:g}*(1+|result|) within {_MAX_LEVELS} refinement levels",
-            OracleAccuracyWarning, stacklevel=2)
+            f"{_TARGET:g}*(1+|result|): the profile oscillates too fast for "
+            f"its panels, or its tails do not contract within {_MAX_LEVELS} "
+            f"refinement levels", OracleAccuracyWarning, stacklevel=2)
     return totals
 
 

@@ -26,8 +26,9 @@ from sphsolve.cli import (
     resolve_points_descriptor,
     sweep_rule_name,
 )
-from sphsolve import (ContinuousKernel, NonFiniteInputError, SingularKernel,
-                      SingularSystemError, mesh_norm, mz_constant,
+from sphsolve import (EXPERIMENT_IDS, ContinuousKernel, ExperimentRecord,
+                      NonFiniteInputError, SingularKernel, SingularSystemError,
+                      experiment_f, experiment_kernels, mesh_norm, mz_constant,
                       run_experiment)
 
 
@@ -184,8 +185,11 @@ def test_config_file_values_are_range_checked(entry, message, tmp_path,
     # the same bounds as for the flags, before any output is written
     out = tmp_path / "never.csv"
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"kernel=log\nK=const:1\nf=const:auto\nn=5\n"
-                   f"points=td010_00121.txt\nout={out}\n{entry}\n")
+    lines = ["kernel=log", "K=const:1", "f=const:auto", "n=5",
+             "points=td010_00121.txt", f"out={out}"]
+    key = entry.split("=")[0].strip()  # each key on one line
+    cfg.write_text("".join(f"{line}\n" for line in lines
+                           if line.split("=")[0] != key) + f"{entry}\n")
     assert cli.main(["solve", "--config", str(cfg)]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
@@ -209,6 +213,16 @@ def test_config_key_the_subcommand_does_not_take_exits_2(tmp_path,
     assert cli.main(["analyze", "--points", "td010_00121.txt",
                      "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["config"]["n"] == 2
+
+
+def test_config_key_given_twice_exits_2(tmp_path, capsys) -> None:
+    # the second n would silently win over the first
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("kernel=log\nn=4\nn=2\n")
+    assert cli.main(["moments", "--config", str(cfg)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "twice.cfg:3: key 'n' repeats line 2" in captured.err
 
 
 @pytest.mark.parametrize("kind", ["directory", "non-ascii"])
@@ -372,9 +386,9 @@ def test_solve_auto_rhs_constant_solution(tmp_path, capsys) -> None:
 
 def test_solve_computes_the_degree_n_moments_once(monkeypatch,
                                                   capsys) -> None:
-    # mu_0 of const:auto comes from the degree-0 moments, so only
-    # solve_stage1 computes them to degree n: for the mixed family, one
-    # Gauss-Jacobi rule of n + 20 nodes, not two
+    # const:auto takes A 1 from the 1-D oracle, so only solve_stage1
+    # computes moments: for the mixed family, one Gauss-Jacobi rule of
+    # n + 20 nodes, not two
     degrees = []
 
     def recording(kernel, n):
@@ -404,28 +418,55 @@ def reject_constant(token: str):
     raise ValueError(f"{token} is not JSON")
 
 
-def test_solve_oscillatory_K_reports_nan_error(tmp_path, capsys) -> None:
-    # no known exact solution: uniform_error column is nan, exit still 0
+def test_emit_results_writes_nan_as_null(tmp_path, capsys) -> None:
+    # a record with no exact solution has a nan error: the CSV keeps the
+    # nan, and the mirror is strict JSON, so it writes null there
     out = tmp_path / "run.csv"
-    assert cli.main(["solve", "--kernel", "one", "--K", "sin:10",
-                     "--f", "const:1", "--n", "3",
-                     "--points", "equal_area:64", "--grid", "200",
-                     "--out", str(out)]) == EXIT_OK
+    record = ExperimentRecord(
+        experiment=0, n=3, m=64, eta=0.5, uniform_error=math.nan,
+        residual=1e-15, seconds=0.1, condition_estimate=2.0,
+        rule_label="equal_area:64", f=1.0, solver_path="dense-lu")
+    cli.emit_results([record], RunConfig(subcommand="solve", out=str(out)))
     lines = capsys.readouterr().out.strip().splitlines()
     assert math.isnan(float(lines[1].split(",")[4]))
     assert math.isnan(float(out.read_text().splitlines()[1].split(",")[4]))
-    # the mirror is strict JSON: the nan of the CSV is null there
     mirror = json.loads(out.with_suffix(".json").read_text(),
                         parse_constant=reject_constant)
     assert mirror["records"][0]["uniform_error"] is None
 
 
-def test_solve_auto_rhs_requires_constant_K(capsys) -> None:
-    code = cli.main(["solve", "--kernel", "one", "--K", "sin:10",
-                     "--f", "const:auto", "--n", "3",
-                     "--points", "equal_area:64"])
-    assert code == EXIT_VALIDATION
-    assert "const:auto" in capsys.readouterr().err
+@pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
+def test_solve_auto_rhs_writes_the_preset_record(exp_id, tmp_path,
+                                                 capsys) -> None:
+    # const:auto takes A 1 from the oracle the presets take it from, for
+    # every K: solve and experiment run the same problem, bit for bit
+    kernel, K = (part.describe() for part in experiment_kernels(exp_id))
+    points = ["--n", "10", "--points", "td020_00441.txt"]
+    solve, preset = tmp_path / "solve.json", tmp_path / "preset.json"
+    assert cli.main(["solve", "--kernel", kernel, "--K", K,
+                     "--f", "const:auto", *points,
+                     "--out", str(solve)]) == EXIT_OK
+    assert cli.main(["experiment", "--id", str(exp_id), *points,
+                     "--out", str(preset)]) == EXIT_OK
+    capsys.readouterr()
+    fields = ("f", "uniform_error", "residual", "eta", "condition_estimate",
+              "solver_path")
+    ours, theirs = ({k: json.loads(path.read_text())["records"][0][k]
+                     for k in fields} for path in (solve, preset))
+    assert ours == theirs
+
+
+def test_solve_explicit_f_oscillatory_K_reports_its_error(capsys) -> None:
+    # A 1 = lambda_0 for every radial K, so f = 2 has the exact solution
+    # 2 / (1 - lambda_0): the error is preset 1's scaled by 2 / f_1
+    argv = ["--n", "10", "--points", "td020_00441.txt"]
+    assert cli.main(["solve", "--kernel", "one", "--K", "sin:10",
+                     "--f", "const:2", *argv]) == EXIT_OK
+    scaled = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
+    assert cli.main(["experiment", "--id", "1", *argv]) == EXIT_OK
+    preset = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
+    assert scaled == pytest.approx(preset * 2.0 / experiment_f(1), rel=1e-9)
+    assert 0.01 < scaled < 0.02
 
 
 def test_experiment_single_run(tmp_path, capsys) -> None:

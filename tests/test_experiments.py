@@ -15,9 +15,11 @@ from sphsolve import (
     SingularKernel,
     experiment_f,
     experiment_kernels,
+    modified_moments,
     random_rule,
     recompute_f,
     run_experiment,
+    unit_response,
 )
 from conftest import design_rule
 
@@ -53,6 +55,15 @@ def test_preset_f_constants_cross_validate() -> None:
     assert experiment_f(2) == pytest.approx(0.3037387328003387, abs=1e-12)
     assert abs(experiment_f(2) - 0.303738699125466) == pytest.approx(
         3.38e-8, abs=2e-9)
+
+
+@pytest.mark.parametrize("descriptor", ["log", "alg:-0.5", "mixed:-0.5:-0.5"])
+def test_unit_response_of_constant_K_is_c_mu0(descriptor: str) -> None:
+    # A 1 = c mu_0 for K = c: the oracle against the closed-form moments
+    kernel, c = SingularKernel.parse(descriptor), 0.02
+    mu0 = modified_moments(kernel, 0).values[0]
+    assert unit_response(kernel, ContinuousKernel.constant(c)) == \
+        pytest.approx(c * mu0, rel=1e-14)
 
 
 def test_run_experiment_record_fields(td10, eval_grid) -> None:

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from sphsolve import moments
 from sphsolve import (
+    ContinuousKernel,
     ModifiedMoments,
     OracleAccuracyWarning,
     SingularKernel,
@@ -30,6 +32,7 @@ from sphsolve import (
 )
 
 FOUR_PI = 4.0 * math.pi
+TWO_PI = 2.0 * math.pi
 
 
 def oracle_for(kernel: SingularKernel, n: int) -> np.ndarray:
@@ -201,6 +204,27 @@ def test_oracle_warns_when_it_cannot_certify() -> None:
     # no tail contracts enough to extrapolate within the level cap
     with pytest.warns(OracleAccuracyWarning):
         oracle_moments_vector(lambda up, um: up ** -0.999, 0)[0]
+
+
+@pytest.mark.parametrize("family", ["cos", "sin"])
+@pytest.mark.parametrize("c", [10.0, 100.0, 240.0, 1000.0, 10000.0])
+def test_oracle_warns_or_matches_oscillating_profiles(family, c) -> None:
+    # h = 1 with K = cos(c r) or sin(c r), r = |x-y|: 2pi int K dt in closed
+    # form.  From c ~ 230 the first dyadic panel toward +1 no longer
+    # resolves K, from c ~ 1000 neither does the central band; a value off
+    # the closed form must come with the warning
+    K = ContinuousKernel.parse(f"{family}:{c}")
+    exact = TWO_PI * {
+        "cos": (math.cos(2 * c) - 1) / c ** 2 + 2 * math.sin(2 * c) / c,
+        "sin": math.sin(2 * c) / c ** 2 - 2 * math.cos(2 * c) / c}[family]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", OracleAccuracyWarning)
+        value = oracle_moments_vector(
+            lambda up, um: K.of_distance(np.sqrt(2.0 * up)), 0)[0]
+    warned = any(w.category is OracleAccuracyWarning for w in caught)
+    assert warned or abs(value - exact) <= 1e-12 * (1.0 + abs(exact))
+    if c <= 100.0:  # resolved: certified silently
+        assert not warned and abs(value - exact) <= 1e-14
 
 
 def test_oracle_exact_endpoint_profiles_certify_silently() -> None:
