@@ -16,7 +16,9 @@ subcommand: a ``.json`` path gets only the JSON (configuration echo plus
 results), any other path the results as CSV plus that JSON at the same
 stem with suffix ``.json``.
 
-Exit codes: 0 success, 2 validation error or out of memory, 3 numerical failure.
+Exit codes: 0 success, 2 validation error or out of memory, 3 numerical
+failure (an accuracy warning that a warnings filter raises as an error
+included).
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ import numpy as np
 from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE, EXPERIMENT_IDS,
                           ExperimentRecord, run_experiment, run_spec,
                           unit_response)
-from .moments import SingularKernel, modified_moments
+from .moments import OracleAccuracyWarning, SingularKernel, modified_moments
 from .mz import MZReport, mz_constant
 from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
                         bundled_pointsets, equal_area_points, load_pointset,
                         random_rule)
-from .solver import ContinuousKernel, ProblemSpec
+from .solver import ContinuousKernel, IllConditionedWarning, ProblemSpec
 from .sphere import uniform_random_points
 
 __all__ = ["main", "RunConfig", "ValidationError", "emit_results",
@@ -389,8 +391,11 @@ def main(argv=None) -> int:
     try:
         config = build_config(argv)
         return _SUBCOMMANDS[config.subcommand][0](config)
-    except np.linalg.LinAlgError as exc:
-        # SingularSystemError included; before ValueError, which it subclasses
+    except (np.linalg.LinAlgError, OracleAccuracyWarning,
+            IllConditionedWarning) as exc:
+        # SingularSystemError included; before ValueError, which it
+        # subclasses.  The warnings arrive here only when a filter makes
+        # them errors, as PYTHONWARNINGS=error does
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValidationError, PointFileError, ValueError, OSError) as exc:

@@ -87,11 +87,9 @@ def _harmonic_degrees(n, points, out):
     """Yield (l, rows) for l = 0..n, rows the 2l+1 harmonics of degree l
     at the unit vectors points, in the flat order.
 
-    While they fit, the rows of degree l are written into out at rows
-    l^2..(l+1)^2 - 1 of the flat order, and rows is that view; out has a
-    square number of rows and one column per point.  Above out's degree
-    they go into one scratch block of 2n+1 rows, reused for every degree,
-    so such rows are valid only until the next step.  The recurrences run
+    The rows of degree l are written into out at rows l^2..(l+1)^2 - 1
+    of the flat order, and rows is that view; out has (n+1)^2 rows and
+    one column per point.  The recurrences run
     over whole rows: cos/sin(m phi) by angle addition, then the fully
     normalized associated Legendre functions degree by degree, every order
     of one degree in each step, so the Python loop is O(n), not O(n^2).
@@ -120,7 +118,6 @@ def _harmonic_degrees(n, points, out):
     cur = np.empty((n + 1, size))
     prev = np.empty((n + 1, size))
     tmp = np.empty((n + 1, size))
-    spare = np.empty((2 * n + 1, size)) if len(out) < (n + 1) ** 2 else None
     cur[0] = _NRM0
     for l in range(n + 1):
         if l > 0:
@@ -135,8 +132,7 @@ def _harmonic_degrees(n, points, out):
             np.multiply(rec_a[l, :k, None], cur[:k], out=cur[:k])
             cur[k] = sub_c[k] * t * prev[k]
             cur[l] = diag_c[l] * s * prev[k]
-        end = (l + 1) * (l + 1)
-        rows = out[l * l:end] if end <= len(out) else spare[:2 * l + 1]
+        rows = out[l * l:(l + 1) * (l + 1)]
         rows[l] = cur[0]
         # sqrt2 * P_l^m for m = 1..l goes into the cos rows, which first
         # feed the sin rows (m = l..1) and are then scaled in place

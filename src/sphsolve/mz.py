@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .harmonics import (_check_degree, _harmonic_degrees,
-                        eval_basis_matrix)
+from .harmonics import _check_degree, eval_basis_matrix
 from .pointsets import QuadratureRule
 # mesh_norm stays importable here: perfbench's tracer wraps mz.mesh_norm
 from .sphere import EvaluationGrid, mesh_norm  # noqa: F401
@@ -45,8 +44,10 @@ class MZReport:
     eta is max(lambda_max - 1, 1 - lambda_min) over the spectrum of the
     degree-n Gram matrix.  exact_to is the largest degree d <= 2n+1 at
     which the rule integrates every harmonic exactly (within tolerance),
-    or -1 if even degree 0 fails; mz_constant reads it from the weighted
-    sums of each degree, not from a stored degree-(2n+1) basis.
+    or -1 if even degree 0 fails; mz_constant reads it from the Gram
+    matrix and the degree-(n+1) rows of the basis, whose products span
+    every harmonic of degree <= 2n+1, with the threshold EXACTNESS_TOL /
+    sqrt(4pi) on each product's quadrature error.
     mesh_norm is the exact geodesic covering radius h_X of the nodes, the
     rule's own mesh_norm.
     """
@@ -90,53 +91,38 @@ def gram_spectrum(G: np.ndarray) -> tuple[float, float, float]:
     return max(lam_max - 1.0, 1.0 - lam_min, 0.0), lam_min, lam_max
 
 
-def _harmonic_quadrature_errors(Y: np.ndarray,
-                                weights: np.ndarray) -> np.ndarray:
-    """sum_j w_j Y_i(x_j) minus int Y_i, for every row i of the basis Y.
-
-    The true integrals are sqrt(4pi) for the constant harmonic and 0 for
-    every other one.  Entry i belongs to degree floor(sqrt(i)).
-    """
-    s = _blas.matvec(Y, weights)
-    s[0] -= SQRT_4PI
-    return s
-
-
-def _exactness_degree(s: np.ndarray, tol: float) -> int:
-    """Largest d with every error of degree <= d within tol, or -1.
-
-    Entry i belongs to degree isqrt(i), so the first failing entry names
-    the first failing degree.
-    """
-    failing = np.abs(s) > tol
-    if not failing.any():
-        return math.isqrt(s.size) - 1
-    return math.isqrt(int(np.argmax(failing))) - 1
-
-
 def mz_constant(rule: QuadratureRule, n: int,
                 probe: EvaluationGrid | None = None) -> MZReport:
     """MZ constant from the Gram spectrum, with exactness and mesh diagnostics.
 
-    One run of the basis recurrence to degree 2n+1 serves both, and only
-    its degree-n part is kept: degrees <= n are written into the basis of
-    the Gram matrix, and each degree above n is reduced to its weighted
-    sums sum_j w_j Y_i(x_j) as soon as it is made, in one reused block.
-    Those sums, after the Gram basis's own, give the exactness degree.
-    The mesh norm is rule.mesh_norm, measured on the rule's first call and
-    read back on every later one.  probe is ignored and deprecated:
-    passing one warns.
+    One basis, to degree n+1, serves both.  Its first (n+1)^2 rows give
+    the Gram matrix G; its 2n+3 rows of degree n+1 give the cross block
+    C = (Y_{n+1} w) Y_{<=n}^T.  The products Y_a Y_b with deg a + deg b
+    <= d span every harmonic of degree <= d, so the rule is exact to d
+    exactly when each G_ab of degree sum deg a + deg b <= d equals
+    delta_ab and each C_ab of degree sum n+1 + deg b <= d is zero; G and
+    C hold every degree sum up to 2n+1.  An entry fails when it is off by
+    more than EXACTNESS_TOL / sqrt(4pi), which on the entries with a = 0
+    is EXACTNESS_TOL on sum_j w_j Y_b(x_j) - int Y_b.  exact_to is the
+    first failing degree sum minus one: 2n+1 when none fails, -1 when
+    G_00 does.  The mesh norm is rule.mesh_norm, measured on the rule's
+    first call and read back on every later one.  probe is ignored and
+    deprecated: passing one warns.
     """
     _check_degree(n)
     if probe is not None:
         warnings.warn("mz_constant ignores probe, which will be removed",
                       DeprecationWarning, stacklevel=2)
-    Y = np.empty(((n + 1) ** 2, rule.m))
-    high = [_blas.matvec(rows, rule.weights) for l, rows
-            in _harmonic_degrees(2 * n + 1, rule.points, Y) if l > n]
-    eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n, basis=Y))
-    exact_to = _exactness_degree(
-        np.concatenate([_harmonic_quadrature_errors(Y, rule.weights), *high]),
-        EXACTNESS_TOL)
+    Y = eval_basis_matrix(n + 1, rule.points)
+    size = (n + 1) ** 2
+    G = gram_matrix(rule, n, basis=Y[:size])
+    C = _blas.matmul(Y[size:] * rule.weights, Y[:size].T)
+    eta, lam_min, lam_max = gram_spectrum(G)
+    degree = np.repeat(np.arange(n + 1), np.arange(1, 2 * n + 2, 2))
+    tol = EXACTNESS_TOL / SQRT_4PI
+    failing = np.concatenate([
+        (degree[:, None] + degree)[np.abs(G - np.eye(size)) > tol],
+        (n + 1 + degree)[(np.abs(C) > tol).any(axis=0)]])
+    exact_to = int(failing.min()) - 1 if failing.size else 2 * n + 1
     return MZReport(n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
                     exact_to=exact_to, mesh_norm=rule.mesh_norm)

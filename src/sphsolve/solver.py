@@ -747,6 +747,10 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
     height of its block, so the last bits of a value depend on how many
     targets the call gets: ``evaluate_stage2(sol, pts)[:k]`` need not equal
     ``evaluate_stage2(sol, pts[:k])`` bit for bit.
+
+    Raises NonFiniteInputError naming the first target whose value is not
+    finite: K can be non-finite at distances no pair of nodes has, and f
+    at points that are not nodes.
     """
     pts = as_unit_vectors(targets)
     rule, K, moments = sol.spec.rule, sol.spec.K, sol.moments
@@ -766,7 +770,14 @@ def evaluate_stage2(sol: DiscreteSolution, targets) -> np.ndarray:
             integral[rows] = _blas.matvec(_weighted_kernel_block(
                 rule.points, sol.factor, K, pts[rows],
                 _target_factor(moments, pts[rows])), sol.nodal_values)
-    return sol.spec.f_values(pts) + integral
+    values = sol.spec.f_values(pts) + integral
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteInputError(
+            f"stage 2 is not finite at target {i} of {len(pts)} "
+            f"(t = {pts[i].tolist()}): phi = {values[i]}")
+    return values
 
 
 def uniform_error(sol: DiscreteSolution, exact: RightHandSide,

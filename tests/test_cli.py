@@ -584,6 +584,27 @@ def test_singular_system_exits_3(capsys) -> None:
         assert message in captured.err
 
 
+def test_warnings_raised_as_errors_exit_3(capsys) -> None:
+    # c w = 1/m on td10 with f = 1 solves with an IllConditionedWarning, and
+    # the oracle cannot certify A 1 for cos:1000.  Both warnings, raised as
+    # errors by the filter, are numerical failures
+    for K, f, n, points, message in (
+            ("const:0.07957747154594767", "const:1", "0", "td010_00121.txt",
+             "condition estimate"),
+            ("cos:1000", "const:auto", "3", "equal_area:64",
+             "moment oracle")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", "--kernel", "one", "--K", K,
+                             "--f", f, "--n", n,
+                             "--points", points, "--grid", "10"])
+        assert code == EXIT_NUMERICAL, message
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+        assert message in captured.err
+
+
 @pytest.mark.parametrize("plan, failing_call", [
     (["--n", "5", "--points", "td010_00121.txt"], 1),
     (["--sweep", "n=10:5:15"], 2)], ids=["n", "sweep"])

@@ -17,11 +17,30 @@ from sphsolve import (
     random_rule,
 )
 from sphsolve.harmonics import eval_basis_matrix
-from sphsolve.mz import _harmonic_quadrature_errors
+from sphsolve.mz import EXACTNESS_TOL
 
 from conftest import design_rule
 
 FOUR_PI = 4.0 * math.pi
+
+
+def harmonic_quadrature_errors(rule: QuadratureRule, d: int) -> np.ndarray:
+    """sum_j w_j Y_i(x_j) - int Y_i for every harmonic of degree <= d; entry
+    i belongs to degree isqrt(i)."""
+    s = eval_basis_matrix(d, rule.points) @ rule.weights
+    s[0] -= math.sqrt(FOUR_PI)
+    return s
+
+
+def per_harmonic_exact_to(rule: QuadratureRule, n: int) -> int:
+    """The exactness degree by its definition: the largest d <= 2n+1 whose
+    harmonics of every degree <= d the rule integrates within EXACTNESS_TOL,
+    or -1."""
+    errors = harmonic_quadrature_errors(rule, 2 * n + 1)
+    failing = np.abs(errors) > EXACTNESS_TOL
+    if not failing.any():
+        return 2 * n + 1
+    return math.isqrt(int(np.argmax(failing))) - 1
 
 
 def test_gram_is_symmetric_identity_for_design(td20) -> None:
@@ -43,8 +62,7 @@ def test_design_eta_at_half_degree(td20) -> None:
 
 def test_quadrature_error_on_harmonics_degrees(td20) -> None:
     # worst harmonic of each degree: exact through t, wrong beyond
-    s = np.abs(_harmonic_quadrature_errors(eval_basis_matrix(21, td20.points),
-                                           td20.weights))
+    s = np.abs(harmonic_quadrature_errors(td20, 21))
     assert np.max(s[:21 * 21]) <= 1e-12
     assert np.max(s[21 * 21:]) > 1e-9
 
@@ -122,11 +140,7 @@ def test_eta_is_one_computation_for_mz_and_solver() -> None:
 
 @pytest.mark.parametrize("which", ["td10", "td20", "random500", "td10x2"])
 def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
-    # both diagnostics are bit-identical to the weighted basis sums they
-    # were each computed from on their own; doubled weights fail even at
-    # degree 0, so exact_to is -1 there
-    from sphsolve.mz import EXACTNESS_TOL, SQRT_4PI
-
+    # doubled weights fail even at degree 0, so exact_to is -1 there
     if which == "td10x2":
         td10 = request.getfixturevalue("td10")
         rule = QuadratureRule(points=td10.points, weights=2.0 * td10.weights,
@@ -135,56 +149,55 @@ def test_exactness_and_harmonic_error_read_one_vector(which, request) -> None:
         rule = (random_rule(500, 41) if which == "random500"
                 else request.getfixturevalue(which))
     for n in (0, 4, 10):
-        d = 2 * n + 1
-        s = eval_basis_matrix(d, rule.points) @ rule.weights
-        s[0] -= SQRT_4PI
-        exact_to = -1
-        for l in range(d + 1):
-            if np.max(np.abs(s[l * l:(l + 1) * (l + 1)])) > EXACTNESS_TOL:
-                break
-            exact_to = l
-        errors = _harmonic_quadrature_errors(
-            eval_basis_matrix(d, rule.points), rule.weights)
-        assert np.max(np.abs(errors)) == np.max(np.abs(s))
+        exact_to = per_harmonic_exact_to(rule, n)
         assert mz_constant(rule, n).exact_to == exact_to
-        assert exact_to == {"td10": min(d, 10), "td20": min(d, 20),
+        assert exact_to == {"td10": min(2 * n + 1, 10),
+                            "td20": min(2 * n + 1, 20),
                             "random500": 0, "td10x2": -1}[which]
 
 
-# a bundled t-design, by t, at n <= t/2; the other rules at n <= 10
+def td10_reweighted(scale) -> QuadratureRule:
+    """The t = 10 design with weights w scale(z)."""
+    rule = design_rule(10)
+    return QuadratureRule(points=rule.points,
+                          weights=rule.weights * scale(rule.points[:, 2]),
+                          label="td10 reweighted")
+
+
+# a bundled t-design, by t, at n <= t/2 + 2; the other rules at n <= 10,
+# the reweighted t = 10 designs at n <= 7: w (1 + z/2) keeps the total
+# weight and is exact only at degree 0, w / 4 sums to pi and fails there
 TWO_CALL_RULES = {
-    "10": (lambda: design_rule(10), 5),
-    "20": (lambda: design_rule(20), 10),
-    "30": (lambda: design_rule(30), 15),
+    "10": (lambda: design_rule(10), 7),
+    "20": (lambda: design_rule(20), 12),
+    "30": (lambda: design_rule(30), 17),
     "random:500:41": (lambda: random_rule(500, 41), 10),
     "random:4000:7": (lambda: random_rule(4000, 7), 10),
     "equal_area:2000": (lambda: equal_area_points(2000), 10),
+    "10 tilted": (lambda: td10_reweighted(lambda z: 1.0 + z / 2), 7),
+    "10 / 4": (lambda: td10_reweighted(lambda z: 0.25), 7),
 }
 
 
 @pytest.mark.parametrize("name", list(TWO_CALL_RULES))
 def test_mz_report_matches_the_two_call_form(name) -> None:
-    # mz_constant keeps only the degree-n basis and reduces each degree
-    # above n to its weighted sums as the recurrence makes it: every report
-    # field equals the form that evaluates the basis at n for the Gram
-    # matrix and the whole basis at 2n+1 for exactness
+    # mz_constant reads exactness from the Gram matrix and the degree-(n+1)
+    # cross block: every report field equals the form that evaluates the
+    # basis at n for the Gram matrix and the whole basis at 2n+1 for the
+    # per-harmonic exactness degree.  At n <= t/2 on a t-design the first
+    # failing degree sum is in the cross block; at t/2 + 1 and t/2 + 2 it
+    # is in the Gram matrix too
     from sphsolve import mesh_norm
-    from sphsolve.mz import (EXACTNESS_TOL, MZReport, _exactness_degree,
-                             gram_spectrum)
+    from sphsolve.mz import MZReport, gram_spectrum
 
     make, top = TWO_CALL_RULES[name]
     rule = make()
     h = mesh_norm(rule.points)
     for n in range(top + 1):
-        Y = eval_basis_matrix(2 * n + 1, rule.points)
-        assert np.array_equal(
-            Y[:(n + 1) ** 2], eval_basis_matrix(n, rule.points))
         eta, lam_min, lam_max = gram_spectrum(gram_matrix(rule, n))
-        exact_to = _exactness_degree(
-            _harmonic_quadrature_errors(Y, rule.weights), EXACTNESS_TOL)
         assert mz_constant(rule, n) == MZReport(
             n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
-            exact_to=exact_to, mesh_norm=h)
+            exact_to=per_harmonic_exact_to(rule, n), mesh_norm=h)
 
 
 def test_mz_constant_holds_the_degree_n_basis_not_the_tall_one() -> None:

@@ -1215,6 +1215,25 @@ def test_non_finite_custom_kernel_is_named(td10) -> None:
         solve_stage1(spec)
 
 
+def test_stage2_names_its_first_non_finite_target(td10) -> None:
+    # K is NaN only at distances in (0.0645, 0.1935), which no pair of the
+    # nodes has, so stage 1 passes and stage 2 is NaN at most grid points.
+    # From a node every distance is 0 or >= 0.258: the first non-finite
+    # target is the first grid point after the 121 nodes
+    def K_with_gap(r: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(r - 0.129) < 0.0645, np.nan, np.cos(r))
+
+    sol = solve_stage1(ProblemSpec(kernel=SingularKernel.log(),
+                                   K=ContinuousKernel.custom(K_with_gap),
+                                   f=1.0, n=5, rule=td10))
+    grid = uniform_random_points(20000, seed=1)
+    targets = np.vstack([td10.points, grid.points])
+    with pytest.raises(NonFiniteInputError, match="at target 121 of 20121 "):
+        evaluate_stage2(sol, targets)
+    with pytest.raises(NonFiniteInputError, match="at target 0 of 20000 "):
+        uniform_error(sol, 1.0, grid)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_kernel_names_its_first_row(value) -> None:
     # nodes 17 and 30 are antipodal and no other pair is near it: K is
@@ -1552,7 +1571,7 @@ def test_every_basis_reads_the_nodes_and_targets_as_given(monkeypatch, td40,
     # One set of coordinates per node: the basis recurrence of stage 1 and
     # of the MZ report runs at rule.points, and stage 2's at the targets,
     # bit for bit, as the dot products of the kernel blocks read them.
-    from sphsolve import harmonics, mz
+    from sphsolve import harmonics
     seen = []
     recurrence = harmonics._harmonic_degrees
 
@@ -1561,7 +1580,6 @@ def test_every_basis_reads_the_nodes_and_targets_as_given(monkeypatch, td40,
         return recurrence(n, points, out)
 
     monkeypatch.setattr(harmonics, "_harmonic_degrees", capturing)
-    monkeypatch.setattr(mz, "_harmonic_degrees", capturing)
     kernel, K = experiment_kernels(2)
     sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=experiment_f(2),
                                    n=10, rule=td40))
