@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.blas import dgemm, get_blas_funcs
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg.lapack import dsyevd, dsyevd_lwork
 
 __all__ = ["matmul", "matvec", "eigvalsh"]
 
@@ -59,13 +59,13 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric a in ascending order: LAPACK syevd on
+    """Eigenvalues of the symmetric a in ascending order: LAPACK dsyevd on
     a's lower triangle with no eigenvectors, the call that
-    scipy.linalg.eigvalsh(a, driver="evd") makes; a is not written."""
-    syevd, syevd_lwork = get_lapack_funcs(("syevd", "syevd_lwork"), (a,))
-    lwork, liwork, _ = syevd_lwork(a.shape[0], compute_v=0, lower=1)
-    w, _, info = syevd(a, compute_v=0, lower=1, lwork=int(lwork),
-                       liwork=liwork)
+    scipy.linalg.eigvalsh(a, driver="evd") makes for float64 a; a is not
+    written."""
+    lwork, liwork, _ = dsyevd_lwork(a.shape[0], compute_v=0, lower=1)
+    w, _, info = dsyevd(a, compute_v=0, lower=1, lwork=int(lwork),
+                        liwork=liwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"syevd failed with info = {info}")
     return w

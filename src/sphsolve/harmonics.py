@@ -83,22 +83,27 @@ def _normalization_tables(n):
 _NRM0 = 1.0 / math.sqrt(4.0 * math.pi)
 
 
-def _harmonic_degrees(n, points, out):
-    """Yield (l, rows) for l = 0..n, rows the 2l+1 harmonics of degree l
-    at the unit vectors points, in the flat order.
+def _row_degrees(n: int) -> np.ndarray:
+    """Degree l of each of the (n+1)^2 rows of the flat order."""
+    degrees = np.arange(n + 1)
+    return np.repeat(degrees, 2 * degrees + 1)
 
-    The rows of degree l are written into out at rows l^2..(l+1)^2 - 1
-    of the flat order, and rows is that view; out has (n+1)^2 rows and
-    one column per point.  The recurrences run
-    over whole rows: cos/sin(m phi) by angle addition, then the fully
-    normalized associated Legendre functions degree by degree, every order
-    of one degree in each step, so the Python loop is O(n), not O(n^2).
-    Each entry takes the same floating-point operations in the same order
-    as a loop over one (l, m) at a time would.
+
+def eval_basis_matrix(n: int, points) -> np.ndarray:
+    """Matrix of Y_i(x_j) for every harmonic of degree <= n, (n+1)^2 rows
+    by m columns, flat row order, at as_unit_vectors(points).
+
+    The recurrences run over whole rows: cos/sin(m phi) by angle addition,
+    then the fully normalized associated Legendre functions degree by
+    degree, every order of one degree in each step, so the Python loop is
+    O(n), not O(n^2).  Each entry takes the same floating-point operations
+    in the same order as a loop over one (l, m) at a time would.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    diag_c, sub_c, rec_a, rec_b = _normalization_tables(n)
+    _check_degree(n)
+    pts = as_unit_vectors(points)
     size = pts.shape[0]
+    out = np.empty(((n + 1) * (n + 1), size))
+    diag_c, sub_c, rec_a, rec_b = _normalization_tables(n)
     x = pts[:, 0]
     y = pts[:, 1]
     t = pts[:, 2]
@@ -132,7 +137,7 @@ def _harmonic_degrees(n, points, out):
             np.multiply(rec_a[l, :k, None], cur[:k], out=cur[:k])
             cur[k] = sub_c[k] * t * prev[k]
             cur[l] = diag_c[l] * s * prev[k]
-        rows = out[l * l:(l + 1) * (l + 1)]
+        rows = out[l * l:(l + 1) * (l + 1)]  # the 2l+1 rows of degree l
         rows[l] = cur[0]
         # sqrt2 * P_l^m for m = 1..l goes into the cos rows, which first
         # feed the sin rows (m = l..1) and are then scaled in place
@@ -140,16 +145,4 @@ def _harmonic_degrees(n, points, out):
         np.multiply(sqrt2, cur[1:l + 1], out=cos_rows)
         np.multiply(cos_rows[::-1], sm[l:0:-1], out=rows[:l])
         np.multiply(cos_rows, cm[1:l + 1], out=cos_rows)
-        yield l, rows
-
-
-def eval_basis_matrix(n: int, points) -> np.ndarray:
-    """Matrix of Y_i(x_j) for every harmonic of degree <= n, (n+1)^2 rows
-    by m columns, flat row order, at as_unit_vectors(points): every degree
-    of _harmonic_degrees written in place."""
-    _check_degree(n)
-    pts = as_unit_vectors(points)
-    out = np.empty(((n + 1) * (n + 1), len(pts)))
-    for _ in _harmonic_degrees(n, pts, out):
-        pass
     return out

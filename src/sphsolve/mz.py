@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .harmonics import _check_degree, eval_basis_matrix
+from .harmonics import _check_degree, _row_degrees, eval_basis_matrix
 from .pointsets import QuadratureRule
 # mesh_norm stays importable here: perfbench's tracer wraps mz.mesh_norm
 from .sphere import EvaluationGrid, mesh_norm  # noqa: F401
@@ -118,10 +118,14 @@ def mz_constant(rule: QuadratureRule, n: int,
     G = gram_matrix(rule, n, basis=Y[:size])
     C = _blas.matmul(Y[size:] * rule.weights, Y[:size].T)
     eta, lam_min, lam_max = gram_spectrum(G)
-    degree = np.repeat(np.arange(n + 1), np.arange(1, 2 * n + 2, 2))
     tol = EXACTNESS_TOL / SQRT_4PI
+    # |G - I| in place; columns run up in degree, so a row's first failing
+    # column holds its lowest failing degree sum
+    G.flat[::size + 1] -= 1.0
+    bad = np.abs(G, out=G) > tol
+    degree = _row_degrees(n)
     failing = np.concatenate([
-        (degree[:, None] + degree)[np.abs(G - np.eye(size)) > tol],
+        (degree + degree[bad.argmax(axis=1)])[bad.any(axis=1)],
         (n + 1 + degree)[(np.abs(C) > tol).any(axis=0)]])
     exact_to = int(failing.min()) - 1 if failing.size else 2 * n + 1
     return MZReport(n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,

@@ -337,9 +337,9 @@ def _active_rows(moments: ModifiedMoments):
     keep = moments.values != 0.0
     keep[0] = True
     degree = int(np.flatnonzero(keep)[-1])
-    counts = 2 * np.arange(degree + 1) + 1
-    kept = np.repeat(keep[:degree + 1], counts)
-    mu = np.repeat(moments.values[:degree + 1], counts)
+    row_degree = harmonics._row_degrees(degree)
+    kept = keep[row_degree]
+    mu = moments.values[row_degree]
     mu[0] /= FOUR_PI
     if kept.all():
         return degree, slice(0, kept.size), mu

@@ -174,9 +174,7 @@ def _basis_one_order_at_a_time(n, points):
 
 
 def test_basis_equals_the_one_order_at_a_time_recurrence_bit_for_bit() -> None:
-    # the same arithmetic in the same order, so equal, not close: the whole
-    # basis, and every degree the recurrence yields into the caller's rows
-    from sphsolve.harmonics import _harmonic_degrees
+    # the same arithmetic in the same order, so equal, not close
     from sphsolve.sphere import as_unit_vectors
 
     grid = uniform_random_points(200, seed=9)
@@ -185,13 +183,15 @@ def test_basis_equals_the_one_order_at_a_time_recurrence_bit_for_bit() -> None:
         for pts in (points, points[:1], points[-2:]):
             reference = _basis_one_order_at_a_time(n, as_unit_vectors(pts))
             assert np.array_equal(eval_basis_matrix(n, pts), reference)
-            out = np.empty(((n + 1) ** 2, len(pts)))
-            degrees = []
-            for l, rows in _harmonic_degrees(n, as_unit_vectors(pts), out):
-                degrees.append(l)
-                assert np.array_equal(rows, reference[l * l:(l + 1) ** 2])
-                assert np.shares_memory(rows, out)
-            assert degrees == list(range(n + 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_row_degrees_follow_the_flat_order(n) -> None:
+    # row l*l + k - 1 has degree l for k = 1..2l+1
+    from sphsolve.harmonics import _row_degrees
+
+    expected = np.repeat(np.arange(n + 1), 2 * np.arange(n + 1) + 1)
+    assert np.array_equal(_row_degrees(n), expected)
 
 
 def test_every_row_matches_the_associated_legendre_closed_form() -> None:

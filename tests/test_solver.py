@@ -48,7 +48,7 @@ from sphsolve import (
     uniform_random_points,
     weight_matrix,
 )
-from sphsolve import _blas, _kernels, solver
+from sphsolve import _blas, solver
 from sphsolve.mz import gram_matrix
 
 from conftest import design_rule
@@ -481,8 +481,7 @@ def test_stage2_holds_one_row_block_at_a_time(td20) -> None:
     assert peak < 1.5 * one_block
 
 
-_KERNEL_CODES = {"constant": _kernels.K_CONST, "sin_scaled": _kernels.K_SIN,
-                 "cos_scaled": _kernels.K_COS}
+_TRIG = {"sin_scaled": np.sin, "cos_scaled": np.cos}
 
 
 @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
@@ -490,20 +489,27 @@ _KERNEL_CODES = {"constant": _kernels.K_CONST, "sin_scaled": _kernels.K_SIN,
 @pytest.mark.parametrize("rule_name", ["td20", "td40"])
 def test_presets_match_legendre_recurrence(exp_id, n, rule_name, request,
                                            eval_grid) -> None:
-    # the whole solve against the per-entry Legendre recurrence of
-    # _kernels, assembled and solved here without the solver module
+    # the whole solve against the per-entry Legendre sum of legendre_table,
+    # with K from sin/cos of c |x - y| = c sqrt(2 - 2 x.y), not of_dots,
+    # assembled and solved here without the solver module
     rule = request.getfixturevalue(rule_name)
     kernel, K = experiment_kernels(exp_id)
     f = experiment_f(exp_id)
     sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=f, n=n, rule=rule))
 
     coeffs = zonal_coefficients(sol.moments)
-    code = _KERNEL_CODES[K.family]
 
     def recurrence(targets: np.ndarray) -> np.ndarray:
-        dots = np.clip(targets @ rule.points.T, -1.0, 1.0)
-        return _kernels.product_weight_matrix(dots, rule.weights, coeffs,
-                                              code, K.c)
+        out = np.empty((len(targets), rule.m))
+        step = max(1, (1 << 20) // ((n + 1) * rule.m))
+        for start in range(0, len(targets), step):
+            dots = np.clip(targets[start:start + step] @ rule.points.T,
+                           -1.0, 1.0)
+            zonal = np.tensordot(coeffs, legendre_table(n, dots), axes=1)
+            K_dots = (K.c if K.family == "constant"
+                      else _TRIG[K.family](K.c * np.sqrt(2.0 - 2.0 * dots)))
+            out[start:start + step] = rule.weights * zonal * K_dots
+        return out
 
     M = np.eye(rule.m) - recurrence(rule.points)
     phi = lu_solve(lu_factor(M), np.full(rule.m, f))
@@ -1571,15 +1577,19 @@ def test_every_basis_reads_the_nodes_and_targets_as_given(monkeypatch, td40,
     # One set of coordinates per node: the basis recurrence of stage 1 and
     # of the MZ report runs at rule.points, and stage 2's at the targets,
     # bit for bit, as the dot products of the kernel blocks read them.
-    from sphsolve import harmonics
+    from sphsolve import harmonics, mz
+    from sphsolve.sphere import as_unit_vectors
     seen = []
-    recurrence = harmonics._harmonic_degrees
 
-    def capturing(n, points, out):
-        seen.append(np.array(points))
-        return recurrence(n, points, out)
+    def capturing(fn):
+        def wrapper(n, points):
+            seen.append(as_unit_vectors(points))  # what the recurrence reads
+            return fn(n, points)
+        return wrapper
 
-    monkeypatch.setattr(harmonics, "_harmonic_degrees", capturing)
+    for module in (harmonics, mz):
+        monkeypatch.setattr(module, "eval_basis_matrix",
+                            capturing(module.eval_basis_matrix))
     kernel, K = experiment_kernels(2)
     sol = solve_stage1(ProblemSpec(kernel=kernel, K=K, f=experiment_f(2),
                                    n=10, rule=td40))
