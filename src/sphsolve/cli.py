@@ -38,9 +38,9 @@ from .experiments import (DEFAULT_GRID_SEED, DEFAULT_GRID_SIZE, EXPERIMENT_IDS,
                           unit_response)
 from .moments import OracleAccuracyWarning, SingularKernel, modified_moments
 from .mz import MZReport, mz_constant
-from .pointsets import (PointFileError, QuadratureRule, bundled_pointset_path,
-                        bundled_pointsets, equal_area_points, load_pointset,
-                        random_rule)
+from .pointsets import (WEIGHT_MODES, PointFileError, QuadratureRule,
+                        bundled_pointset_path, bundled_pointsets,
+                        equal_area_points, load_pointset, random_rule)
 from .solver import ContinuousKernel, IllConditionedWarning, ProblemSpec
 from .sphere import uniform_random_points
 
@@ -76,7 +76,7 @@ class RunConfig:
     subcommand: str
     points: str | None = _flag(
         help="file:PATH | equal_area:M | random:M:SEED | path | bundled name")
-    weights: str = _flag("equal", choices=("equal", "file"))
+    weights: str = _flag("equal", choices=WEIGHT_MODES)
     kernel: str | None = _flag(help=SingularKernel.GRAMMAR)
     K: str | None = _flag(help=ContinuousKernel.GRAMMAR)
     f: str | None = _flag(help="const:VALUE | const:auto")
@@ -116,12 +116,10 @@ def resolve_points_descriptor(desc: str, weight_mode: str) -> QuadratureRule:
     Every subcommand resolves its rules before it prints anything, so a
     missing or malformed point file exits 2 with no output.
     """
-    load_mode = "equal" if weight_mode == "equal" else "from_file"
-
     def from_path(path: Path):
         if not path.exists():
             raise ValidationError(f"point file not found: {path}")
-        return load_pointset(path, weight_mode=load_mode)
+        return load_pointset(path, weight_mode=weight_mode)
 
     if desc.startswith("file:"):
         return from_path(Path(desc[5:]))

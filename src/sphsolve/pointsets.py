@@ -41,6 +41,8 @@ DEFAULT_WEIGHT_BOUND = 8.0 * math.pi
 
 FOUR_PI = 4.0 * math.pi
 
+WEIGHT_MODES = ("equal", "file")  # of load_pointset and the CLI's --weights
+
 
 class PointFileError(ValueError):
     """Malformed point-set file; message carries the 1-based line number."""
@@ -99,11 +101,11 @@ def load_pointset(path, weight_mode: str = "equal",
                   label: str | None = None) -> QuadratureRule:
     """Read a `x y z [w]` text file into a QuadratureRule.
 
-    weight_mode "equal" assigns w_j = 4pi/m; "from_file" requires the 4th
-    column on every row.  Rows whose norm deviates from 1 by more than 1e-6
+    weight_mode "equal" assigns w_j = 4pi/m; "file" requires the 4th column
+    on every row.  Rows whose norm deviates from 1 by more than 1e-6
     are rejected (with their line number) rather than silently normalized.
     """
-    if weight_mode not in ("equal", "from_file"):
+    if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
     path = Path(path)
     rows: list[tuple[float, float, float]] = []
@@ -130,10 +132,10 @@ def load_pointset(path, weight_mode: str = "equal",
                     f"{path}:{lineno}: point norm {r!r} deviates from 1 "
                     f"by more than {INGEST_NORM_TOL}")
             rows.append((vals[0] / r, vals[1] / r, vals[2] / r))
-            if weight_mode == "from_file":
+            if weight_mode == "file":
                 if len(fields) != 4:
                     raise PointFileError(
-                        f"{path}:{lineno}: weight_mode=from_file but the row "
+                        f"{path}:{lineno}: weight mode 'file' but the row "
                         f"has no weight column")
                 if vals[3] <= 0.0:
                     raise PointFileError(
@@ -144,7 +146,7 @@ def load_pointset(path, weight_mode: str = "equal",
     pts = np.array(rows, dtype=np.float64)
     m = pts.shape[0]
     w = (np.array(file_weights, dtype=np.float64)
-         if weight_mode == "from_file" else np.full(m, FOUR_PI / m))
+         if weight_mode == "file" else np.full(m, FOUR_PI / m))
     return QuadratureRule(points=pts, weights=w,
                           label=label if label is not None else path.name)
 

@@ -68,7 +68,11 @@ hundred on the t-designs) two or three corrections reach the float64
 answer.  It falls back to a float64 LU when ||M||_inf overflows float32,
 the float32 LU meets a zero pivot, or its solve does not pass.  Every
 condition estimate is ||M||_inf times one estimator, _norm1_estimate (the
-dlacn2 iteration), of ||M^-T||_1 through the factor that solved.
+dlacn2 iteration), of ||M^-T||_1 through the factor that solved.  Stage
+1 keeps no transposed operator for it: M = I - A W, with W = diag(w) and
+A_ij = W_j(x_i) K(x_i, x_j) / w_j symmetric, is self-adjoint in the rule's
+inner product sum_j w_j u_j v_j, so M^-T = W M^-1 W^-1 and M^T = W M W^-1
+on either path (_adjoint).
 
 Every dense product here, and the Gram eigensolve, runs through
 sphsolve._blas on scipy's BLAS and LAPACK, never through numpy's @.  The
@@ -292,10 +296,10 @@ class DiscreteSolution:
     every path.  Stage 2 reads it and evaluates no basis of the nodes.
 
     ``condition_estimate`` is the infinity-norm one of M on every path:
-    ||M||_inf times _norm1_estimate of M^-T on the factor that solved.  It
-    is a lower estimate and can fall well short: on td10 with weights
-    w (1 + z/2), preset 4 at n = 5 gives 783.2 against kappa_inf = 8129.8,
-    10x low, so IllConditionedWarning can come late.
+    ||M||_inf times _norm1_estimate of M^-T = W M^-1 W^-1 through the
+    factor that solved.  It is a lower estimate and can fall well short:
+    on td10 with weights w (1 + z/2), preset 4 at n = 5 gives 783.2 against
+    kappa_inf = 8129.8, 10x low, so IllConditionedWarning can come late.
     """
 
     nodal_values: np.ndarray
@@ -467,16 +471,17 @@ def assemble_system(spec: ProblemSpec,
 
 
 def _lu_solves(A: np.ndarray, dtype, name: str):
-    """(solve, solve_t): r -> A^-1 r and r -> A^-T r in float64, through one
-    lu_factor of A in dtype; SingularSystemError on an exactly zero pivot.
+    """r -> A^-1 r in float64, through one lu_factor of A in dtype;
+    SingularSystemError on an exactly zero pivot.
 
     A is C-ordered, so its copy in dtype, transposed, is A^T in Fortran
-    order, which lu_factor factors in place: that copy is the only one.
-    Each solve scales r to a largest entry of 1, so that its cast to dtype
-    cannot overflow, nor flush a small r to zero.  lu_factor warns
-    LinAlgWarning, a RuntimeWarning, naming the first zero pivot.  A is
-    not scanned for non-finite entries: _solve_dense names any in its norm
-    pass, and _solve_low_rank checks S before factoring it.
+    order, which lu_factor factors in place: that copy is the only one,
+    and the transposed solve of its factor gives A^-1 r.  The solve scales
+    r to a largest entry of 1, so that its cast to dtype cannot overflow,
+    nor flush a small r to zero.  lu_factor warns LinAlgWarning, a
+    RuntimeWarning, naming the first zero pivot.  A is not scanned for
+    non-finite entries: _solve_dense names any in its norm pass, and
+    _solve_low_rank checks S before factoring it.
     """
     a = A.astype(dtype).T
     with warnings.catch_warnings():
@@ -486,15 +491,21 @@ def _lu_solves(A: np.ndarray, dtype, name: str):
         except (RuntimeWarning, np.linalg.LinAlgError) as exc:
             raise SingularSystemError(f"{name} is singular: {exc}") from None
 
-    def solve(r: np.ndarray, trans: int) -> np.ndarray:
+    def solve(r: np.ndarray) -> np.ndarray:
         scale = float(np.max(np.abs(r)))
         if scale == 0.0:
             return np.zeros_like(r)
-        x = lu_solve(lu_piv, (r / scale).astype(dtype), trans=trans,
+        x = lu_solve(lu_piv, (r / scale).astype(dtype), trans=1,
                      check_finite=False)
         return scale * x.astype(np.float64)
 
-    return partial(solve, trans=1), partial(solve, trans=0)
+    return solve
+
+
+def _adjoint(op: Callable, w: np.ndarray) -> Callable:
+    """x -> w op(x / w): op^T for an op self-adjoint in the inner product
+    sum_j w_j u_j v_j, as M and M^-1 are (see the module docstring)."""
+    return lambda x: w * op(x / w)
 
 
 def _norm1_estimate(apply: Callable[[np.ndarray], np.ndarray],
@@ -602,18 +613,18 @@ def _solve_dense(spec: ProblemSpec, moments: ModifiedMoments, b: np.ndarray,
     for dtype in (np.float32, np.float64):
         if anorm > float(np.finfo(dtype).max):
             continue  # the copy of M in dtype would overflow
-        solves = None  # the float32 LU is not kept beside the float64 one
+        solve = None  # the float32 LU is not kept beside the float64 one
         try:
-            solves = _lu_solves(M, dtype, "collocation matrix")
+            solve = _lu_solves(M, dtype, "collocation matrix")
         except SingularSystemError:
             if dtype is np.float64:
                 raise
             continue
-        phi, residual, passed = _refined_solve(apply, solves[0], b, anorm)
+        phi, residual, passed = _refined_solve(apply, solve, b, anorm)
         if passed:
             break
-    return phi, residual, anorm * _norm1_estimate(solves[1], solves[0],
-                                                  M.shape[0])
+    return phi, residual, anorm * _norm1_estimate(
+        _adjoint(solve, spec.rule.weights), solve, M.shape[0])
 
 
 def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
@@ -631,15 +642,15 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
     G's row 0 rescaled by sqrt(4pi), so that the degree-0 entry is
     sum_j w_j and an S singular in exact arithmetic keeps its zero pivot.
     NonFiniteInputError names c when S is not finite.
-    V is not formed here: V y is mu (U^T (w y)) and V^T z is w (U (mu z)),
-    GEMVs over U_T alone, and solve_stage1 writes V over U_T afterwards.
+    V is not formed here: V y is mu (U^T (w y)), GEMVs over U_T alone, and
+    solve_stage1 writes V over U_T afterwards.
     _refined_solve refines the solve against M, applied in O(m r): phi =
     f + c U z shifts every nodal value by the same rounding error of z,
     which stage 2 would multiply by |c mu_0|.  The condition estimate is
-    ||M^T||_1 ||M^-T||_1, each by _norm1_estimate on operators that read a
-    float32 copy of U_T (an estimate needs no more than float32's 7 digits,
-    and each GEMV streams half the bytes); the first is the refinement's
-    ||M||_inf.
+    ||M^T||_1 ||M^-T||_1, each by _norm1_estimate on M and M^-1 read
+    through a float32 copy of U_T (an estimate needs no more than float32's
+    7 digits, and each GEMV streams half the bytes), their transposes by
+    _adjoint; the first is the refinement's ||M||_inf.
     """
     c, w, m = spec.K.c, spec.rule.weights, spec.rule.m
     _, rows, mu = _active_rows(moments)
@@ -652,7 +663,7 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
         raise NonFiniteInputError(
             f"constant K c = {c} makes the reduced system I - c V U "
             "non-finite")
-    S_inv, S_inv_t = _lu_solves(S, np.float64, "reduced system I - c V U")
+    S_inv = _lu_solves(S, np.float64, "reduced system I - c V U")
 
     def apply_M(Ut):  # y -> M y, reading U^T from Ut
         return lambda y: y - c * _blas.matvec(
@@ -663,20 +674,12 @@ def _solve_low_rank(spec: ProblemSpec, moments: ModifiedMoments,
             Ut.T, S_inv(mu * _blas.matvec(Ut, w * y)))
 
     U_T32 = U_T.astype(np.float32)
-
-    def M_T(x):
-        return x - c * w * _blas.matvec(U_T32.T,
-                                        mu * _blas.matvec(U_T32, x))
-
-    def M_inv_T(x):
-        z = S_inv_t(_blas.matvec(U_T32, x))
-        return x + c * w * _blas.matvec(U_T32.T, mu * z)
-
-    anorm = _norm1_estimate(M_T, apply_M(U_T32), m)  # ||M||_inf
+    M32, M_inv32 = apply_M(U_T32), apply_M_inv(U_T32)
+    anorm = _norm1_estimate(_adjoint(M32, w), M32, m)  # ||M||_inf
     phi, residual, _ = _refined_solve(apply_M(U_T), apply_M_inv(U_T), b,
                                       anorm)
-    return phi, residual, anorm * _norm1_estimate(M_inv_T,
-                                                  apply_M_inv(U_T32), m)
+    return phi, residual, anorm * _norm1_estimate(_adjoint(M_inv32, w),
+                                                  M_inv32, m)
 
 
 def solve_stage1(spec: ProblemSpec) -> DiscreteSolution:

@@ -71,10 +71,6 @@ def uniform_random_points(m: int, seed: int) -> EvaluationGrid:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((m, 3))
     norms = np.linalg.norm(v, axis=1)
-    while np.any(norms == 0.0):  # pragma: no cover - probability zero
-        bad = norms == 0.0
-        v[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1)
     return EvaluationGrid(points=v / norms[:, None], seed=seed)
 
 

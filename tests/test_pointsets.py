@@ -20,7 +20,8 @@ from sphsolve import (
     random_rule,
     save_pointset,
 )
-from sphsolve.pointsets import equal_area_rings
+from sphsolve import cli
+from sphsolve.pointsets import WEIGHT_MODES, equal_area_rings
 from sphsolve.sphere import as_unit_vectors
 
 FOUR_PI = 4.0 * math.pi
@@ -116,7 +117,7 @@ def test_random_rule_reproducible() -> None:
 def test_save_load_round_trip(tmp_path, octahedron) -> None:
     path = tmp_path / "oct.txt"
     save_pointset(octahedron, path, include_weights=True)
-    back = load_pointset(path, weight_mode="from_file")
+    back = load_pointset(path, weight_mode="file")
     assert np.array_equal(back.points, octahedron.points)
     assert np.array_equal(back.weights, octahedron.weights)
 
@@ -128,11 +129,21 @@ def test_save_load_round_trip(tmp_path, octahedron) -> None:
     assert eq.weights[0] == pytest.approx(2.0943951, abs=1e-7)
 
 
+def test_weight_modes_are_the_cli_choices(tmp_path, octahedron) -> None:
+    # load_pointset and --weights read one tuple of mode names
+    assert WEIGHT_MODES == ("equal", "file")
+    assert cli._FLAGS["weights"]["choices"] is WEIGHT_MODES
+    path = tmp_path / "oct.txt"
+    save_pointset(octahedron, path)
+    with pytest.raises(ValueError, match="unknown weight_mode 'from_file'"):
+        load_pointset(path, weight_mode="from_file")
+
+
 def test_load_rejects_missing_weight_column(tmp_path, octahedron) -> None:
     path = tmp_path / "oct3.txt"
     save_pointset(octahedron, path, include_weights=False)
     with pytest.raises(PointFileError, match="no weight column"):
-        load_pointset(path, weight_mode="from_file")
+        load_pointset(path, weight_mode="file")
 
 
 def test_load_reports_line_numbers(tmp_path) -> None:
@@ -158,12 +169,12 @@ def test_load_rejects_nonpositive_file_weight(tmp_path) -> None:
     path = tmp_path / "w.txt"
     path.write_text("0 0 1 0.0\n0 0 -1 1.0\n")
     with pytest.raises(PointFileError, match=r"w\.txt:1: weight 0\.0 is not"):
-        load_pointset(path, weight_mode="from_file")
+        load_pointset(path, weight_mode="file")
     # the bad row is the file's fifth line but the rule's second point
     path.write_text("# poles\n0 0 1 1.0\n\n# south\n0 0 -1 -2\n")
     with pytest.raises(PointFileError,
                        match=r"w\.txt:5: weight -2\.0 is not positive"):
-        load_pointset(path, weight_mode="from_file")
+        load_pointset(path, weight_mode="file")
     # equal weights ignore the column
     assert load_pointset(path).m == 2
 

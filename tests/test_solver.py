@@ -831,6 +831,32 @@ def test_low_rank_condition_estimate(case, request) -> None:
     assert exact / 2.0 <= sol.condition_estimate <= exact * (1.0 + 1e-5)
 
 
+@pytest.mark.parametrize("K_case", [1, 2, 3, 4, "custom"])
+@pytest.mark.parametrize("tilted", [False, True], ids=["equal", "tilted"])
+@pytest.mark.parametrize("t", [10, 20])
+def test_collocation_matrix_is_self_adjoint_in_the_weights(t, tilted, K_case,
+                                                           request) -> None:
+    # M = I - A W with A symmetric and W = diag(w), so M^T = W M W^-1 up to
+    # rounding: the condition estimates read every transpose this way
+    # (solver._adjoint).  The tilted weights w (1 + z/2) make M unsymmetric.
+    rule = named_rule(f"td{t}", request)
+    if tilted:
+        tilt = 1.0 + rule.points[:, 2] / 2
+        rule = QuadratureRule(points=rule.points, weights=rule.weights * tilt,
+                              label=f"td{t}-tilted")
+    if K_case == "custom":
+        kernel, K = SingularKernel.log(), ContinuousKernel.custom(
+            lambda r: np.exp(-r))
+    else:
+        kernel, K = experiment_kernels(K_case)
+    M = assemble_system(ProblemSpec(kernel=kernel, K=K, f=1.0, n=t // 2,
+                                    rule=rule))
+    w = rule.weights
+    conjugated = w[:, None] * M / w[None, :]
+    assert np.max(np.abs(M.T - conjugated)) <= 1e-13 * np.max(
+        np.abs(M - np.eye(rule.m)))
+
+
 @pytest.mark.parametrize("m, shift", [(1, 0.0), (2, 0.0), (3, 0.0), (7, 1.0),
                                       (40, 0.0), (40, 2.0), (200, 1.0)])
 def test_norm1_estimate_is_the_gecon_iteration(m, shift) -> None:
